@@ -218,15 +218,17 @@ impl Accelerator for AffineTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn transform_is_correct_both_ways() {
+        let pool = WorkerPool::new(1);
         let mut a = AffineTransform::new(64, 3);
         assert!(run_baseline(&mut a).unwrap().outputs_verified);
         let mut a = AffineTransform::new(64, 3);
         assert!(
-            run_shielded(&mut a, &CryptoProfile::AES128_16X, 9)
+            run_shielded_parallel(&mut a, &CryptoProfile::AES128_16X, 9, &pool)
                 .unwrap()
                 .outputs_verified
         );

@@ -175,15 +175,17 @@ impl Accelerator for Bitcoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn mines_a_valid_nonce_both_ways() {
+        let pool = WorkerPool::new(1);
         let mut b = Bitcoin::new(10, 3);
         assert!(run_baseline(&mut b).unwrap().outputs_verified);
         let mut b = Bitcoin::new(10, 3);
         assert!(
-            run_shielded(&mut b, &CryptoProfile::AES128_16X, 4)
+            run_shielded_parallel(&mut b, &CryptoProfile::AES128_16X, 4, &pool)
                 .unwrap()
                 .outputs_verified
         );
@@ -191,11 +193,12 @@ mod tests {
 
     #[test]
     fn overhead_is_negligible() {
+        let pool = WorkerPool::new(1);
         // Fig. 6: Bitcoin ≈ 1.0× across all profiles.
         let mut b = Bitcoin::new(12, 3);
         let base = run_baseline(&mut b).unwrap();
         let mut b = Bitcoin::new(12, 3);
-        let shielded = run_shielded(&mut b, &CryptoProfile::AES256_4X, 4).unwrap();
+        let shielded = run_shielded_parallel(&mut b, &CryptoProfile::AES256_4X, 4, &pool).unwrap();
         let ratio = shielded.cycles.0 as f64 / base.cycles.0 as f64;
         assert!(ratio < 1.05, "bitcoin overhead should be ~1.0, got {ratio}");
     }

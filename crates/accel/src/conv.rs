@@ -297,15 +297,17 @@ impl Accelerator for Convolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn small_conv_is_correct_both_ways() {
+        let pool = WorkerPool::new(1);
         let mut c = Convolution::new(ConvDims::small(), 4);
         assert!(run_baseline(&mut c).unwrap().outputs_verified);
         let mut c = Convolution::new(ConvDims::small(), 4);
         assert!(
-            run_shielded(&mut c, &CryptoProfile::AES128_16X, 3)
+            run_shielded_parallel(&mut c, &CryptoProfile::AES128_16X, 3, &pool)
                 .unwrap()
                 .outputs_verified
         );

@@ -191,15 +191,17 @@ impl Accelerator for DigitRecognition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn classification_is_consistent_both_ways() {
+        let pool = WorkerPool::new(1);
         let mut d = DigitRecognition::new(32, 50, 7);
         assert!(run_baseline(&mut d).unwrap().outputs_verified);
         let mut d = DigitRecognition::new(32, 50, 7);
         assert!(
-            run_shielded(&mut d, &CryptoProfile::AES256_16X, 5)
+            run_shielded_parallel(&mut d, &CryptoProfile::AES256_16X, 5, &pool)
                 .unwrap()
                 .outputs_verified
         );

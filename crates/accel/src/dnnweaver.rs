@@ -401,7 +401,8 @@ impl Accelerator for DnnWeaver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn lenet_shapes() {
@@ -414,11 +415,12 @@ mod tests {
 
     #[test]
     fn inference_is_correct_both_ways() {
+        let pool = WorkerPool::new(1);
         let mut d = DnnWeaver::new(1, 5);
         assert!(run_baseline(&mut d).unwrap().outputs_verified);
         let mut d = DnnWeaver::new(1, 5);
         assert!(
-            run_shielded(&mut d, &CryptoProfile::AES128_16X, 8)
+            run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool)
                 .unwrap()
                 .outputs_verified
         );
@@ -426,12 +428,15 @@ mod tests {
 
     #[test]
     fn pmac_variant_is_faster() {
+        let pool = WorkerPool::new(1);
         // §6.2.4: swapping the weight-set HMAC for 4 PMAC engines lowers
         // the blocking-stall overhead.
         let mut hmac = DnnWeaver::new(2, 5);
-        let hmac_report = run_shielded(&mut hmac, &CryptoProfile::AES128_16X, 8).unwrap();
+        let hmac_report =
+            run_shielded_parallel(&mut hmac, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
         let mut pmac = DnnWeaver::new(2, 5).with_pmac_weights();
-        let pmac_report = run_shielded(&mut pmac, &CryptoProfile::AES128_16X, 8).unwrap();
+        let pmac_report =
+            run_shielded_parallel(&mut pmac, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
         assert!(
             pmac_report.cycles < hmac_report.cycles,
             "PMAC {} must beat HMAC {}",
@@ -448,14 +453,17 @@ mod tests {
 
     #[test]
     fn merkle_fmap_variant_is_correct_but_slower() {
+        let pool = WorkerPool::new(1);
         // The §5.2.2 trade on a real accelerator: a Merkle-protected
         // feature map still computes the right answer, but pays tree
         // walks the on-chip counters avoid.
         let mut counters = DnnWeaver::new(1, 5);
-        let counters_report = run_shielded(&mut counters, &CryptoProfile::AES128_16X, 8).unwrap();
+        let counters_report =
+            run_shielded_parallel(&mut counters, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
         assert!(counters_report.outputs_verified);
         let mut merkle = DnnWeaver::new(1, 5).with_merkle_fmap();
-        let merkle_report = run_shielded(&mut merkle, &CryptoProfile::AES128_16X, 8).unwrap();
+        let merkle_report =
+            run_shielded_parallel(&mut merkle, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
         assert!(merkle_report.outputs_verified);
         assert!(
             merkle_report.cycles > counters_report.cycles,

@@ -5,8 +5,12 @@
 //! each benchmark exists as a baseline design and a `_shield` design;
 //! both are timed end to end (host DMA in → kernel → host DMA out) and
 //! the figure reports the ratio.
+//!
+//! Every shielded run goes through the one batch datapath, fanned across
+//! a caller-owned [`WorkerPool`]; a 1-lane pool is the paper's serial
+//! Shield, and more lanes model replicated engine sets.
 
-use shef_core::shield::bus::{MemoryBus, ParallelShieldedBus, PlainBus, ShieldedBus, ACCEL_LANE};
+use shef_core::shield::bus::{MemoryBus, PlainBus, ShieldedBus, ACCEL_LANE};
 use shef_core::shield::engine::AccessMode;
 use shef_core::shield::{
     client, DataEncryptionKey, EngineSetStats, RegisterInterface, ServiceConfig, ServiceRequest,
@@ -89,46 +93,15 @@ impl RunReport {
     }
 }
 
-/// Runs `accel` behind a Shield configured with `profile`.
+/// Runs `accel` behind a Shield configured with `profile`, with the
+/// kernel's chunk crypto fanned across `pool`'s lanes.
 ///
 /// The measured window covers: input DMA (ciphertext + tags), sealed
 /// register writes, the kernel, buffer flush, output DMA and
 /// verification-side decryption — matching the paper's end-to-end
 /// latencies. Attestation/boot is *not* included (the paper reports it
-/// separately in §6.1).
-///
-/// # Errors
-///
-/// Propagates configuration, integrity and bus errors.
-pub fn run_shielded(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, None, None)
-}
-
-/// [`run_shielded`], recording into a caller-supplied telemetry
-/// registry so several runs (e.g. a profile sweep) accumulate into one
-/// report. The per-run snapshot in [`RunReport::telemetry`] still
-/// reflects the shared registry at the end of this run.
-///
-/// # Errors
-///
-/// Propagates configuration, integrity and bus errors.
-pub fn run_shielded_with_telemetry(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-    telemetry: &Telemetry,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, None, Some(telemetry))
-}
-
-/// [`run_shielded`] over the parallel multi-lane datapath: the kernel's
-/// bursts are batched and their chunk crypto fanned across `pool`'s
-/// lanes. Outputs are bit-identical to [`run_shielded`]; only the cost
-/// model (and hence the modelled cycles) sees the lane fan-out.
+/// separately in §6.1). Outputs do not depend on the lane count; only
+/// the cost model (and hence the modelled cycles) sees the fan-out.
 ///
 /// # Errors
 ///
@@ -139,11 +112,13 @@ pub fn run_shielded_parallel(
     seed: u64,
     pool: &WorkerPool,
 ) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, Some(pool), None)
+    run_shielded_impl(accel, profile, seed, pool, None)
 }
 
-/// [`run_shielded_parallel`] with a caller-supplied telemetry registry
-/// (see [`run_shielded_with_telemetry`]).
+/// [`run_shielded_parallel`], recording into a caller-supplied telemetry
+/// registry so several runs (e.g. a profile sweep) accumulate into one
+/// report. The per-run snapshot in [`RunReport::telemetry`] still
+/// reflects the shared registry at the end of this run.
 ///
 /// # Errors
 ///
@@ -155,14 +130,14 @@ pub fn run_shielded_parallel_with_telemetry(
     pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, Some(pool), Some(telemetry))
+    run_shielded_impl(accel, profile, seed, pool, Some(telemetry))
 }
 
 fn run_shielded_impl(
     accel: &mut dyn Accelerator,
     profile: &CryptoProfile,
     seed: u64,
-    pool: Option<&WorkerPool>,
+    pool: &WorkerPool,
     telemetry: Option<&Telemetry>,
 ) -> Result<RunReport, ShefError> {
     let config = accel.shield_config(profile);
@@ -176,9 +151,7 @@ fn run_shielded_impl(
     // caller's when one was attached, the shield's private one otherwise
     // — so RunReport::telemetry always carries the full datapath.
     let run_telemetry = shield.telemetry().clone();
-    if let Some(pool) = pool {
-        pool.attach_telemetry(&run_telemetry);
-    }
+    pool.attach_telemetry(&run_telemetry);
     let dek = DataEncryptionKey::from_bytes(
         shef_crypto::drbg::HmacDrbg::from_seed(format!("harness.dek.{seed}").as_bytes())
             .generate_array::<32>(),
@@ -221,26 +194,15 @@ fn run_shielded_impl(
     }
 
     // Kernel execution.
-    if let Some(pool) = pool {
-        let mut bus = ParallelShieldedBus {
-            shield: &mut shield,
-            shell: &mut shell,
-            dram: &mut dram,
-            ledger: &mut ledger,
-            pool,
-        };
-        accel.run(&mut bus)?;
-        bus.flush()?;
-    } else {
-        let mut bus = ShieldedBus {
-            shield: &mut shield,
-            shell: &mut shell,
-            dram: &mut dram,
-            ledger: &mut ledger,
-        };
-        accel.run(&mut bus)?;
-        bus.flush()?;
-    }
+    let mut bus = ShieldedBus {
+        shield: &mut shield,
+        shell: &mut shell,
+        dram: &mut dram,
+        ledger: &mut ledger,
+        pool,
+    };
+    accel.run(&mut bus)?;
+    bus.flush()?;
 
     // Output readback + verification.
     let mut verified = true;
@@ -374,7 +336,9 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
     ))
 }
 
-/// Measures the shielded/baseline ratio for one profile.
+/// Measures the shielded/baseline ratio for one profile, with the
+/// shielded run fanned across `lanes` worker lanes (1 = the serial
+/// Shield).
 ///
 /// # Errors
 ///
@@ -382,69 +346,38 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
 pub fn overhead(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
-) -> Result<OverheadReport, ShefError> {
-    let mut base = make_accel();
-    let baseline = run_baseline(base.as_mut())?;
-    let mut shielded_accel = make_accel();
-    let shielded = run_shielded(shielded_accel.as_mut(), profile, 42)?;
-    Ok(OverheadReport {
-        baseline_cycles: baseline.cycles,
-        shielded_cycles: shielded.cycles,
-        normalized: shielded.cycles.0 as f64 / baseline.cycles.0.max(1) as f64,
-        baseline_verified: baseline.outputs_verified,
-        shielded_verified: shielded.outputs_verified,
-    })
-}
-
-/// Measures the shielded/baseline ratio for one profile over the
-/// parallel datapath with `lanes` worker lanes.
-///
-/// # Errors
-///
-/// Propagates run errors from either side.
-pub fn overhead_parallel(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
     lanes: usize,
 ) -> Result<OverheadReport, ShefError> {
-    let mut base = make_accel();
-    let baseline = run_baseline(base.as_mut())?;
-    let pool = WorkerPool::new(lanes);
-    let mut shielded_accel = make_accel();
-    let shielded = run_shielded_parallel(shielded_accel.as_mut(), profile, 42, &pool)?;
-    Ok(OverheadReport {
-        baseline_cycles: baseline.cycles,
-        shielded_cycles: shielded.cycles,
-        normalized: shielded.cycles.0 as f64 / baseline.cycles.0.max(1) as f64,
-        baseline_verified: baseline.outputs_verified,
-        shielded_verified: shielded.outputs_verified,
-    })
+    overhead_impl(make_accel, profile, lanes, None)
 }
 
-/// [`overhead_parallel`] recording the shielded run into a
-/// caller-supplied telemetry registry, so a lane-scaling sweep can
-/// accumulate every configuration into one exported report.
+/// [`overhead`] recording the shielded run into a caller-supplied
+/// telemetry registry, so a lane-scaling sweep can accumulate every
+/// configuration into one exported report.
 ///
 /// # Errors
 ///
 /// Propagates run errors from either side.
-pub fn overhead_parallel_with_telemetry(
+pub fn overhead_with_telemetry(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
     lanes: usize,
     telemetry: &Telemetry,
 ) -> Result<OverheadReport, ShefError> {
+    overhead_impl(make_accel, profile, lanes, Some(telemetry))
+}
+
+fn overhead_impl(
+    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
+    profile: &CryptoProfile,
+    lanes: usize,
+    telemetry: Option<&Telemetry>,
+) -> Result<OverheadReport, ShefError> {
     let mut base = make_accel();
     let baseline = run_baseline(base.as_mut())?;
     let pool = WorkerPool::new(lanes);
     let mut shielded_accel = make_accel();
-    let shielded = run_shielded_parallel_with_telemetry(
-        shielded_accel.as_mut(),
-        profile,
-        42,
-        &pool,
-        telemetry,
-    )?;
+    let shielded = run_shielded_impl(shielded_accel.as_mut(), profile, 42, &pool, telemetry)?;
     Ok(OverheadReport {
         baseline_cycles: baseline.cycles,
         shielded_cycles: shielded.cycles,
@@ -531,8 +464,7 @@ impl ServiceRunReport {
 /// operation is submitted to the admission queue and drained to a
 /// completion, so the request still crosses admission control and the
 /// shard scheduler. Compute occupancy and register traffic bypass the
-/// queue and charge the tenant directly, exactly like
-/// [`ParallelShieldedBus`].
+/// queue and charge the tenant directly, exactly like [`ShieldedBus`].
 struct ServiceBus<'a> {
     service: &'a mut ShieldService,
     tenant: TenantId,
@@ -595,7 +527,8 @@ impl MemoryBus for ServiceBus<'_> {
 
 /// Runs `tenants` instances of one workload through a
 /// [`ShieldService`], each tenant in its own key domain and address
-/// namespace. The measured window per tenant matches [`run_shielded`]:
+/// namespace. The measured window per tenant matches
+/// [`run_shielded_parallel`]:
 /// input DMA (ciphertext + tags), sealed register writes, the kernel
 /// (every burst crossing admission + shard dispatch), flush, output DMA
 /// and verification-side decryption. With one tenant and a one-shard
@@ -617,7 +550,7 @@ pub fn run_shielded_service(
 }
 
 /// [`run_shielded_service`] with a caller-supplied telemetry registry
-/// (see [`run_shielded_with_telemetry`]).
+/// (see [`run_shielded_parallel_with_telemetry`]).
 ///
 /// # Errors
 ///
@@ -820,7 +753,9 @@ mod tests {
         let baseline = run_baseline(&mut accel).unwrap();
         assert!(baseline.outputs_verified);
         let mut accel = VectorAdd::new(8 * 1024, 1);
-        let shielded = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 7).unwrap();
+        let pool = WorkerPool::new(1);
+        let shielded =
+            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 7, &pool).unwrap();
         assert!(shielded.outputs_verified);
         // Security costs something.
         assert!(shielded.cycles >= baseline.cycles);
@@ -829,7 +764,13 @@ mod tests {
     #[test]
     fn parallel_harness_verifies_and_never_slows_down() {
         let mut accel = VectorAdd::new(64 * 1024, 1);
-        let serial = run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7).unwrap();
+        let serial = run_shielded_parallel(
+            &mut accel,
+            &CryptoProfile::AES128_4X,
+            7,
+            &WorkerPool::new(1),
+        )
+        .unwrap();
         let mut accel = VectorAdd::new(64 * 1024, 1);
         let pool = WorkerPool::new(4);
         let parallel =
@@ -939,7 +880,7 @@ mod tests {
     #[test]
     fn overhead_reports_ratio() {
         let make = || Box::new(VectorAdd::new(8 * 1024, 1)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_4X).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, 1).unwrap();
         assert!(report.normalized >= 1.0);
         assert!(report.baseline_verified && report.shielded_verified);
     }
@@ -947,8 +888,8 @@ mod tests {
     #[test]
     fn slower_profile_is_not_faster() {
         let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
-        let fast = overhead(&make, &CryptoProfile::AES128_16X).unwrap();
-        let slow = overhead(&make, &CryptoProfile::AES256_4X).unwrap();
+        let fast = overhead(&make, &CryptoProfile::AES128_16X, 1).unwrap();
+        let slow = overhead(&make, &CryptoProfile::AES256_4X, 1).unwrap();
         assert!(slow.normalized >= fast.normalized);
     }
 }

@@ -23,12 +23,15 @@
 //! `shef-bench`:
 //!
 //! ```
-//! use shef_accel::harness::run_shielded;
+//! use shef_accel::harness::run_shielded_parallel;
 //! use shef_accel::vecadd::VectorAdd;
 //! use shef_accel::CryptoProfile;
+//! use shef_core::shield::WorkerPool;
 //!
 //! let mut accel = VectorAdd::new(2048, 1); // one 2 KB stripe per vector
-//! let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 1).expect("runs");
+//! let pool = WorkerPool::new(1); // one lane: the serial Shield
+//! let report = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 1, &pool)
+//!     .expect("runs");
 //! assert!(report.outputs_verified, "shielded output matches the golden model");
 //! ```
 

@@ -150,15 +150,17 @@ impl Accelerator for MatMul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn small_matmul_is_correct() {
+        let pool = WorkerPool::new(1);
         let mut m = MatMul::new(32, 9);
         assert!(run_baseline(&mut m).unwrap().outputs_verified);
         let mut m = MatMul::new(32, 9);
         assert!(
-            run_shielded(&mut m, &CryptoProfile::AES128_4X, 2)
+            run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &pool)
                 .unwrap()
                 .outputs_verified
         );
@@ -177,12 +179,13 @@ mod tests {
 
     #[test]
     fn overhead_is_mild_thanks_to_arithmetic_intensity() {
+        let pool = WorkerPool::new(1);
         // The paper's point: matmul overhead < vecadd overhead at the
         // same profile, because compute hides crypto.
         let mut m = MatMul::new(64, 3);
         let base = run_baseline(&mut m).unwrap();
         let mut m = MatMul::new(64, 3);
-        let shielded = run_shielded(&mut m, &CryptoProfile::AES128_4X, 2).unwrap();
+        let shielded = run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &pool).unwrap();
         let ratio = shielded.cycles.0 as f64 / base.cycles.0 as f64;
         assert!(ratio < 2.0, "matmul overhead should be mild, got {ratio}");
     }

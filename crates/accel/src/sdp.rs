@@ -290,7 +290,8 @@ impl Accelerator for SdpStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     fn engines() -> SdpEngineConfig {
         SdpEngineConfig::table2_columns()[2].1 // 4xEng/16x/PMAC
@@ -298,11 +299,12 @@ mod tests {
 
     #[test]
     fn gets_move_files_to_tls() {
+        let pool = WorkerPool::new(1);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Get(0), SdpOp::Get(1)], engines(), 1);
         assert!(run_baseline(&mut s).unwrap().outputs_verified);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Get(0), SdpOp::Get(1)], engines(), 1);
         assert!(
-            run_shielded(&mut s, &CryptoProfile::AES128_16X, 2)
+            run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
                 .unwrap()
                 .outputs_verified
         );
@@ -310,11 +312,12 @@ mod tests {
 
     #[test]
     fn puts_move_buffers_to_storage() {
+        let pool = WorkerPool::new(1);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Put(1)], engines(), 1);
         assert!(run_baseline(&mut s).unwrap().outputs_verified);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Put(1)], engines(), 1);
         assert!(
-            run_shielded(&mut s, &CryptoProfile::AES128_16X, 2)
+            run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
                 .unwrap()
                 .outputs_verified
         );
@@ -322,16 +325,17 @@ mod tests {
 
     #[test]
     fn pmac_configs_beat_hmac_configs() {
+        let pool = WorkerPool::new(1);
         // The Table 2 story in miniature.
         let cols = SdpEngineConfig::table2_columns();
         let hmac = cols[1].1;
         let pmac = cols[2].1;
         let mut s = SdpStore::new(64 * 1024, 1, vec![SdpOp::Get(0)], hmac, 3);
-        let hmac_cycles = run_shielded(&mut s, &CryptoProfile::AES128_16X, 2)
+        let hmac_cycles = run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
             .unwrap()
             .cycles;
         let mut s = SdpStore::new(64 * 1024, 1, vec![SdpOp::Get(0)], pmac, 3);
-        let pmac_cycles = run_shielded(&mut s, &CryptoProfile::AES128_16X, 2)
+        let pmac_cycles = run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
             .unwrap()
             .cycles;
         assert!(pmac_cycles < hmac_cycles);

@@ -139,7 +139,8 @@ impl Accelerator for VectorAdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded};
+    use crate::harness::{run_baseline, run_shielded_parallel};
+    use shef_core::shield::WorkerPool;
 
     #[test]
     fn config_uses_paper_layout() {
@@ -159,8 +160,9 @@ mod tests {
 
     #[test]
     fn computes_correct_sums_shielded() {
+        let pool = WorkerPool::new(1);
         let mut v = VectorAdd::new(16 * 1024, 3);
-        let report = run_shielded(&mut v, &CryptoProfile::AES128_4X, 1).unwrap();
+        let report = run_shielded_parallel(&mut v, &CryptoProfile::AES128_4X, 1, &pool).unwrap();
         assert!(report.outputs_verified);
     }
 
@@ -172,11 +174,12 @@ mod tests {
 
     #[test]
     fn sixteen_x_is_not_slower_than_four_x() {
+        let pool = WorkerPool::new(1);
         let mk = |_| VectorAdd::new(64 * 1024, 5);
         let mut a = mk(());
-        let fast = run_shielded(&mut a, &CryptoProfile::AES128_16X, 1).unwrap();
+        let fast = run_shielded_parallel(&mut a, &CryptoProfile::AES128_16X, 1, &pool).unwrap();
         let mut b = mk(());
-        let slow = run_shielded(&mut b, &CryptoProfile::AES128_4X, 1).unwrap();
+        let slow = run_shielded_parallel(&mut b, &CryptoProfile::AES128_4X, 1, &pool).unwrap();
         assert!(fast.cycles <= slow.cycles);
     }
 }

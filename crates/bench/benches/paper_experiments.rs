@@ -10,8 +10,7 @@
 
 use std::process::Command;
 
-/// Table/figure regenerators, in paper order. `lanes_debug` is a
-/// developer utility and intentionally not part of the sweep.
+/// Table/figure regenerators, in paper order.
 const EXPERIMENTS: &[(&str, &str)] = &[
     ("table1", "Table 1: Shield component utilization"),
     ("fig5", "Figure 5: vector-add overhead vs input size"),

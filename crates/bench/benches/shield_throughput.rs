@@ -1,14 +1,9 @@
 //! Criterion benchmarks of the Shield datapath itself: functional
 //! (wall-clock) throughput of engine-set reads/writes under different
-//! configurations, plus the end-to-end vecadd harness.
-//!
-//! The `shield_read_parallel` group sweeps the multi-lane datapath.
-//! Lane counts default to 1,2,4,8; override with the `--lanes`-style
-//! env knob `SHEF_LANES=1,4 cargo bench -p shef-bench --bench
-//! shield_throughput` (the vendored criterion shim takes no CLI args).
+//! configurations and lane counts, plus the end-to-end vecadd harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use shef_accel::harness::{run_baseline, run_shielded};
+use shef_accel::harness::{run_baseline, run_shielded_parallel};
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::CryptoProfile;
 use shef_core::shield::client;
@@ -50,13 +45,17 @@ fn shielded_setup(chunk: usize, mac: MacAlgorithm) -> (Shield, Shell, Dram, Data
 fn bench_shield_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("shield_read");
     group.sample_size(20);
-    for (name, chunk, mac) in [
-        ("c512_hmac", 512usize, MacAlgorithm::HmacSha256),
-        ("c4096_hmac", 4096, MacAlgorithm::HmacSha256),
-        ("c4096_pmac", 4096, MacAlgorithm::PmacAes),
-        ("c4096_gcm", 4096, MacAlgorithm::AesGcm),
+    // The 4 KiB HMAC configuration also sweeps 1, 2 and 4 worker lanes.
+    for (name, chunk, mac, lanes) in [
+        ("c512_hmac", 512usize, MacAlgorithm::HmacSha256, 1usize),
+        ("c4096_hmac", 4096, MacAlgorithm::HmacSha256, 1),
+        ("c4096_hmac_l2", 4096, MacAlgorithm::HmacSha256, 2),
+        ("c4096_hmac_l4", 4096, MacAlgorithm::HmacSha256, 4),
+        ("c4096_pmac", 4096, MacAlgorithm::PmacAes, 1),
+        ("c4096_gcm", 4096, MacAlgorithm::AesGcm, 1),
     ] {
         let (mut shield, mut shell, mut dram, _) = shielded_setup(chunk, mac);
+        let pool = WorkerPool::new(lanes);
         group.throughput(Throughput::Bytes(1 << 20));
         group.bench_function(BenchmarkId::new("stream_1mb", name), |b| {
             b.iter(|| {
@@ -66,44 +65,6 @@ fn bench_shield_reads(c: &mut Criterion) {
                 // the full decrypt+verify path for most chunks.
                 shield
                     .read(
-                        &mut shell,
-                        &mut dram,
-                        &mut ledger,
-                        0,
-                        1 << 20,
-                        AccessMode::Streaming,
-                    )
-                    .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Lane counts for the parallel-datapath sweep: `SHEF_LANES=1,4` or
-/// the 1,2,4,8 default.
-fn lane_counts() -> Vec<usize> {
-    match std::env::var("SHEF_LANES") {
-        Ok(spec) => spec
-            .split(',')
-            .map(|s| s.trim().parse().expect("SHEF_LANES must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-fn bench_shield_reads_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shield_read_parallel");
-    group.sample_size(20);
-    for lanes in lane_counts() {
-        let (mut shield, mut shell, mut dram, _) = shielded_setup(4096, MacAlgorithm::HmacSha256);
-        let pool = WorkerPool::new(lanes);
-        group.throughput(Throughput::Bytes(1 << 20));
-        group.bench_function(BenchmarkId::new("stream_1mb", format!("l{lanes}")), |b| {
-            b.iter(|| {
-                let mut ledger = CostLedger::new();
-                shield
-                    .read_parallel(
                         &mut shell,
                         &mut dram,
                         &mut ledger,
@@ -122,6 +83,7 @@ fn bench_shield_reads_parallel(c: &mut Criterion) {
 fn bench_vecadd_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("vecadd_harness");
     group.sample_size(10);
+    let pool = WorkerPool::new(1);
     group.bench_function("baseline_256k", |b| {
         b.iter(|| {
             let mut accel = VectorAdd::new(256 * 1024, 1);
@@ -131,7 +93,7 @@ fn bench_vecadd_end_to_end(c: &mut Criterion) {
     group.bench_function("shielded_256k_aes16x", |b| {
         b.iter(|| {
             let mut accel = VectorAdd::new(256 * 1024, 1);
-            run_shielded(&mut accel, &CryptoProfile::AES128_16X, 2).unwrap()
+            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 2, &pool).unwrap()
         })
     });
     group.finish();
@@ -179,6 +141,7 @@ fn bench_replay_defences(c: &mut Criterion) {
         let mut shell = Shell::new();
         let mut dram = Dram::new(1 << 30);
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(1);
         // Provision once with full-chunk writes.
         for start in (0..256 * 1024u64).step_by(512) {
             es.write(
@@ -188,10 +151,11 @@ fn bench_replay_defences(c: &mut Criterion) {
                 start,
                 &[0u8; 512],
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         }
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         group.bench_function(BenchmarkId::new("rmw_64", name), |b| {
             let mut n = 0u64;
             b.iter(|| {
@@ -206,6 +170,7 @@ fn bench_replay_defences(c: &mut Criterion) {
                         addr,
                         64,
                         AccessMode::Streaming,
+                        &pool,
                     )
                     .unwrap();
                 es.write(
@@ -215,9 +180,10 @@ fn bench_replay_defences(c: &mut Criterion) {
                     addr,
                     &got,
                     AccessMode::Streaming,
+                    &pool,
                 )
                 .unwrap();
-                es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+                es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
             })
         });
     }
@@ -227,7 +193,6 @@ fn bench_replay_defences(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_shield_reads,
-    bench_shield_reads_parallel,
     bench_vecadd_end_to_end,
     bench_replay_defences
 );

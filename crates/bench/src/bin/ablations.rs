@@ -57,15 +57,17 @@ fn chunk_size_sweep() {
 
 fn buffer_sweep() {
     use shef_accel::affine::AffineTransform;
-    use shef_accel::harness::run_shielded;
+    use shef_accel::harness::run_shielded_parallel;
     use shef_accel::CryptoProfile;
+    use shef_core::shield::WorkerPool;
 
     header("Ablation 2: on-chip buffer capacity (affine transform hit rate)");
     // The affine kernel's Shield uses 4 KB per input set by default; vary
     // it by monkey-patching the config through a custom accel is complex,
     // so report hits/misses at the default and rely on the engine stats.
     let mut accel = AffineTransform::new(256, 1);
-    let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 5).unwrap();
+    let pool = WorkerPool::new(1);
+    let report = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 5, &pool).unwrap();
     assert!(report.outputs_verified);
     let (hits, misses): (u64, u64) = report
         .engine_stats
@@ -148,7 +150,7 @@ fn oram_over_shield() {
     use shef_core::oram::PathOram;
     use shef_core::shield::bus::ShieldedBus;
     use shef_core::shield::{
-        AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+        AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig, WorkerPool,
     };
     use shef_crypto::drbg::HmacDrbg;
     use shef_crypto::ecies::EciesKeyPair;
@@ -188,6 +190,7 @@ fn oram_over_shield() {
     let mut shell = Shell::new();
     let mut dram = Dram::f1_default();
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     // Provision the region (write-once pass), then measure.
     let region_len = shield.config().regions[0].range.len;
@@ -198,6 +201,7 @@ fn oram_over_shield() {
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         bus.write(0, &vec![0u8; region_len as usize], AccessMode::Streaming)
             .expect("provision");
@@ -217,6 +221,7 @@ fn oram_over_shield() {
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         for &id in &ids {
             let _ = bus
@@ -235,6 +240,7 @@ fn oram_over_shield() {
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger_oram,
+            pool: &pool,
         };
         let mut oram =
             PathOram::format(&mut bus, 0, N_BLOCKS, BLOCK, b"oram-ablation").expect("format");
@@ -268,7 +274,7 @@ fn oram_over_shield() {
 }
 
 fn lane_sweep() {
-    use shef_accel::harness::overhead_parallel;
+    use shef_accel::harness::overhead;
     use shef_accel::vecadd::VectorAdd;
     use shef_accel::{Accelerator, CryptoProfile};
 
@@ -280,7 +286,7 @@ fn lane_sweep() {
     let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
     let mut prev: Option<u64> = None;
     for lanes in [1usize, 2, 4, 8] {
-        let report = overhead_parallel(&make, &CryptoProfile::AES128_4X, lanes).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, lanes).unwrap();
         assert!(
             report.shielded_verified,
             "lane sweep produced wrong outputs"

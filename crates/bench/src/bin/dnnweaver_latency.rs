@@ -5,17 +5,19 @@
 //! steady-state view).
 
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::{run_baseline, run_shielded};
+use shef_accel::harness::{run_baseline, run_shielded_parallel};
 use shef_accel::CryptoProfile;
 use shef_bench::{header, kv_row};
+use shef_core::shield::WorkerPool;
 
 fn main() {
     header("Appendix A.6: DNNWeaver LeNet end-to-end latency");
     let mut base = DnnWeaver::new(1, 42);
     let baseline = run_baseline(&mut base).expect("baseline runs");
     let mut shielded_accel = DnnWeaver::new(1, 42);
-    let shielded =
-        run_shielded(&mut shielded_accel, &CryptoProfile::AES128_16X, 9).expect("shielded runs");
+    let pool = WorkerPool::new(1);
+    let shielded = run_shielded_parallel(&mut shielded_accel, &CryptoProfile::AES128_16X, 9, &pool)
+        .expect("shielded runs");
     assert!(baseline.outputs_verified && shielded.outputs_verified);
 
     kv_row(

@@ -25,7 +25,7 @@ fn main() {
     for (i, kb) in sizes_kb.iter().enumerate() {
         let bytes = kb * 1024;
         let make = move || Box::new(VectorAdd::new(bytes, 11)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_4X).expect("run succeeds");
+        let report = overhead(&make, &CryptoProfile::AES128_4X, 1).expect("run succeeds");
         assert!(report.shielded_verified && report.baseline_verified);
         overhead_row(&format!("{kb} KB"), report.normalized, Some(paper_4x[i]));
     }
@@ -34,7 +34,7 @@ fn main() {
     for (i, kb) in sizes_kb.iter().enumerate() {
         let bytes = kb * 1024;
         let make = move || Box::new(VectorAdd::new(bytes, 11)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_16X).expect("run succeeds");
+        let report = overhead(&make, &CryptoProfile::AES128_16X, 1).expect("run succeeds");
         assert!(report.shielded_verified && report.baseline_verified);
         overhead_row(&format!("{kb} KB"), report.normalized, Some(paper_16x[i]));
     }

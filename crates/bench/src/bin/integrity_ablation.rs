@@ -19,7 +19,7 @@ use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::merkle::MerkleConfig;
 use shef_core::shield::timing::chunk_crypto_cost;
-use shef_core::shield::DataEncryptionKey;
+use shef_core::shield::{DataEncryptionKey, WorkerPool};
 use shef_crypto::authenc::MacAlgorithm;
 use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
@@ -77,6 +77,7 @@ fn run_scheme(label: &str, counters: bool, merkle: Option<MerkleConfig>) -> Sche
     let mut shell = Shell::new();
     let mut dram = Dram::new(1 << 30);
     let mut ledger = CostLedger::new();
+    let pool = WorkerPool::new(1);
 
     // Warm the region with one sequential write pass (provisioning), then
     // reset accounting so only the steady-state RMW trace is measured.
@@ -88,10 +89,11 @@ fn run_scheme(label: &str, counters: bool, merkle: Option<MerkleConfig>) -> Sche
             chunk_start,
             &[0u8; CHUNK],
             AccessMode::Streaming,
+            &pool,
         )
         .expect("warm-up write");
     }
-    es.flush(&mut shell, &mut dram, &mut ledger)
+    es.flush(&mut shell, &mut dram, &mut ledger, &pool)
         .expect("warm-up flush");
     dram.reset_accounting();
     let mut ledger = CostLedger::new();
@@ -106,6 +108,7 @@ fn run_scheme(label: &str, counters: bool, merkle: Option<MerkleConfig>) -> Sche
                 addr,
                 8,
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("trace read");
         word[0] = word[0].wrapping_add(1);
@@ -116,16 +119,17 @@ fn run_scheme(label: &str, counters: bool, merkle: Option<MerkleConfig>) -> Sche
             addr,
             &word,
             AccessMode::Streaming,
+            &pool,
         )
         .expect("trace write");
         baseline_reads += 1;
         // Periodic flush models the kernel's working-set turnover.
         if i % 512 == 511 {
-            es.flush(&mut shell, &mut dram, &mut ledger)
+            es.flush(&mut shell, &mut dram, &mut ledger, &pool)
                 .expect("periodic flush");
         }
     }
-    es.flush(&mut shell, &mut dram, &mut ledger)
+    es.flush(&mut shell, &mut dram, &mut ledger, &pool)
         .expect("final flush");
 
     ledger.merge(dram.ledger());
@@ -248,21 +252,22 @@ fn mac_engine_sweep() {
 
 fn end_to_end_dnnweaver() {
     use shef_accel::dnnweaver::DnnWeaver;
-    use shef_accel::harness::{run_baseline, run_shielded};
+    use shef_accel::harness::{run_baseline, run_shielded_parallel};
     use shef_accel::CryptoProfile;
 
     header("End-to-end: DNNWeaver feature maps, counters vs Bonsai Merkle Tree");
+    let pool = WorkerPool::new(1);
     let baseline = {
         let mut d = DnnWeaver::new(1, 5);
         run_baseline(&mut d).expect("baseline run")
     };
     let counters = {
         let mut d = DnnWeaver::new(1, 5);
-        run_shielded(&mut d, &CryptoProfile::AES128_16X, 8).expect("counters run")
+        run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool).expect("counters run")
     };
     let merkle = {
         let mut d = DnnWeaver::new(1, 5).with_merkle_fmap();
-        run_shielded(&mut d, &CryptoProfile::AES128_16X, 8).expect("merkle run")
+        run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool).expect("merkle run")
     };
     assert!(baseline.outputs_verified && counters.outputs_verified && merkle.outputs_verified);
     let base = baseline.cycles.0.max(1) as f64;

@@ -18,7 +18,7 @@
 //! the `telemetry-report` CI job checks with `scripts/check_report.sh`.
 
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::{overhead_parallel, overhead_parallel_with_telemetry};
+use shef_accel::harness::{overhead, overhead_with_telemetry};
 use shef_accel::matmul::MatMul;
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::{Accelerator, CryptoProfile};
@@ -98,9 +98,9 @@ fn main() {
         let mut one_lane_cycles = None;
         for &lanes in &lane_counts {
             let report = if telemetry_path.is_some() {
-                overhead_parallel_with_telemetry(&w.make, &w.profile, lanes, &telemetry)
+                overhead_with_telemetry(&w.make, &w.profile, lanes, &telemetry)
             } else {
-                overhead_parallel(&w.make, &w.profile, lanes)
+                overhead(&w.make, &w.profile, lanes)
             }
             .unwrap_or_else(|e| panic!("{} at {lanes} lanes failed: {e}", w.name));
             assert!(

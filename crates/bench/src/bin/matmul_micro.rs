@@ -13,8 +13,8 @@ fn main() {
     let mut max_4x: f64 = 0.0;
     for n in [128usize, 256, 512] {
         let make = move || Box::new(MatMul::new(n, 31)) as Box<dyn Accelerator>;
-        let r4 = overhead(&make, &CryptoProfile::AES128_4X).expect("run succeeds");
-        let r16 = overhead(&make, &CryptoProfile::AES128_16X).expect("run succeeds");
+        let r4 = overhead(&make, &CryptoProfile::AES128_4X, 1).expect("run succeeds");
+        let r16 = overhead(&make, &CryptoProfile::AES128_16X, 1).expect("run succeeds");
         assert!(r4.shielded_verified && r16.shielded_verified);
         max_4x = max_4x.max(r4.normalized);
         overhead_row(&format!("{n}x{n} AES-128/4x"), r4.normalized, None);

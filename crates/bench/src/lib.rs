@@ -61,7 +61,7 @@ pub struct LaneRecord {
     pub workload: String,
     /// Crypto profile label.
     pub profile: String,
-    /// Worker-pool lanes (1 = the serial datapath's charge).
+    /// Worker-pool lanes (1 = the serial Shield).
     pub lanes: usize,
     /// Insecure-baseline modelled cycles.
     pub baseline_cycles: u64,

@@ -154,6 +154,7 @@ mod tests {
     use super::*;
     use crate::shield::{
         client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+        WorkerPool,
     };
     use shef_crypto::ecies::EciesKeyPair;
     use shef_fpga::clock::CostLedger;
@@ -194,6 +195,7 @@ mod tests {
 
     #[test]
     fn shell_spoofer_detected() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
         provision_input(&shield, &mut dram, &dek, &[7u8; 8192]);
         shell.set_interposer(Box::new(MemReadSpoofer::new(1)));
@@ -205,6 +207,7 @@ mod tests {
                 0,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, crate::ShefError::IntegrityViolation(_)));
@@ -212,6 +215,7 @@ mod tests {
 
     #[test]
     fn splice_attack_detected() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
         // Two chunks with different plaintext.
         let mut data = vec![1u8; 8192];
@@ -228,6 +232,7 @@ mod tests {
                 512,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, crate::ShefError::IntegrityViolation(_)));
@@ -235,6 +240,7 @@ mod tests {
 
     #[test]
     fn replay_attack_detected_with_counters() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(true);
         provision_input(&shield, &mut dram, &dek, &[1u8; 8192]);
         let tag_base = shield.config().tag_base(0);
@@ -248,9 +254,12 @@ mod tests {
                 0,
                 &[9u8; 512],
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
+            .unwrap();
         // Stale state replayed.
         snapshot.replay(&mut dram);
         let err = shield
@@ -261,6 +270,7 @@ mod tests {
                 0,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, crate::ShefError::IntegrityViolation(_)));
@@ -268,6 +278,7 @@ mod tests {
 
     #[test]
     fn snooper_never_sees_plaintext() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
         let secret = b"TOP-SECRET-GENOME-SEGMENT-0001";
         let mut data = vec![0u8; 8192];
@@ -284,6 +295,7 @@ mod tests {
                 0,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(&got[..secret.len()], secret);
@@ -295,9 +307,12 @@ mod tests {
                 4096,
                 &got,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
+            .unwrap();
         // Retrieve the snooper to inspect what it saw.
         // (Install a fresh honest shell; the snooper was consumed.)
         // We verify indirectly: DRAM nowhere contains the plaintext.
@@ -310,6 +325,7 @@ mod tests {
 
     #[test]
     fn dma_tampering_detected_by_client() {
+        let pool = WorkerPool::new(1);
         // The Shell corrupts the Data Owner's ciphertext on the way in;
         // the Shield detects it at first use.
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
@@ -327,6 +343,7 @@ mod tests {
                 0,
                 512,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(matches!(err, crate::ShefError::IntegrityViolation(_)));

@@ -316,6 +316,7 @@ fn levels_for(n_blocks: u64) -> u32 {
 mod tests {
     use super::*;
     use crate::shield::bus::{MemoryBus, PlainBus};
+    use crate::shield::WorkerPool;
     use shef_fpga::clock::CostLedger;
     use shef_fpga::dram::Dram;
     use shef_fpga::shell::Shell;
@@ -477,11 +478,13 @@ mod tests {
         let mut shell = Shell::new();
         let mut dram = Dram::f1_default();
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(1);
         let mut bus = ShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         let mut oram = PathOram::format(&mut bus, 0, n_blocks, block, b"shielded").unwrap();
         oram.write(&mut bus, 3, &[0xCC; 32]).unwrap();

@@ -3,8 +3,10 @@
 //! Accelerator models are written once against [`MemoryBus`] and run in
 //! two bindings:
 //!
-//! * [`ShieldedBus`] — traffic flows through the Shield's engine sets
-//!   (the secured configuration being evaluated);
+//! * [`ShieldedBus`] — traffic flows through the Shield's engine sets,
+//!   whose chunk crypto fans across a caller-owned [`WorkerPool`] (the
+//!   secured configuration being evaluated; one lane is the serial
+//!   engine set);
 //! * [`PlainBus`] — traffic goes straight through the Shell to DRAM (the
 //!   paper's insecure baseline, the "1×" of every normalized figure).
 //!
@@ -60,51 +62,11 @@ pub trait MemoryBus {
 /// Lane name used for accelerator compute cycles.
 pub const ACCEL_LANE: &str = "accel";
 
-/// The shielded binding.
+/// The shielded binding: every burst is batched through the Shield's
+/// engine sets and its chunk crypto fanned across the pool's lanes. The
+/// bytes do not depend on the lane count; only the cost model sees the
+/// fan-out.
 pub struct ShieldedBus<'a> {
-    /// The Shield instance in the PR region.
-    pub shield: &'a mut Shield,
-    /// The CSP Shell.
-    pub shell: &'a mut Shell,
-    /// Device DRAM.
-    pub dram: &'a mut Dram,
-    /// Cost accounting for this kernel invocation.
-    pub ledger: &'a mut CostLedger,
-}
-
-impl MemoryBus for ShieldedBus<'_> {
-    fn read(&mut self, addr: u64, len: usize, mode: AccessMode) -> Result<Vec<u8>, ShefError> {
-        self.shield
-            .read(self.shell, self.dram, self.ledger, addr, len, mode)
-    }
-
-    fn write(&mut self, addr: u64, data: &[u8], mode: AccessMode) -> Result<(), ShefError> {
-        self.shield
-            .write(self.shell, self.dram, self.ledger, addr, data, mode)
-    }
-
-    fn flush(&mut self) -> Result<(), ShefError> {
-        self.shield.flush(self.shell, self.dram, self.ledger)
-    }
-
-    fn compute(&mut self, cycles: u64) {
-        self.ledger.add_busy(ACCEL_LANE, Cycles(cycles));
-    }
-
-    fn reg_read(&mut self, index: usize) -> u64 {
-        self.shield.registers().accel_read(index)
-    }
-
-    fn reg_write(&mut self, index: usize, value: u64) {
-        self.shield.registers().accel_write(index, value);
-    }
-}
-
-/// The shielded binding over the parallel multi-lane datapath: every
-/// burst is batched and its chunk crypto fanned across the pool's
-/// lanes. Bit-identical to [`ShieldedBus`] on the data plane; only the
-/// cost model sees the lane fan-out.
-pub struct ParallelShieldedBus<'a> {
     /// The Shield instance in the PR region.
     pub shield: &'a mut Shield,
     /// The CSP Shell.
@@ -117,9 +79,9 @@ pub struct ParallelShieldedBus<'a> {
     pub pool: &'a WorkerPool,
 }
 
-impl MemoryBus for ParallelShieldedBus<'_> {
+impl MemoryBus for ShieldedBus<'_> {
     fn read(&mut self, addr: u64, len: usize, mode: AccessMode) -> Result<Vec<u8>, ShefError> {
-        self.shield.read_parallel(
+        self.shield.read(
             self.shell,
             self.dram,
             self.ledger,
@@ -131,7 +93,7 @@ impl MemoryBus for ParallelShieldedBus<'_> {
     }
 
     fn write(&mut self, addr: u64, data: &[u8], mode: AccessMode) -> Result<(), ShefError> {
-        self.shield.write_parallel(
+        self.shield.write(
             self.shell,
             self.dram,
             self.ledger,
@@ -144,7 +106,7 @@ impl MemoryBus for ParallelShieldedBus<'_> {
 
     fn flush(&mut self) -> Result<(), ShefError> {
         self.shield
-            .flush_parallel(self.shell, self.dram, self.ledger, self.pool)
+            .flush(self.shell, self.dram, self.ledger, self.pool)
     }
 
     fn compute(&mut self, cycles: u64) {
@@ -262,11 +224,13 @@ mod tests {
         let mut shell = Shell::new();
         let mut dram = Dram::f1_default();
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(1);
         let mut bus = ShieldedBus {
             shield: &mut shield,
             shell: &mut shell,
             dram: &mut dram,
             ledger: &mut ledger,
+            pool: &pool,
         };
         bus.write(0, b"sensitive!", AccessMode::Streaming).unwrap();
         bus.flush().unwrap();

@@ -20,8 +20,8 @@ use super::keys::DataEncryptionKey;
 use super::merkle::{MerkleStats, MerkleTree};
 use super::pool::WorkerPool;
 use super::timing::{
-    buffer_hit_cost, chunk_crypto_cost, parallel_batch_cost, ACCEL_PORT_READ_LANE,
-    ACCEL_PORT_WRITE_LANE, PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
+    buffer_hit_cost, parallel_batch_cost, ACCEL_PORT_READ_LANE, ACCEL_PORT_WRITE_LANE,
+    PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
 };
 use crate::ShefError;
 use shef_fpga::clock::Cycles;
@@ -55,7 +55,7 @@ pub struct EngineSetStats {
     pub bytes_written: u64,
     /// Zero-filled write allocations (streaming-write optimization).
     pub zero_fills: u64,
-    /// Batch operations dispatched through the parallel datapath.
+    /// Batch operations dispatched to the worker pool.
     pub parallel_batches: u64,
     /// Chunk seal/open jobs issued by batch operations.
     pub parallel_jobs: u64,
@@ -65,7 +65,7 @@ pub struct EngineSetStats {
     /// high-water mark of the lane dispatcher).
     pub queue_depth_hwm: u64,
     /// Modelled crypto cycles summed over every batch job — what the
-    /// same work would occupy on one serial engine set.
+    /// same work would occupy on a 1-lane engine set.
     pub lane_cycles_total: u64,
     /// Modelled crypto cycles of the busiest lane, accumulated batch by
     /// batch — the parallel makespan actually charged to the ledger.
@@ -86,8 +86,8 @@ pub struct EngineSetStats {
 }
 
 impl EngineSetStats {
-    /// Modelled speedup of the parallel datapath over a serial engine
-    /// set: serial-equivalent work divided by the accumulated makespan.
+    /// Modelled speedup of the lane fan-out over a single lane:
+    /// 1-lane-equivalent work divided by the accumulated makespan.
     /// Clamped to 1.0 when no batch work has been dispatched (or the
     /// ratio is otherwise undefined) so callers can feed it straight
     /// into reports without NaN/inf guards.
@@ -436,14 +436,6 @@ impl EngineSet {
         }
     }
 
-    fn charge_crypto(&self, ledger: &mut CostLedger, len: usize, mode: AccessMode) {
-        let cost = chunk_crypto_cost(&self.region.engine_set, len);
-        match mode {
-            AccessMode::Streaming => ledger.add_busy(&self.lane, cost.lane),
-            AccessMode::Blocking => ledger.add_serial(cost.latency),
-        }
-    }
-
     fn touch_lru(&mut self, idx: u32) {
         if let Some(pos) = self.lru.iter().position(|&i| i == idx) {
             self.lru.remove(pos);
@@ -451,231 +443,16 @@ impl EngineSet {
         self.lru.push_back(idx);
     }
 
-    fn make_room(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        while self.lines.len() >= self.capacity_lines {
-            let victim = self
-                .lru
-                .pop_front()
-                .expect("lines non-empty implies lru non-empty");
-            self.tele.evictions.inc();
-            self.writeback_line(shell, dram, ledger, victim, mode)?;
-            self.lines.remove(&victim);
-        }
-        Ok(())
-    }
-
-    fn writeback_line(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        let line = match self.lines.get(&idx) {
-            Some(l) if l.dirty => l.data.clone(),
-            _ => return Ok(()),
-        };
-        // Bump the epoch: every rewrite uses a fresh IV and tag.
-        let new_epoch = self.advance_epoch(shell, dram, ledger, idx, mode)?;
-        let (ciphertext, tag) = seal_chunk(
-            &self.key,
-            self.nonce,
-            &self.region.name,
-            idx,
-            new_epoch,
-            &line,
-        );
-        self.charge_crypto(ledger, line.len(), mode);
-        ledger.add_busy(
-            PORT_WRITE_LANE,
-            Cycles(((ciphertext.len() + tag.len()) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
-        );
-        shell.mem_write(dram, self.chunk_addr(idx), &ciphertext)?;
-        shell.mem_write(dram, self.tag_addr(idx), &tag)?;
-        self.stats.writebacks += 1;
-        self.tele.writebacks.inc();
-        if let Some(l) = self.lines.get_mut(&idx) {
-            l.dirty = false;
-        }
-        Ok(())
-    }
-
-    /// Ensures chunk `idx` is resident; `zero_fill` skips the DRAM read
-    /// for full-overwrite writes.
-    fn ensure_line(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-        zero_fill: bool,
-    ) -> Result<(), ShefError> {
-        if self.lines.contains_key(&idx) {
-            self.stats.hits += 1;
-            self.tele.hits.inc();
-            self.touch_lru(idx);
-            return Ok(());
-        }
-        self.make_room(shell, dram, ledger, mode)?;
-        let len = self.chunk_len(idx);
-        let line = if zero_fill {
-            self.stats.zero_fills += 1;
-            self.tele.zero_fills.inc();
-            Line {
-                data: vec![0u8; len],
-                dirty: false,
-            }
-        } else {
-            self.stats.misses += 1;
-            self.tele.misses.inc();
-            ledger.add_busy(
-                PORT_READ_LANE,
-                Cycles(((len + CHUNK_TAG_LEN) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
-            );
-            let ciphertext = shell.mem_read(dram, self.chunk_addr(idx), len)?;
-            let tag_bytes = shell.mem_read(dram, self.tag_addr(idx), CHUNK_TAG_LEN)?;
-            let tag: [u8; CHUNK_TAG_LEN] = tag_bytes
-                .try_into()
-                .expect("tag read returns requested length");
-            let epoch = self.current_epoch(shell, dram, ledger, idx, mode)?;
-            self.charge_crypto(ledger, len, mode);
-            let plaintext = open_chunk(
-                &self.key,
-                self.nonce,
-                &self.region.name,
-                idx,
-                epoch,
-                &ciphertext,
-                &tag,
-            )
-            .inspect_err(|_| {
-                self.note_integrity_failure();
-            })?;
-            Line {
-                data: plaintext,
-                dirty: false,
-            }
-        };
-        self.lines.insert(idx, line);
-        self.touch_lru(idx);
-        Ok(())
-    }
-
-    /// Reads `len` plaintext bytes at `addr` (must lie in the region).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::IntegrityViolation`] if any covered chunk
-    /// fails authentication.
-    pub fn read(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        len: usize,
-        mode: AccessMode,
-    ) -> Result<Vec<u8>, ShefError> {
-        debug_assert!(self.region.range.contains_span(addr, len));
-        self.check_operational()?;
-        let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let idx = self.chunk_index(cur);
-            let chunk_start = self.chunk_addr(idx);
-            let offset = (cur - chunk_start) as usize;
-            let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
-            self.ensure_line(shell, dram, ledger, idx, mode, false)?;
-            let line = &self.lines[&idx];
-            out.extend_from_slice(&line.data[offset..offset + take]);
-            ledger.add_busy(ACCEL_PORT_READ_LANE, buffer_hit_cost(take));
-            cur += take as u64;
-        }
-        self.stats.bytes_read += len as u64;
-        self.tele.bytes_read.add(len as u64);
-        Ok(out)
-    }
-
-    /// Writes plaintext bytes at `addr` (must lie in the region).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::IntegrityViolation`] if a read-modify-write
-    /// fill fails authentication.
-    pub fn write(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        data: &[u8],
-        mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        debug_assert!(self.region.range.contains_span(addr, data.len()));
-        self.check_operational()?;
-        let mut cur = addr;
-        let end = addr + data.len() as u64;
-        let mut src = 0usize;
-        while cur < end {
-            let idx = self.chunk_index(cur);
-            let chunk_start = self.chunk_addr(idx);
-            let offset = (cur - chunk_start) as usize;
-            let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
-            let full_overwrite = offset == 0 && take == self.chunk_len(idx);
-            let zero_fill = !self.lines.contains_key(&idx)
-                && (full_overwrite || self.region.engine_set.zero_fill_writes);
-            self.ensure_line(shell, dram, ledger, idx, mode, zero_fill)?;
-            let line = self.lines.get_mut(&idx).expect("just ensured");
-            line.data[offset..offset + take].copy_from_slice(&data[src..src + take]);
-            line.dirty = true;
-            ledger.add_busy(ACCEL_PORT_WRITE_LANE, buffer_hit_cost(take));
-            cur += take as u64;
-            src += take;
-        }
-        self.stats.bytes_written += data.len() as u64;
-        self.tele.bytes_written.add(data.len() as u64);
-        Ok(())
-    }
-
-    /// Writes back all dirty lines and clears the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM errors from write-back traffic.
-    pub fn flush(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-    ) -> Result<(), ShefError> {
-        self.check_operational()?;
-        let indices: Vec<u32> = self.lru.iter().copied().collect();
-        for idx in indices {
-            self.writeback_line(shell, dram, ledger, idx, AccessMode::Streaming)?;
-        }
-        self.lines.clear();
-        self.lru.clear();
-        Ok(())
-    }
-
     // -----------------------------------------------------------------
-    // Parallel batch datapath (replicated engine sets, §5.2.2/§6).
+    // Batch datapath (replicated engine sets, §5.2.2/§6).
     //
-    // A batch operation walks its span exactly like the serial path —
-    // same hit/miss decisions, same LRU order, same epoch sequence —
-    // but instead of running each chunk's AES/MAC inline it *stages*
-    // the crypto and fans the whole batch across a [`WorkerPool`].
-    // Results merge in dispatch order, so the parallel path is
-    // bit-identical to the serial one on every success path.
+    // Every operation walks its span chunk by chunk — hit/miss
+    // decisions, LRU order and the epoch sequence are fixed by the walk
+    // alone — but instead of running each chunk's AES/MAC inline it
+    // *stages* the crypto and fans the whole batch across a
+    // [`WorkerPool`]. Results merge in dispatch order, so every lane
+    // count produces the same bytes; a 1-lane pool is the serial
+    // engine set, charged on the set's own ledger lane.
     //
     // Two ordering hazards force a staged job to run inline ("materialize"):
     //  * Hazard A — a fill reads a chunk whose evicted predecessor's
@@ -691,8 +468,8 @@ impl EngineSet {
     // -----------------------------------------------------------------
 
     /// Stages a fill: reads ciphertext+tag, resolves the epoch, enqueues
-    /// the open, and parks a placeholder line so LRU bookkeeping matches
-    /// the serial walk. `dirty` pre-marks read-modify-write fills.
+    /// the open, and parks a placeholder line so LRU bookkeeping sees the
+    /// chunk as resident. `dirty` pre-marks read-modify-write fills.
     #[allow(clippy::too_many_arguments)]
     fn batch_stage_fill(
         &mut self,
@@ -740,8 +517,8 @@ impl EngineSet {
         Ok(())
     }
 
-    /// Batch-mode `make_room`: evicts like the serial path but defers
-    /// victim seals onto the plan.
+    /// Evicts LRU lines until one slot is free, deferring victim seals
+    /// onto the plan.
     fn batch_evict(
         &mut self,
         shell: &mut Shell,
@@ -928,13 +705,13 @@ impl EngineSet {
     }
 
     /// Charges one batch's crypto to the ledger under the deterministic
-    /// round-robin lane model and updates the parallel counters.
+    /// round-robin lane model and updates the batch counters.
     ///
     /// Streaming cost lands on per-lane sub-lanes `{set}.l{k}` (the
     /// bottleneck model then sees the makespan, i.e. true overlap);
-    /// a single lane charges the set's base lane exactly like the serial
-    /// path. Blocking cost is the summed serial latency — lane count
-    /// cannot hide a stalled accelerator.
+    /// a single lane charges the set's base lane. Blocking cost is the
+    /// summed serial latency — lane count cannot hide a stalled
+    /// accelerator.
     fn charge_crypto_batch(
         &mut self,
         ledger: &mut CostLedger,
@@ -1041,8 +818,9 @@ impl EngineSet {
                 }
                 BatchJobResult::Opened { idx, plaintext } => match plaintext {
                     Ok(pt) => {
-                        // Past the first failure the serial walk would
-                        // never have reached this chunk: skip the install.
+                        // Past the first failure a chunk-by-chunk walk
+                        // would never have reached this chunk: skip the
+                        // install.
                         if first_err.is_none() {
                             if install.contains(&idx) {
                                 if let Some(line) = self.lines.get_mut(&idx) {
@@ -1094,15 +872,15 @@ impl EngineSet {
         Ok(opened)
     }
 
-    /// Parallel counterpart of [`EngineSet::read`]: same semantics and
-    /// DRAM end state, with chunk opens fanned across `pool`'s lanes.
+    /// Reads `len` plaintext bytes at `addr` (must lie in the region),
+    /// fanning chunk opens across `pool`'s lanes.
     ///
     /// # Errors
     ///
     /// Returns [`ShefError::IntegrityViolation`] for the earliest chunk
     /// in dispatch order that fails authentication.
     #[allow(clippy::too_many_arguments)]
-    pub fn read_chunks(
+    pub fn read(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1173,15 +951,16 @@ impl EngineSet {
         Ok(out)
     }
 
-    /// Parallel counterpart of [`EngineSet::write`]: read-modify-write
-    /// fills and victim seals are fanned across `pool`'s lanes.
+    /// Writes plaintext bytes at `addr` (must lie in the region);
+    /// read-modify-write fills and victim seals are fanned across
+    /// `pool`'s lanes.
     ///
     /// # Errors
     ///
     /// Returns [`ShefError::IntegrityViolation`] for the earliest chunk
     /// in dispatch order that fails authentication.
     #[allow(clippy::too_many_arguments)]
-    pub fn write_chunks(
+    pub fn write(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1259,14 +1038,15 @@ impl EngineSet {
         Ok(())
     }
 
-    /// Parallel counterpart of [`EngineSet::flush`]: dirty-line seals are
-    /// fanned across `pool`'s lanes, write-backs land in LRU order.
+    /// Writes back all dirty lines and clears the buffer: dirty-line
+    /// seals are fanned across `pool`'s lanes, write-backs land in LRU
+    /// order.
     ///
     /// # Errors
     ///
     /// Propagates DRAM and epoch errors from write-back traffic; the
-    /// buffer is left intact on error, exactly like the serial flush.
-    pub fn flush_parallel(
+    /// buffer is left intact on error.
+    pub fn flush(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -1373,15 +1153,12 @@ impl BatchPlan {
 mod tests {
     use super::*;
     use crate::shield::config::{EngineSetConfig, MemRange};
+    use crate::shield::merkle::MerkleConfig;
     use shef_fpga::clock::Cycles;
 
-    fn setup(
-        chunk: usize,
-        buffer: usize,
-        counters: bool,
-        zero_fill: bool,
-    ) -> (EngineSet, Shell, Dram, CostLedger, DataEncryptionKey) {
-        let region = RegionConfig {
+    /// An 8 KiB test region at 0x1000.
+    fn region(chunk: usize, buffer: usize, counters: bool, zero_fill: bool) -> RegionConfig {
+        RegionConfig {
             name: "test".into(),
             range: MemRange::new(0x1000, 8192),
             engine_set: EngineSetConfig {
@@ -1391,44 +1168,116 @@ mod tests {
                 zero_fill_writes: zero_fill,
                 ..EngineSetConfig::default()
             },
-        };
-        let dek = DataEncryptionKey::from_bytes([3u8; 32]);
-        let es = EngineSet::new(region, 0, 0x10_0000, 0x20_0000, &dek);
-        (es, Shell::new(), Dram::new(1 << 22), CostLedger::new(), dek)
-    }
-
-    /// Engine set whose region uses the Bonsai-Merkle-Tree defence.
-    fn setup_merkle(
-        chunk: usize,
-        buffer: usize,
-        node_cache_bytes: usize,
-    ) -> (EngineSet, Shell, Dram, CostLedger, DataEncryptionKey) {
-        let region = RegionConfig {
-            name: "test".into(),
-            range: MemRange::new(0x1000, 8192),
-            engine_set: EngineSetConfig {
-                chunk_size: chunk,
-                buffer_bytes: buffer,
-                merkle: Some(crate::shield::merkle::MerkleConfig {
-                    arity: 8,
-                    node_cache_bytes,
-                }),
-                ..EngineSetConfig::default()
-            },
-        };
-        let dek = DataEncryptionKey::from_bytes([3u8; 32]);
-        let es = EngineSet::new(region, 0, 0x10_0000, 0x20_0000, &dek);
-        (es, Shell::new(), Dram::new(1 << 22), CostLedger::new(), dek)
-    }
-
-    /// Provisions plaintext into DRAM the way the Data Owner would.
-    fn provision(es: &EngineSet, dram: &mut Dram, data: &[u8]) {
-        let chunk = es.chunk_size();
-        for (i, pt) in data.chunks(chunk).enumerate() {
-            let (ct, tag) = seal_chunk(&es.key, es.nonce, &es.region.name, i as u32, 0, pt);
-            dram.tamper_write(es.chunk_addr(i as u32), &ct);
-            dram.tamper_write(es.tag_addr(i as u32), &tag);
         }
+    }
+
+    /// The same region under the Bonsai-Merkle-Tree defence.
+    fn merkle_region(chunk: usize, buffer: usize, node_cache_bytes: usize) -> RegionConfig {
+        let mut r = region(chunk, buffer, false, false);
+        r.engine_set.merkle = Some(MerkleConfig {
+            arity: 8,
+            node_cache_bytes,
+        });
+        r
+    }
+
+    /// One engine set and its surroundings, driven at a fixed lane
+    /// count. The lane-count invariance tests run twin rigs at 1 lane
+    /// (the serial engine set) and at N lanes.
+    struct Rig {
+        es: EngineSet,
+        shell: Shell,
+        dram: Dram,
+        ledger: CostLedger,
+        pool: WorkerPool,
+        dek: DataEncryptionKey,
+    }
+
+    impl Rig {
+        fn new(region: RegionConfig, lanes: usize) -> Self {
+            let dek = DataEncryptionKey::from_bytes([3u8; 32]);
+            Rig {
+                es: EngineSet::new(region, 0, 0x10_0000, 0x20_0000, &dek),
+                shell: Shell::new(),
+                dram: Dram::new(1 << 22),
+                ledger: CostLedger::new(),
+                pool: WorkerPool::new(lanes),
+                dek,
+            }
+        }
+
+        /// Provisions plaintext into DRAM the way the Data Owner would.
+        fn provision(&mut self, data: &[u8]) {
+            let es = &self.es;
+            for (i, pt) in data.chunks(es.chunk_size()).enumerate() {
+                let (ct, tag) = seal_chunk(&es.key, es.nonce, &es.region.name, i as u32, 0, pt);
+                self.dram.tamper_write(es.chunk_addr(i as u32), &ct);
+                self.dram.tamper_write(es.tag_addr(i as u32), &tag);
+            }
+        }
+
+        fn read_mode(
+            &mut self,
+            addr: u64,
+            len: usize,
+            mode: AccessMode,
+        ) -> Result<Vec<u8>, ShefError> {
+            self.es.read(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                addr,
+                len,
+                mode,
+                &self.pool,
+            )
+        }
+
+        fn read(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, ShefError> {
+            self.read_mode(addr, len, AccessMode::Streaming)
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), ShefError> {
+            self.es.write(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                addr,
+                data,
+                AccessMode::Streaming,
+                &self.pool,
+            )
+        }
+
+        fn flush(&mut self) -> Result<(), ShefError> {
+            self.es.flush(
+                &mut self.shell,
+                &mut self.dram,
+                &mut self.ledger,
+                &self.pool,
+            )
+        }
+
+        /// Flips one ciphertext byte in DRAM.
+        fn flip(&mut self, addr: u64, mask: u8) {
+            let mut byte = self.dram.tamper_read(addr, 1);
+            byte[0] ^= mask;
+            self.dram.tamper_write(addr, &byte);
+        }
+    }
+
+    /// Functional slice of the stats: the batch observability counters
+    /// (batches, lanes, makespans) legitimately vary with lane count.
+    fn core_stats(s: EngineSetStats) -> (u64, u64, u64, u64, u64, u64, u64) {
+        (
+            s.hits,
+            s.misses,
+            s.writebacks,
+            s.integrity_failures,
+            s.bytes_read,
+            s.bytes_written,
+            s.zero_fills,
+        )
     }
 
     #[test]
@@ -1468,23 +1317,11 @@ mod tests {
     #[test]
     fn telemetry_mirrors_engine_counters_and_phases() {
         let t = Telemetry::new();
-        let pool = WorkerPool::new(2);
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, true, false);
-        es.attach_telemetry(&t);
+        let mut rig = Rig::new(region(512, 1024, true, false), 2);
+        rig.es.attach_telemetry(&t);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        provision(&es, &mut dram, &data);
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got, data);
+        rig.provision(&data);
+        assert_eq!(rig.read(0x1000, 8192).unwrap(), data);
         let r = t.report();
         assert_eq!(r.counters["shield.engine.misses"], 16);
         assert_eq!(r.counters["shield.engine.bytes_read"], 8192);
@@ -1516,23 +1353,12 @@ mod tests {
         // engine-level half of the determinism guarantee.
         let run = || {
             let t = Telemetry::new();
-            let pool = WorkerPool::new(4);
-            let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, true, false);
-            es.attach_telemetry(&t);
+            let mut rig = Rig::new(region(512, 2048, true, false), 4);
+            rig.es.attach_telemetry(&t);
             let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
-            provision(&es, &mut dram, &data);
-            es.write_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1200,
-                &[7u8; 3000],
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-            es.flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
-                .unwrap();
+            rig.provision(&data);
+            rig.write(0x1200, &[7u8; 3000]).unwrap();
+            rig.flush().unwrap();
             t.report().to_json()
         };
         assert_eq!(run(), run());
@@ -1540,287 +1366,125 @@ mod tests {
 
     #[test]
     fn read_provisioned_data() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
+        let mut rig = Rig::new(region(512, 2048, false, false), 1);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        provision(&es, &mut dram, &data);
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, data);
-        assert_eq!(es.stats().misses, 16);
+        rig.provision(&data);
+        assert_eq!(rig.read(0x1000, 8192).unwrap(), data);
+        assert_eq!(rig.es.stats().misses, 16);
     }
 
     #[test]
     fn unaligned_reads() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
+        let mut rig = Rig::new(region(512, 2048, false, false), 1);
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
-        provision(&es, &mut dram, &data);
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000 + 300,
-                700,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, &data[300..1000]);
+        rig.provision(&data);
+        assert_eq!(rig.read(0x1000 + 300, 700).unwrap(), &data[300..1000]);
     }
 
     #[test]
     fn write_then_read_back_through_dram() {
-        let (mut es, mut shell, mut dram, mut ledger, dek) = setup(512, 1024, false, true);
+        let mut rig = Rig::new(region(512, 1024, false, true), 1);
         let payload: Vec<u8> = (0..2048u32).map(|i| (i % 199) as u8).collect();
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        rig.write(0x1000, &payload).unwrap();
+        rig.flush().unwrap();
         // A brand-new engine set (fresh cache) must read the same bytes.
-        let region = es.region().clone();
-        let mut es2 = EngineSet::new(region, 0, 0x10_0000, 0x20_0000, &dek);
-        let got = es2
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                2048,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, payload);
+        rig.es = EngineSet::new(rig.es.region().clone(), 0, 0x10_0000, 0x20_0000, &rig.dek);
+        assert_eq!(rig.read(0x1000, 2048).unwrap(), payload);
         // Ciphertext in DRAM differs from plaintext.
-        assert_ne!(dram.tamper_read(0x1000, 2048), payload);
+        assert_ne!(rig.dram.tamper_read(0x1000, 2048), payload);
     }
 
     #[test]
     fn buffer_hits_avoid_dram() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 2048, false, false);
-        let data = vec![0x5au8; 8192];
-        provision(&es, &mut dram, &data);
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let before = dram.stats().bytes_read;
+        let mut rig = Rig::new(region(512, 2048, false, false), 1);
+        rig.provision(&[0x5au8; 8192]);
+        rig.read(0x1000, 512).unwrap();
+        let before = rig.dram.stats().bytes_read;
         // Re-read the same chunk: served from the buffer.
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000 + 128,
-                256,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(dram.stats().bytes_read, before);
-        assert_eq!(es.stats().hits, 1);
+        rig.read(0x1000 + 128, 256).unwrap();
+        assert_eq!(rig.dram.stats().bytes_read, before);
+        assert_eq!(rig.es.stats().hits, 1);
     }
 
     #[test]
     fn lru_eviction_works() {
         // Buffer holds 2 lines; touching 3 chunks evicts the oldest.
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
-        let data = vec![1u8; 8192];
-        provision(&es, &mut dram, &data);
+        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        rig.provision(&[1u8; 8192]);
         for i in 0..3u64 {
-            let _ = es
-                .read(
-                    &mut shell,
-                    &mut dram,
-                    &mut ledger,
-                    0x1000 + i * 512,
-                    512,
-                    AccessMode::Streaming,
-                )
-                .unwrap();
+            rig.read(0x1000 + i * 512, 512).unwrap();
         }
         // Chunk 0 was evicted: re-reading misses again.
-        let misses = es.stats().misses;
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(es.stats().misses, misses + 1);
+        let misses = rig.es.stats().misses;
+        rig.read(0x1000, 512).unwrap();
+        assert_eq!(rig.es.stats().misses, misses + 1);
     }
 
     #[test]
     fn spoofed_dram_detected() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
-        provision(&es, &mut dram, &vec![7u8; 8192]);
+        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        rig.provision(&[7u8; 8192]);
         // Adversary flips a ciphertext bit.
-        let mut byte = dram.tamper_read(0x1100, 1);
-        byte[0] ^= 0x80;
-        dram.tamper_write(0x1100, &byte);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        rig.flip(0x1100, 0x80);
+        let err = rig.read(0x1000, 512).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
-        assert_eq!(es.stats().integrity_failures, 1);
+        assert_eq!(rig.es.stats().integrity_failures, 1);
     }
 
     #[test]
     fn spliced_chunks_detected() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, false);
-        provision(&es, &mut dram, &vec![9u8; 8192]);
+        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        rig.provision(&[9u8; 8192]);
         // Copy chunk 0's ciphertext+tag over chunk 1's.
-        let c0 = dram.tamper_read(0x1000, 512);
-        let t0 = dram.tamper_read(0x10_0000, 16);
-        dram.tamper_write(0x1000 + 512, &c0);
-        dram.tamper_write(0x10_0000 + 16, &t0);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000 + 512,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        let c0 = rig.dram.tamper_read(0x1000, 512);
+        let t0 = rig.dram.tamper_read(0x10_0000, 16);
+        rig.dram.tamper_write(0x1000 + 512, &c0);
+        rig.dram.tamper_write(0x10_0000 + 16, &t0);
+        let err = rig.read(0x1000 + 512, 512).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
+    }
+
+    /// Snapshots chunk 0 at epoch 0, rewrites it legitimately, then
+    /// replays the snapshot and reads the chunk back.
+    fn replay_chunk_zero(rig: &mut Rig) -> Result<Vec<u8>, ShefError> {
+        rig.provision(&[1u8; 8192]);
+        let old_ct = rig.dram.tamper_read(0x1000, 512);
+        let old_tag = rig.dram.tamper_read(0x10_0000, 16);
+        // A legitimate write bumps the chunk's epoch to 1.
+        rig.write(0x1000, &[2u8; 512]).unwrap();
+        rig.flush().unwrap();
+        // Fresh data verifies.
+        assert_eq!(rig.read(0x1000, 512).unwrap(), vec![2u8; 512]);
+        rig.flush().unwrap();
+        // Adversary replays the old snapshot.
+        rig.dram.tamper_write(0x1000, &old_ct);
+        rig.dram.tamper_write(0x10_0000, &old_tag);
+        rig.read(0x1000, 512)
     }
 
     #[test]
     fn replay_detected_with_counters() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, true, false);
-        provision(&es, &mut dram, &vec![1u8; 8192]);
-        // Snapshot epoch-0 ciphertext+tag of chunk 0.
-        let old_ct = dram.tamper_read(0x1000, 512);
-        let old_tag = dram.tamper_read(0x10_0000, 16);
-        // Legitimate write bumps the on-chip counter to 1.
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[2u8; 512],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        // Fresh data verifies.
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, vec![2u8; 512]);
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        // Adversary replays the old snapshot: must be detected.
-        dram.tamper_write(0x1000, &old_ct);
-        dram.tamper_write(0x10_0000, &old_tag);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        let mut rig = Rig::new(region(512, 512, true, false), 1);
+        let err = replay_chunk_zero(&mut rig).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
     }
 
     #[test]
     fn replay_not_detected_without_counters() {
         // Documents the paper's point: read-write regions need counters.
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, false, false);
-        provision(&es, &mut dram, &vec![1u8; 8192]);
-        let old_ct = dram.tamper_read(0x1000, 512);
-        let old_tag = dram.tamper_read(0x10_0000, 16);
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[2u8; 512],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        dram.tamper_write(0x1000, &old_ct);
-        dram.tamper_write(0x10_0000, &old_tag);
+        let mut rig = Rig::new(region(512, 512, false, false), 1);
         // The stale data verifies — replay goes unnoticed.
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, vec![1u8; 512]);
+        assert_eq!(replay_chunk_zero(&mut rig).unwrap(), vec![1u8; 512]);
     }
 
     #[test]
     fn merkle_write_read_round_trip() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 1024, 0);
+        let mut rig = Rig::new(merkle_region(512, 1024, 0), 1);
         let payload: Vec<u8> = (0..2048u32).map(|i| (i % 197) as u8).collect();
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                2048,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, payload);
-        let ms = es.merkle_stats().expect("merkle enabled");
+        rig.write(0x1000, &payload).unwrap();
+        rig.flush().unwrap();
+        assert_eq!(rig.read(0x1000, 2048).unwrap(), payload);
+        let ms = rig.es.merkle_stats().expect("merkle enabled");
         assert!(ms.node_writes > 0, "bumps must rewrite tree nodes");
     }
 
@@ -1828,32 +1492,8 @@ mod tests {
     fn merkle_detects_replay() {
         // Same scenario as `replay_detected_with_counters`, but the
         // counters live in DRAM under the tree.
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 512, 0);
-        provision(&es, &mut dram, &vec![1u8; 8192]);
-        let old_ct = dram.tamper_read(0x1000, 512);
-        let old_tag = dram.tamper_read(0x10_0000, 16);
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[2u8; 512],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        dram.tamper_write(0x1000, &old_ct);
-        dram.tamper_write(0x10_0000, &old_tag);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        let mut rig = Rig::new(merkle_region(512, 512, 0), 1);
+        let err = replay_chunk_zero(&mut rig).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
     }
 
@@ -1861,76 +1501,39 @@ mod tests {
     fn merkle_detects_tree_rollback() {
         // The stronger attack: roll back data, tag, AND the DRAM-resident
         // counter tree together. Only the on-chip root defeats this.
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup_merkle(512, 512, 0);
-        provision(&es, &mut dram, &vec![1u8; 8192]);
+        let mut rig = Rig::new(merkle_region(512, 512, 0), 1);
+        rig.provision(&[1u8; 8192]);
         // Force tree initialization, then snapshot everything.
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        let snap_data = dram.tamper_read(0x1000, 512);
-        let snap_tag = dram.tamper_read(0x10_0000, 16);
-        let snap_tree = dram.tamper_read(0x20_0000, 4096);
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[9u8; 512],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        dram.tamper_write(0x1000, &snap_data);
-        dram.tamper_write(0x10_0000, &snap_tag);
-        dram.tamper_write(0x20_0000, &snap_tree);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        rig.read(0x1000, 512).unwrap();
+        rig.flush().unwrap();
+        let snap_data = rig.dram.tamper_read(0x1000, 512);
+        let snap_tag = rig.dram.tamper_read(0x10_0000, 16);
+        let snap_tree = rig.dram.tamper_read(0x20_0000, 4096);
+        rig.write(0x1000, &[9u8; 512]).unwrap();
+        rig.flush().unwrap();
+        rig.dram.tamper_write(0x1000, &snap_data);
+        rig.dram.tamper_write(0x10_0000, &snap_tag);
+        rig.dram.tamper_write(0x20_0000, &snap_tree);
+        let err = rig.read(0x1000, 512).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
-        assert!(es.stats().integrity_failures >= 1);
+        assert!(rig.es.stats().integrity_failures >= 1);
     }
 
     #[test]
     fn merkle_costs_exceed_onchip_counters() {
         // The paper's argument (§5.2.2): tree-node DRAM traffic makes the
         // BMT strictly more expensive than on-chip counters.
-        let run = |mut es: EngineSet, mut shell: Shell, mut dram: Dram| {
-            let mut ledger = CostLedger::new();
+        let run = |mut rig: Rig| {
             for round in 0..4u8 {
                 for i in 0..16u64 {
-                    es.write(
-                        &mut shell,
-                        &mut dram,
-                        &mut ledger,
-                        0x1000 + i * 512,
-                        &[round; 512],
-                        AccessMode::Streaming,
-                    )
-                    .unwrap();
+                    rig.write(0x1000 + i * 512, &[round; 512]).unwrap();
                 }
-                es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+                rig.flush().unwrap();
             }
-            ledger.lane(es.lane())
+            rig.ledger.lane(rig.es.lane())
         };
-        let (es_c, shell_c, dram_c, _, _) = setup(512, 512, true, false);
-        let (es_m, shell_m, dram_m, _, _) = setup_merkle(512, 512, 0);
-        let counters_cost = run(es_c, shell_c, dram_c);
-        let merkle_cost = run(es_m, shell_m, dram_m);
+        let counters_cost = run(Rig::new(region(512, 512, true, false), 1));
+        let merkle_cost = run(Rig::new(merkle_region(512, 512, 0), 1));
         assert!(
             merkle_cost > counters_cost,
             "BMT {merkle_cost:?} must cost more than on-chip counters {counters_cost:?}"
@@ -1939,202 +1542,89 @@ mod tests {
 
     #[test]
     fn zero_fill_skips_dram_reads() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 1024, false, true);
+        let mut rig = Rig::new(region(512, 1024, false, true), 1);
         // Partial write to an unprovisioned chunk with zero_fill: no read.
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[9u8; 100],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        assert_eq!(dram.stats().bytes_read, 0);
-        assert_eq!(es.stats().zero_fills, 1);
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        rig.write(0x1000, &[9u8; 100]).unwrap();
+        assert_eq!(rig.dram.stats().bytes_read, 0);
+        assert_eq!(rig.es.stats().zero_fills, 1);
+        rig.flush().unwrap();
         // Readback sees the write plus zeros.
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
+        let got = rig.read(0x1000, 512).unwrap();
         assert_eq!(&got[..100], &[9u8; 100]);
         assert_eq!(&got[100..], &vec![0u8; 412][..]);
     }
 
     #[test]
     fn blocking_mode_charges_serial_cycles() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(4096, 4096, false, false);
-        provision(&es, &mut dram, &vec![3u8; 8192]);
-        let serial_before = ledger.serial();
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                4096,
-                AccessMode::Blocking,
-            )
-            .unwrap();
+        let mut rig = Rig::new(region(4096, 4096, false, false), 1);
+        rig.provision(&[3u8; 8192]);
+        let serial_before = rig.ledger.serial();
+        rig.read_mode(0x1000, 4096, AccessMode::Blocking).unwrap();
         assert!(
-            ledger.serial() > serial_before,
+            rig.ledger.serial() > serial_before,
             "blocking access must stall"
         );
     }
 
     #[test]
     fn streaming_mode_charges_lane_cycles() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, false, false);
-        provision(&es, &mut dram, &vec![3u8; 8192]);
-        let _ = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert!(ledger.lane(es.lane()) > Cycles::ZERO);
-    }
-
-    /// Serial-comparable slice of the stats (the parallel-only counters
-    /// exist only on the batch path, so they are excluded).
-    fn core_stats(s: EngineSetStats) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            s.hits,
-            s.misses,
-            s.writebacks,
-            s.integrity_failures,
-            s.bytes_read,
-            s.bytes_written,
-            s.zero_fills,
-        )
+        let mut rig = Rig::new(region(512, 512, false, false), 1);
+        rig.provision(&[3u8; 8192]);
+        rig.read(0x1000, 512).unwrap();
+        assert!(rig.ledger.lane(rig.es.lane()) > Cycles::ZERO);
     }
 
     #[test]
     fn parallel_read_matches_serial() {
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 2048, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 2048, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
+        let mut one = Rig::new(region(512, 2048, true, false), 1);
+        let mut four = Rig::new(region(512, 2048, true, false), 4);
+        one.provision(&data);
+        four.provision(&data);
         for (addr, len) in [(0x1000u64, 8192usize), (0x1000 + 300, 700), (0x1000, 512)] {
-            let serial = es_s
-                .read(
-                    &mut shell_s,
-                    &mut dram_s,
-                    &mut ledger_s,
-                    addr,
-                    len,
-                    AccessMode::Streaming,
-                )
-                .unwrap();
-            let parallel = es_p
-                .read_chunks(
-                    &mut shell_p,
-                    &mut dram_p,
-                    &mut ledger_p,
-                    addr,
-                    len,
-                    AccessMode::Streaming,
-                    &pool,
-                )
-                .unwrap();
-            assert_eq!(serial, parallel);
+            assert_eq!(one.read(addr, len).unwrap(), four.read(addr, len).unwrap());
         }
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
         // Total crypto work is conserved: the sub-lanes sum to the
-        // serial lane's cycles.
-        assert_eq!(
-            ledger_p.group_total(es_p.lane()),
-            ledger_s.lane(es_s.lane())
-        );
+        // 1-lane set's cycles.
+        let lane = one.es.lane().to_owned();
+        assert_eq!(four.ledger.group_total(&lane), one.ledger.lane(&lane));
         // ...but the makespan (busiest sub-lane) is strictly smaller.
-        assert!(ledger_p.group_makespan(es_p.lane()) < ledger_s.lane(es_s.lane()));
-        assert!(es_p.stats().parallel_speedup() > 1.0);
+        assert!(four.ledger.group_makespan(&lane) < one.ledger.lane(&lane));
+        assert!(four.es.stats().parallel_speedup() > 1.0);
     }
 
     #[test]
     fn parallel_write_matches_serial() {
-        // Mix of zero-fill full overwrites and read-modify-write fills,
-        // with evictions (buffer holds 2 of 16 chunks).
+        // Mix of read-modify-write fills and full overwrites, with
+        // evictions (buffer holds 2 of 16 chunks).
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 1024, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 1024, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
+        let mut one = Rig::new(region(512, 1024, true, false), 1);
+        let mut four = Rig::new(region(512, 1024, true, false), 4);
         let payload: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
         // Unaligned span: head and tail chunks are RMW, middle chunks
         // are full overwrites.
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000 + 200,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000 + 200,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
+        for rig in [&mut one, &mut four] {
+            rig.provision(&data);
+            rig.write(0x1000 + 200, &payload).unwrap();
+            rig.flush().unwrap();
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
         // Identical keys + identical epoch sequences mean the DRAM end
         // state (ciphertext and tag arena) must match byte for byte.
         assert_eq!(
-            dram_s.tamper_read(0x1000, 8192),
-            dram_p.tamper_read(0x1000, 8192)
+            one.dram.tamper_read(0x1000, 8192),
+            four.dram.tamper_read(0x1000, 8192)
         );
         assert_eq!(
-            dram_s.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN),
-            dram_p.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN)
+            one.dram.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN),
+            four.dram.tamper_read(0x10_0000, 16 * CHUNK_TAG_LEN)
         );
-        // And both live sets decrypt back to the same plaintext.
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, got_p);
-        assert_eq!(&got_p[200..3200], &payload[..]);
+        // And both live sets decrypt back to the written plaintext.
+        let got = one.read(0x1000, 8192).unwrap();
+        assert_eq!(got, four.read(0x1000, 8192).unwrap());
+        assert_eq!(&got[..200], &data[..200]);
+        assert_eq!(&got[200..3200], &payload[..]);
     }
 
     #[test]
@@ -2143,32 +1633,13 @@ mod tests {
         // while chunk 1 sits dirty in the buffer first evicts chunk 1
         // (staged seal), then chunk 1's own fill must observe that seal.
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, true, false);
-        provision(&es, &mut dram, &data);
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1200,
-            &[0xAB; 512],
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        let pool = WorkerPool::new(4);
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
+        let mut rig = Rig::new(region(512, 512, true, false), 4);
+        rig.provision(&data);
+        rig.write(0x1200, &[0xAB; 512]).unwrap();
+        let got = rig.read(0x1000, 1024).unwrap();
         assert_eq!(&got[..512], &data[..512]);
         assert_eq!(&got[512..], &[0xABu8; 512][..]);
-        assert_eq!(es.stats().writebacks, 1);
+        assert_eq!(rig.es.stats().writebacks, 1);
     }
 
     #[test]
@@ -2177,249 +1648,103 @@ mod tests {
         // chunks evicts chunk 0's read-modify-write placeholder while its
         // fill is still staged.
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 3 % 256) as u8).collect();
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 512, true, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 512, true, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(4);
+        let mut one = Rig::new(region(512, 512, true, false), 1);
+        let mut four = Rig::new(region(512, 512, true, false), 4);
         let payload = [0xCD; 512];
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000 + 256,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000 + 256,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, got_p);
-        assert_eq!(&got_p[256..768], &payload[..]);
+        for rig in [&mut one, &mut four] {
+            rig.provision(&data);
+            rig.write(0x1000 + 256, &payload).unwrap();
+            rig.flush().unwrap();
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(four.es.stats()));
+        let got = one.read(0x1000, 1024).unwrap();
+        assert_eq!(got, four.read(0x1000, 1024).unwrap());
+        assert_eq!(&got[..256], &data[..256]);
+        assert_eq!(&got[256..768], &payload[..]);
+        assert_eq!(&got[768..], &data[768..1024]);
     }
 
     #[test]
     fn parallel_read_reports_earliest_corrupt_chunk() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 4096, false, false);
-        provision(&es, &mut dram, &vec![7u8; 8192]);
+        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        rig.provision(&[7u8; 8192]);
         // Corrupt chunks 2 and 5; the batch must report chunk 2.
         for idx in [2u64, 5] {
-            let addr = 0x1000 + idx * 512;
-            let mut byte = dram.tamper_read(addr, 1);
-            byte[0] ^= 1;
-            dram.tamper_write(addr, &byte);
+            rig.flip(0x1000 + idx * 512, 1);
         }
-        let pool = WorkerPool::new(4);
-        let err = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                8192,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap_err();
-        let ShefError::IntegrityViolation(msg) = err else {
+        let ShefError::IntegrityViolation(msg) = rig.read(0x1000, 8192).unwrap_err() else {
             panic!("expected integrity violation");
         };
         assert!(msg.contains("chunk 2"), "earliest chunk wins: {msg}");
-        assert_eq!(es.stats().integrity_failures, 1);
+        assert_eq!(rig.es.stats().integrity_failures, 1);
         // The detection poisons the set: follow-up traffic is rejected
         // until the containment state is explicitly cleared.
-        assert!(es.poisoned());
-        let rejected = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap_err();
+        assert!(rig.es.poisoned());
         assert!(matches!(
-            rejected,
+            rig.read(0x1000, 1024).unwrap_err(),
             ShefError::Fault(crate::fault::ShieldFault::Poisoned { .. })
         ));
-        assert_eq!(es.stats().contained_rejects, 1);
+        assert_eq!(rig.es.stats().contained_rejects, 1);
         // Clearing the poison drops buffered lines; the untampered
         // prefix then refills and verifies from DRAM as usual.
-        es.clear_poison();
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                1024,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got, vec![7u8; 1024]);
-        assert_eq!(es.stats().integrity_failures, 1);
+        rig.es.clear_poison();
+        assert_eq!(rig.read(0x1000, 1024).unwrap(), vec![7u8; 1024]);
+        assert_eq!(rig.es.stats().integrity_failures, 1);
     }
 
     #[test]
     fn serial_integrity_failure_poisons_until_cleared() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 4096, false, false);
-        provision(&es, &mut dram, &vec![7u8; 8192]);
+        let mut rig = Rig::new(region(512, 4096, false, false), 1);
+        rig.provision(&[7u8; 8192]);
         let addr = 0x1000 + 3 * 512;
-        let mut byte = dram.tamper_read(addr, 1);
-        byte[0] ^= 0x80;
-        dram.tamper_write(addr, &byte);
-        let err = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                addr,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap_err();
+        rig.flip(addr, 0x80);
+        let err = rig.read(addr, 512).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
-        assert!(es.poisoned());
+        assert!(rig.es.poisoned());
         // Reads, writes and flushes are all fail-stopped.
-        let r = es.read(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            16,
-            AccessMode::Streaming,
-        );
-        assert!(matches!(r, Err(ShefError::Fault(_))));
-        let w = es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &[1, 2, 3],
-            AccessMode::Streaming,
-        );
-        assert!(matches!(w, Err(ShefError::Fault(_))));
-        let fl = es.flush(&mut shell, &mut dram, &mut ledger);
-        assert!(matches!(fl, Err(ShefError::Fault(_))));
-        assert_eq!(es.stats().contained_rejects, 3);
-        es.clear_poison();
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, vec![7u8; 512]);
+        assert!(matches!(rig.read(0x1000, 16), Err(ShefError::Fault(_))));
+        assert!(matches!(
+            rig.write(0x1000, &[1, 2, 3]),
+            Err(ShefError::Fault(_))
+        ));
+        assert!(matches!(rig.flush(), Err(ShefError::Fault(_))));
+        assert_eq!(rig.es.stats().contained_rejects, 3);
+        rig.es.clear_poison();
+        assert_eq!(rig.read(0x1000, 512).unwrap(), vec![7u8; 512]);
     }
 
     #[test]
     fn one_shot_lane_panic_recovers_transparently() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 4096, false, false);
-        provision(&es, &mut dram, &vec![9u8; 8192]);
-        let pool = WorkerPool::new(4);
-        pool.arm_lane_panic(0);
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got, vec![9u8; 4096]);
-        let stats = es.stats();
+        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        rig.provision(&[9u8; 8192]);
+        rig.pool.arm_lane_panic(0);
+        assert_eq!(rig.read(0x1000, 4096).unwrap(), vec![9u8; 4096]);
+        let stats = rig.es.stats();
         assert_eq!(stats.lane_panics, 1);
         assert_eq!(stats.recovered_retries, 1);
         assert_eq!(stats.integrity_failures, 0);
-        assert!(!es.poisoned(), "a lane fault is not an integrity event");
+        assert!(!rig.es.poisoned(), "a lane fault is not an integrity event");
     }
 
     #[test]
     fn sticky_lane_panic_drains_batch_and_surfaces_fault() {
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 4096, false, false);
-        provision(&es, &mut dram, &vec![9u8; 8192]);
-        let pool = WorkerPool::new(4);
+        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        rig.provision(&[9u8; 8192]);
         // Job 0 of the batch (the open of chunk 0) dies on its lane AND
         // on the inline retry: the op must fail with a contained fault,
         // not deadlock or cascade panics into sibling lanes.
-        pool.arm_lane_panic_sticky(0);
-        let err = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap_err();
+        rig.pool.arm_lane_panic_sticky(0);
         assert!(matches!(
-            err,
+            rig.read(0x1000, 4096).unwrap_err(),
             ShefError::Fault(crate::fault::ShieldFault::LanePanic { job: 0 })
         ));
-        let stats = es.stats();
+        let stats = rig.es.stats();
         assert_eq!(stats.lane_panics, 2, "attempt + retry");
         assert_eq!(stats.integrity_failures, 0);
-        assert!(!es.poisoned());
+        assert!(!rig.es.poisoned());
         // The set stays live: the same read succeeds once the fault is
         // gone (the sticky arm targeted an already-consumed job index).
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got, vec![9u8; 4096]);
+        assert_eq!(rig.read(0x1000, 4096).unwrap(), vec![9u8; 4096]);
     }
 
     #[test]
@@ -2428,181 +1753,70 @@ mod tests {
         // chunk 0, staging its seal as batch job 0. Killing that job
         // (attempt + retry) must not lose the evicted plaintext — the
         // drain fallback recomputes the seal inline.
-        let (mut es, mut shell, mut dram, mut ledger, _) = setup(512, 512, false, false);
-        provision(&es, &mut dram, &vec![0u8; 8192]);
-        let pool = WorkerPool::new(4);
+        let mut rig = Rig::new(region(512, 512, false, false), 4);
+        rig.provision(&[0u8; 8192]);
         let payload = vec![0xABu8; 512];
-        es.write_chunks(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        pool.arm_lane_panic_sticky(0);
-        let got = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000 + 512,
-                512,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got, vec![0u8; 512]);
-        let stats = es.stats();
+        rig.write(0x1000, &payload).unwrap();
+        rig.pool.arm_lane_panic_sticky(0);
+        assert_eq!(rig.read(0x1000 + 512, 512).unwrap(), vec![0u8; 512]);
+        let stats = rig.es.stats();
         assert_eq!(stats.drained_seals, 1);
         assert_eq!(stats.lane_panics, 2);
-        pool.disarm_lane_panic();
+        rig.pool.disarm_lane_panic();
         // The sealed chunk 0 round-trips from DRAM with the new bytes.
-        let back = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0x1000,
-                512,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(back, payload);
+        assert_eq!(rig.read(0x1000, 512).unwrap(), payload);
     }
 
     #[test]
     fn blocking_batches_charge_the_same_stall_as_serial() {
         // Lane count must not hide a stalled accelerator: Blocking-mode
-        // serial latency is lane-count invariant and equals the serial
-        // path's.
-        let data = vec![9u8; 8192];
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup(512, 4096, false, false);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup(512, 4096, false, false);
-        provision(&es_s, &mut dram_s, &data);
-        provision(&es_p, &mut dram_p, &data);
-        let pool = WorkerPool::new(8);
-        let _ = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                8192,
-                AccessMode::Blocking,
-            )
-            .unwrap();
-        let _ = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                8192,
-                AccessMode::Blocking,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(ledger_p.serial(), ledger_s.serial());
+        // serial latency is the same at 8 lanes as at 1.
+        let stall = |lanes: usize| {
+            let mut rig = Rig::new(region(512, 4096, false, false), lanes);
+            rig.provision(&[9u8; 8192]);
+            rig.read_mode(0x1000, 8192, AccessMode::Blocking).unwrap();
+            rig.ledger.serial()
+        };
+        assert_eq!(stall(8), stall(1));
     }
 
     #[test]
     fn parallel_merkle_round_trip_matches_serial() {
-        let (mut es_s, mut shell_s, mut dram_s, mut ledger_s, _) = setup_merkle(512, 1024, 0);
-        let (mut es_p, mut shell_p, mut dram_p, mut ledger_p, _) = setup_merkle(512, 1024, 0);
-        let pool = WorkerPool::new(3);
+        let mut one = Rig::new(merkle_region(512, 1024, 0), 1);
+        let mut three = Rig::new(merkle_region(512, 1024, 0), 3);
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 193) as u8).collect();
-        es_s.write(
-            &mut shell_s,
-            &mut dram_s,
-            &mut ledger_s,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es_p.write_chunks(
-            &mut shell_p,
-            &mut dram_p,
-            &mut ledger_p,
-            0x1000,
-            &payload,
-            AccessMode::Streaming,
-            &pool,
-        )
-        .unwrap();
-        es_s.flush(&mut shell_s, &mut dram_s, &mut ledger_s)
-            .unwrap();
-        es_p.flush_parallel(&mut shell_p, &mut dram_p, &mut ledger_p, &pool)
-            .unwrap();
-        let got_s = es_s
-            .read(
-                &mut shell_s,
-                &mut dram_s,
-                &mut ledger_s,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        let got_p = es_p
-            .read_chunks(
-                &mut shell_p,
-                &mut dram_p,
-                &mut ledger_p,
-                0x1000,
-                4096,
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(got_s, payload);
-        assert_eq!(got_p, payload);
-        assert_eq!(core_stats(es_s.stats()), core_stats(es_p.stats()));
+        for rig in [&mut one, &mut three] {
+            rig.write(0x1000, &payload).unwrap();
+            rig.flush().unwrap();
+            assert_eq!(rig.read(0x1000, 4096).unwrap(), payload);
+        }
+        assert_eq!(core_stats(one.es.stats()), core_stats(three.es.stats()));
+        // The tree arena holds the same authenticated counters.
+        assert_eq!(
+            one.dram.tamper_read(0x20_0000, 4096),
+            three.dram.tamper_read(0x20_0000, 4096)
+        );
     }
 
     #[test]
     fn partial_tail_chunk() {
-        // Region of 8192 with 4096-byte chunks has exactly 2 chunks; make
-        // a region with a 1000-byte tail instead.
-        let region = RegionConfig {
-            name: "tail".into(),
-            range: MemRange::new(0, 4096 + 1000),
-            engine_set: EngineSetConfig {
-                chunk_size: 4096,
-                zero_fill_writes: true,
-                ..EngineSetConfig::default()
+        // A region of 4096 + 1000 bytes with 4096-byte chunks ends in a
+        // 1000-byte tail chunk.
+        let mut rig = Rig::new(
+            RegionConfig {
+                name: "tail".into(),
+                range: MemRange::new(0, 4096 + 1000),
+                engine_set: EngineSetConfig {
+                    chunk_size: 4096,
+                    zero_fill_writes: true,
+                    ..EngineSetConfig::default()
+                },
             },
-        };
-        let dek = DataEncryptionKey::from_bytes([4u8; 32]);
-        let mut es = EngineSet::new(region, 0, 0x20_0000, 0x30_0000, &dek);
-        let mut shell = Shell::new();
-        let mut dram = Dram::new(1 << 22);
-        let mut ledger = CostLedger::new();
+            1,
+        );
         let data: Vec<u8> = (0..5096u32).map(|i| (i % 97) as u8).collect();
-        es.write(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            0,
-            &data,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-        let got = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                0,
-                5096,
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(got, data);
+        rig.write(0, &data).unwrap();
+        rig.flush().unwrap();
+        assert_eq!(rig.read(0, 5096).unwrap(), data);
     }
 }

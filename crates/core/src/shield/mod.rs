@@ -176,13 +176,14 @@ impl Shield {
 
     /// Accelerator-side memory read through the burst decoder. Spans may
     /// cross region boundaries; each sub-span is served by its region's
-    /// engine set.
+    /// engine set, which fans its chunk crypto across `pool`'s lanes.
     ///
     /// # Errors
     ///
     /// * [`ShefError::UnmappedAddress`] if part of the span is outside
     ///   every region.
     /// * [`ShefError::IntegrityViolation`] on authentication failure.
+    #[allow(clippy::too_many_arguments)]
     pub fn read(
         &mut self,
         shell: &mut Shell,
@@ -191,6 +192,7 @@ impl Shield {
         addr: u64,
         len: usize,
         mode: AccessMode,
+        pool: &WorkerPool,
     ) -> Result<Vec<u8>, ShefError> {
         let mut out = Vec::with_capacity(len);
         let mut cur = addr;
@@ -199,7 +201,7 @@ impl Shield {
             let set = self.set_for(cur)?;
             let span_end = set.region().range.end().min(end);
             let take = (span_end - cur) as usize;
-            out.extend(set.read(shell, dram, ledger, cur, take, mode)?);
+            out.extend(set.read(shell, dram, ledger, cur, take, mode, pool)?);
             cur = span_end;
         }
         Ok(out)
@@ -210,6 +212,7 @@ impl Shield {
     /// # Errors
     ///
     /// Same conditions as [`Shield::read`].
+    #[allow(clippy::too_many_arguments)]
     pub fn write(
         &mut self,
         shell: &mut Shell,
@@ -218,83 +221,6 @@ impl Shield {
         addr: u64,
         data: &[u8],
         mode: AccessMode,
-    ) -> Result<(), ShefError> {
-        let mut cur = addr;
-        let end = addr + data.len() as u64;
-        let mut offset = 0usize;
-        while cur < end {
-            let set = self.set_for(cur)?;
-            let span_end = set.region().range.end().min(end);
-            let take = (span_end - cur) as usize;
-            set.write(shell, dram, ledger, cur, &data[offset..offset + take], mode)?;
-            cur = span_end;
-            offset += take;
-        }
-        Ok(())
-    }
-
-    /// Flushes all engine-set buffers (end of kernel).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-back errors.
-    pub fn flush(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-    ) -> Result<(), ShefError> {
-        for set in &mut self.engine_sets {
-            set.flush(shell, dram, ledger)?;
-        }
-        Ok(())
-    }
-
-    /// [`Shield::read`] over the parallel datapath: each covered engine
-    /// set fans its chunk crypto across `pool`'s lanes. Bit-identical to
-    /// the serial path on success.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shield::read`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn read_parallel(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        len: usize,
-        mode: AccessMode,
-        pool: &WorkerPool,
-    ) -> Result<Vec<u8>, ShefError> {
-        let mut out = Vec::with_capacity(len);
-        let mut cur = addr;
-        let end = addr + len as u64;
-        while cur < end {
-            let set = self.set_for(cur)?;
-            let span_end = set.region().range.end().min(end);
-            let take = (span_end - cur) as usize;
-            out.extend(set.read_chunks(shell, dram, ledger, cur, take, mode, pool)?);
-            cur = span_end;
-        }
-        Ok(out)
-    }
-
-    /// [`Shield::write`] over the parallel datapath.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shield::read`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn write_parallel(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        addr: u64,
-        data: &[u8],
-        mode: AccessMode,
         pool: &WorkerPool,
     ) -> Result<(), ShefError> {
         let mut cur = addr;
@@ -304,7 +230,7 @@ impl Shield {
             let set = self.set_for(cur)?;
             let span_end = set.region().range.end().min(end);
             let take = (span_end - cur) as usize;
-            set.write_chunks(
+            set.write(
                 shell,
                 dram,
                 ledger,
@@ -319,13 +245,13 @@ impl Shield {
         Ok(())
     }
 
-    /// [`Shield::flush`] over the parallel datapath: each engine set's
+    /// Flushes all engine-set buffers (end of kernel); each engine set's
     /// dirty-line seals are fanned across `pool`'s lanes.
     ///
     /// # Errors
     ///
     /// Propagates write-back errors.
-    pub fn flush_parallel(
+    pub fn flush(
         &mut self,
         shell: &mut Shell,
         dram: &mut Dram,
@@ -333,7 +259,7 @@ impl Shield {
         pool: &WorkerPool,
     ) -> Result<(), ShefError> {
         for set in &mut self.engine_sets {
-            set.flush_parallel(shell, dram, ledger, pool)?;
+            set.flush(shell, dram, ledger, pool)?;
         }
         Ok(())
     }
@@ -437,6 +363,7 @@ mod tests {
 
     #[test]
     fn unprovisioned_shield_locks_data_path() {
+        let pool = WorkerPool::new(1);
         let config = ShieldConfig::builder()
             .region("r", MemRange::new(0, 4096), EngineSetConfig::default())
             .build()
@@ -452,7 +379,8 @@ mod tests {
                 &mut ledger,
                 0,
                 64,
-                AccessMode::Streaming
+                AccessMode::Streaming,
+                &pool
             ),
             Err(ShefError::KeyNotProvisioned(_))
         ));
@@ -460,6 +388,7 @@ mod tests {
 
     #[test]
     fn end_to_end_data_flow() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shield();
         // Data Owner provisions encrypted input.
         let input: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
@@ -476,6 +405,7 @@ mod tests {
                 0,
                 4096,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(data, input);
@@ -488,9 +418,12 @@ mod tests {
                 1 << 20,
                 &doubled,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
+            .unwrap();
         // Data Owner reads back and decrypts output (epoch 0: write-once).
         let out_region = shield.config().regions[1].clone();
         let ct = dram.tamper_read(1 << 20, 4096);
@@ -505,6 +438,7 @@ mod tests {
 
     #[test]
     fn unmapped_access_rejected() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, _) = shield();
         assert!(matches!(
             shield.read(
@@ -513,7 +447,8 @@ mod tests {
                 &mut ledger,
                 1 << 30,
                 64,
-                AccessMode::Streaming
+                AccessMode::Streaming,
+                &pool
             ),
             Err(ShefError::UnmappedAddress(_))
         ));
@@ -535,6 +470,7 @@ mod tests {
 
     #[test]
     fn zeroize_locks_everything_again() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, _) = shield();
         shield.zeroize();
         assert!(!shield.is_provisioned());
@@ -545,13 +481,15 @@ mod tests {
                 &mut ledger,
                 0,
                 64,
-                AccessMode::Streaming
+                AccessMode::Streaming,
+                &pool
             )
             .is_err());
     }
 
     #[test]
     fn shield_telemetry_aggregates_across_regions() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shield();
         let input: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         let region = shield.config().regions[0].clone();
@@ -566,6 +504,7 @@ mod tests {
                 0,
                 4096,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         shield
@@ -576,9 +515,12 @@ mod tests {
                 1 << 20,
                 &data,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
+            .unwrap();
         let report = shield.telemetry().report();
         // Both regions report into the one registry: input-region reads
         // and output-region writes land on the same counters.
@@ -590,6 +532,7 @@ mod tests {
 
     #[test]
     fn attach_telemetry_rebinds_live_engine_sets() {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, _) = shield();
         let shared = Telemetry::new();
         shield.attach_telemetry(&shared);
@@ -602,6 +545,7 @@ mod tests {
                 1 << 20,
                 &[9u8; 512],
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(shared.report().counters["shield.engine.bytes_written"], 512);

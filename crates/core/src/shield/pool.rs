@@ -1,4 +1,4 @@
-//! Hand-rolled worker pool backing the parallel chunk-crypto datapath.
+//! Hand-rolled worker pool backing the batched chunk-crypto datapath.
 //!
 //! The paper's Shield gets its throughput from *replicated* engine sets
 //! (§5.2.2, §6): several AES/MAC engine groups seal and open memory
@@ -141,8 +141,8 @@ pub struct TryRunOutcome<R> {
 ///
 /// One lane models one replicated engine group. A pool with a single
 /// lane executes jobs inline on the caller thread (a serial engine set
-/// has no fan-out hardware), so `WorkerPool::new(1)` is a zero-overhead
-/// stand-in for the serial datapath.
+/// has no fan-out hardware), so `WorkerPool::new(1)` is the serial
+/// datapath at no threading cost.
 pub struct WorkerPool {
     lanes: usize,
     sender: Option<mpsc::Sender<Job>>,
@@ -207,8 +207,12 @@ impl WorkerPool {
                         match job {
                             Ok(job) => {
                                 shared.queued.fetch_sub(1, Ordering::Relaxed);
-                                job();
+                                // Count the job when the lane picks it
+                                // up: `job()` hands its result back to
+                                // the caller, which may read the stats
+                                // before this lane runs another line.
                                 shared.jobs_per_lane[lane].fetch_add(1, Ordering::Relaxed);
+                                job();
                             }
                             // Channel closed: the pool is shutting down.
                             Err(_) => break,

@@ -27,7 +27,7 @@
 //! logical clocks (see [`super::shard::ShieldShard`]). Every input to
 //! scheduling is model-derived — no wall-clock, no randomness — so a
 //! same-seed run is byte-identical, and a one-tenant service is
-//! bit-identical to the bare parallel datapath (the differential
+//! bit-identical to a bare [`Shield`] datapath (the differential
 //! conformance suite holds this line).
 //!
 //! **Admission is attestation-gated.** [`ShieldService::register_tenant`]
@@ -153,7 +153,7 @@ impl RequestId {
 }
 
 /// One tenant request: a batch operation on the tenant's own address
-/// namespace, executed over the shard's parallel datapath.
+/// namespace, executed over the shard's worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceRequest {
     /// Read `len` plaintext bytes at `addr`.
@@ -633,7 +633,7 @@ impl ShieldService {
             let result = match &pending.request {
                 ServiceRequest::Read { addr, len, mode } => tenant_slot
                     .shield
-                    .read_parallel(
+                    .read(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,
@@ -645,7 +645,7 @@ impl ShieldService {
                     .map(Some),
                 ServiceRequest::Write { addr, data, mode } => tenant_slot
                     .shield
-                    .write_parallel(
+                    .write(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,
@@ -657,7 +657,7 @@ impl ShieldService {
                     .map(|()| None),
                 ServiceRequest::Flush => tenant_slot
                     .shield
-                    .flush_parallel(
+                    .flush(
                         &mut tenant_slot.shell,
                         &mut tenant_slot.dram,
                         &mut tenant_slot.ledger,

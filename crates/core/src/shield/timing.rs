@@ -193,7 +193,7 @@ pub fn buffer_hit_cost(len: usize) -> Cycles {
 ///   per-lane ledger lanes and let the bottleneck model take the max.
 /// * **Blocking** — the consumer stalls on every chunk in order, so
 ///   replication buys nothing; charge [`BatchCost::serial_latency`] to
-///   the ledger's serial term, exactly like the serial datapath.
+///   the ledger's serial term, the same at every lane count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchCost {
     /// Steady-state occupancy per lane, in round-robin assignment order.

@@ -452,7 +452,7 @@ impl TestBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shield::{EngineSetConfig, MemRange};
+    use crate::shield::{EngineSetConfig, MemRange, WorkerPool};
 
     fn shield_config() -> ShieldConfig {
         ShieldConfig::builder()
@@ -540,6 +540,7 @@ mod tests {
 
     #[test]
     fn deployed_instance_runs_shielded_io() {
+        let pool = WorkerPool::new(1);
         use crate::shield::client;
         use shef_fpga::clock::CostLedger;
 
@@ -592,6 +593,7 @@ mod tests {
                 0,
                 4096,
                 crate::shield::AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         assert_eq!(got, input);

@@ -2,23 +2,16 @@
 //! seeded `FaultPlan` over the memory datapath, the Shield must land
 //! on an allowlisted verdict — never `SilentCorruption`, never a
 //! containment breach — and a fault-free plan must be byte-identical
-//! to the un-instrumented golden twin on both datapaths.
+//! to the plaintext shadow memory at every lane count.
 
 use proptest::prelude::*;
-use shef_testkit::{run_plan, DataPath, FaultClass, FaultPlan, Scheme, Verdict};
+use shef_testkit::{run_plan, FaultClass, FaultPlan, Scheme, Verdict};
 
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
     prop_oneof![
         Just(Scheme::MacOnly),
         Just(Scheme::Counters),
         Just(Scheme::Merkle),
-    ]
-}
-
-fn path_strategy() -> impl Strategy<Value = DataPath> {
-    prop_oneof![
-        Just(DataPath::Serial),
-        (1usize..=4).prop_map(|lanes| DataPath::Parallel { lanes }),
     ]
 }
 
@@ -34,11 +27,11 @@ proptest! {
         seed in 0u64..1024,
         class_idx in 0usize..FaultClass::ALL.len(),
         scheme in scheme_strategy(),
-        path in path_strategy(),
+        lanes in 1usize..=4,
     ) {
         let class = FaultClass::ALL[class_idx];
         prop_assume!(class.valid_schemes().contains(&scheme));
-        let plan = FaultPlan::single(seed, class, scheme, path);
+        let plan = FaultPlan::single(seed, class, scheme, lanes);
         let report = run_plan(&plan);
         prop_assert!(report.is_allowed(), "{}: {report:?}", class.as_str());
         prop_assert_ne!(report.verdict, Verdict::SilentCorruption);
@@ -53,22 +46,22 @@ proptest! {
         seed in 0u64..1024,
         n_events in 1usize..5,
         scheme in scheme_strategy(),
-        path in path_strategy(),
+        lanes in 1usize..=4,
     ) {
-        let plan = FaultPlan::randomized(seed, n_events, scheme, path);
+        let plan = FaultPlan::randomized(seed, n_events, scheme, lanes);
         let report = run_plan(&plan);
         prop_assert!(report.is_allowed(), "{report:?}");
     }
 
-    /// A fault-free plan is byte-identical to the golden twin on every
-    /// scheme and datapath: the verdict is exactly `Clean`.
+    /// A fault-free plan is byte-identical to the shadow memory on every
+    /// scheme and lane count: the verdict is exactly `Clean`.
     #[test]
     fn fault_free_plans_are_byte_identical(
         seed in 0u64..1024,
         scheme in scheme_strategy(),
-        path in path_strategy(),
+        lanes in 1usize..=4,
     ) {
-        let report = run_plan(&FaultPlan::clean(seed, scheme, path));
+        let report = run_plan(&FaultPlan::clean(seed, scheme, lanes));
         prop_assert!(report.verdict == Verdict::Clean, "{report:?}");
         prop_assert!(report.probe.is_none());
     }

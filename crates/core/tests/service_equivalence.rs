@@ -1,8 +1,8 @@
 //! Differential conformance: the multi-tenant `ShieldService` with a
-//! single tenant must be an exact functional wrapper around the
-//! parallel Shield datapath. For every workload, scheme and lane
-//! count, the same trace driven through `ShieldService::{submit,drain}`
-//! and through `Shield::{read,write,flush}_parallel` (keyed with the
+//! single tenant must be an exact functional wrapper around the bare
+//! Shield datapath. For every workload, scheme and lane count, the same
+//! trace driven through `ShieldService::{submit,drain}` and through
+//! `Shield::{read,write,flush}` (keyed with the
 //! same tenant-derived DEK) must produce byte-identical read payloads,
 //! byte-identical DRAM ciphertext and tag arenas, and an identical
 //! datapath cost ledger — the shard arbiter may only ever charge its
@@ -187,7 +187,7 @@ fn run_service(
     (reads, ledger, ciphertext, tags)
 }
 
-/// Drives the same ops straight through the parallel datapath, keyed
+/// Drives the same ops straight through the bare Shield datapath, keyed
 /// with the tenant-derived DEK the service provisions for `TENANT`.
 fn run_parallel(
     scheme: Scheme,
@@ -213,7 +213,7 @@ fn run_parallel(
     for op in ops {
         match *op {
             Op::Write { chunk, fill } => shield
-                .write_parallel(
+                .write(
                     &mut shell,
                     &mut dram,
                     &mut ledger,
@@ -225,7 +225,7 @@ fn run_parallel(
                 .expect("clean trace"),
             Op::Read { chunk } => reads.push(
                 shield
-                    .read_parallel(
+                    .read(
                         &mut shell,
                         &mut dram,
                         &mut ledger,
@@ -237,12 +237,12 @@ fn run_parallel(
                     .expect("clean trace"),
             ),
             Op::Flush => shield
-                .flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
+                .flush(&mut shell, &mut dram, &mut ledger, &pool)
                 .expect("clean trace"),
         }
     }
     shield
-        .flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
+        .flush(&mut shell, &mut dram, &mut ledger, &pool)
         .expect("final flush is clean");
     let ciphertext = dram.tamper_read(REGION_BASE, REGION_LEN as usize);
     let tags = dram.tamper_read(config.tag_base(0), (NUM_CHUNKS * 16) as usize);
@@ -320,7 +320,7 @@ fn tenant_key_domain_changes_the_ciphertext() {
     let mut ledger = CostLedger::new();
     let pool = WorkerPool::new(2);
     shield
-        .write_parallel(
+        .write(
             &mut shell,
             &mut dram,
             &mut ledger,
@@ -331,7 +331,7 @@ fn tenant_key_domain_changes_the_ciphertext() {
         )
         .expect("clean write");
     shield
-        .flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
+        .flush(&mut shell, &mut dram, &mut ledger, &pool)
         .expect("clean flush");
     let other_ct = dram.tamper_read(REGION_BASE, CHUNK);
     assert_ne!(

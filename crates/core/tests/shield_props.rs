@@ -5,7 +5,7 @@
 //!
 //! * a Shielded region behaves exactly like flat memory to the
 //!   accelerator, for *any* engine-set configuration (chunk size,
-//!   buffer, counters, Merkle tree) and *any* access trace;
+//!   buffer, counters, Merkle tree, worker lanes) and *any* access trace;
 //! * Merkle-tree counters agree with an ideal counter map under any
 //!   bump sequence, arity, and cache size;
 //! * configurations survive serialization (they are hashed into
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::merkle::{MerkleConfig, MerkleTree};
-use shef_core::shield::{DataEncryptionKey, ShieldConfig};
+use shef_core::shield::{DataEncryptionKey, ShieldConfig, WorkerPool};
 use shef_crypto::authenc::MacAlgorithm;
 use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
@@ -126,6 +126,7 @@ proptest! {
         chunk_pow in 6u32..12,            // 64 B .. 2 KB chunks
         buffer_lines in 0usize..5,        // 0 = single staging line
         scheme in scheme_strategy(),
+        lanes in 1usize..=4,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let chunk = 1usize << chunk_pow;
@@ -133,6 +134,7 @@ proptest! {
         let mut shell = Shell::new();
         let mut dram = Dram::new(1 << 24);
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(lanes);
         let mut reference = vec![0u8; REGION_LEN as usize];
         provision_zeros(&region, &dek, &mut dram);
 
@@ -140,25 +142,25 @@ proptest! {
             match *op {
                 Op::Read { offset, len } => {
                     let got = es
-                        .read(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, len, AccessMode::Streaming)
+                        .read(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, len, AccessMode::Streaming, &pool)
                         .expect("untampered read never fails");
                     prop_assert_eq!(&got[..], &reference[offset as usize..offset as usize + len]);
                 }
                 Op::Write { offset, byte, len } => {
                     let data = vec![byte; len];
-                    es.write(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, &data, AccessMode::Streaming)
+                    es.write(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, &data, AccessMode::Streaming, &pool)
                         .expect("untampered write never fails");
                     reference[offset as usize..offset as usize + len].fill(byte);
                 }
                 Op::Flush => {
-                    es.flush(&mut shell, &mut dram, &mut ledger).expect("flush never fails");
+                    es.flush(&mut shell, &mut dram, &mut ledger, &pool).expect("flush never fails");
                 }
             }
         }
         // Final flush + full readback through a fresh pass.
-        es.flush(&mut shell, &mut dram, &mut ledger).expect("final flush");
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).expect("final flush");
         let full = es
-            .read(&mut shell, &mut dram, &mut ledger, REGION_BASE, REGION_LEN as usize, AccessMode::Streaming)
+            .read(&mut shell, &mut dram, &mut ledger, REGION_BASE, REGION_LEN as usize, AccessMode::Streaming, &pool)
             .expect("full readback");
         prop_assert_eq!(full, reference);
     }
@@ -176,18 +178,19 @@ proptest! {
         let mut shell = Shell::new();
         let mut dram = Dram::new(1 << 24);
         let mut ledger = CostLedger::new();
+        let pool = WorkerPool::new(1);
         provision_zeros(&region, &dek, &mut dram);
         for &(offset, byte) in &writes {
-            es.write(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, &[byte; 64], AccessMode::Streaming)
+            es.write(&mut shell, &mut dram, &mut ledger, REGION_BASE + offset, &[byte; 64], AccessMode::Streaming, &pool)
                 .expect("write");
         }
-        es.flush(&mut shell, &mut dram, &mut ledger).expect("flush");
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).expect("flush");
         // Ensure the victim chunk exists in DRAM (zero-fill regions may
         // not have been written): write it explicitly, then flush.
         let chunk_start = REGION_BASE + (victim / 256) * 256;
-        es.write(&mut shell, &mut dram, &mut ledger, chunk_start, &[0x77; 256], AccessMode::Streaming)
+        es.write(&mut shell, &mut dram, &mut ledger, chunk_start, &[0x77; 256], AccessMode::Streaming, &pool)
             .expect("victim write");
-        es.flush(&mut shell, &mut dram, &mut ledger).expect("victim flush");
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).expect("victim flush");
         es.clear_merkle_cache();
         // Adversary flips one ciphertext byte.
         let addr = REGION_BASE + victim;
@@ -195,7 +198,7 @@ proptest! {
         b[0] ^= flip;
         dram.tamper_write(addr, &b);
         let chunk_of_victim = REGION_BASE + (victim / 256) * 256;
-        let result = es.read(&mut shell, &mut dram, &mut ledger, chunk_of_victim, 256, AccessMode::Streaming);
+        let result = es.read(&mut shell, &mut dram, &mut ledger, chunk_of_victim, 256, AccessMode::Streaming, &pool);
         prop_assert!(result.is_err(), "flip at {addr:#x} must be detected");
     }
 

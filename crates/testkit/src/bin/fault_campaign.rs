@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use shef_telemetry::Telemetry;
 use shef_testkit::{
-    campaign_plan, json_escape, run_plan, CampaignRecord, CampaignTelemetry, DataPath, FaultClass,
-    FaultPlan, ScenarioReport, Scheme, Verdict,
+    campaign_plan, json_escape, run_plan, CampaignRecord, CampaignTelemetry, FaultClass, FaultPlan,
+    ScenarioReport, Scheme, Verdict,
 };
 
 struct Args {
@@ -115,12 +115,7 @@ fn main() {
     for seed in 0..args.seeds {
         for class in FaultClass::ALL {
             for &lanes in &args.lanes {
-                let path = if lanes <= 1 && !class.uses_pool() {
-                    DataPath::Serial
-                } else {
-                    DataPath::Parallel { lanes }
-                };
-                let plan = campaign_plan(seed, class, lanes, path);
+                let plan = campaign_plan(seed, class, lanes);
                 let scheme = plan.scheme;
                 let report = run_with_watchdog(plan, budget);
                 campaign_tele.record(&report);
@@ -139,20 +134,17 @@ fn main() {
                     class: Some(class),
                     scheme,
                     lanes,
-                    path: path.label(),
                     report,
                 });
             }
         }
     }
-    // Fault-free baselines: must come back clean on every scheme/path.
+    // Fault-free baselines: must come back clean on every scheme and
+    // lane count, on seeds 0 and 1.
     for scheme in Scheme::ALL {
         for &lanes in &args.lanes {
-            for (seed, path) in [
-                (0u64, DataPath::Serial),
-                (1u64, DataPath::Parallel { lanes }),
-            ] {
-                let report = run_with_watchdog(FaultPlan::clean(seed, scheme, path), budget);
+            for seed in [0u64, 1] {
+                let report = run_with_watchdog(FaultPlan::clean(seed, scheme, lanes), budget);
                 campaign_tele.record(&report);
                 if report.verdict != Verdict::Clean {
                     disallowed += 1;
@@ -168,7 +160,6 @@ fn main() {
                     class: None,
                     scheme,
                     lanes,
-                    path: path.label(),
                     report,
                 });
             }

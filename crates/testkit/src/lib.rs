@@ -6,8 +6,8 @@
 //! and must never corrupt data silently or hang. This crate makes that
 //! contract executable. A seeded [`FaultPlan`] schedules faults at
 //! named injection points; [`run_plan`] drives a full read/write/flush
-//! trace against a faulted Shield datapath next to an un-instrumented
-//! golden twin and classifies what happened.
+//! trace against a faulted Shield datapath next to a plaintext shadow
+//! of the region and classifies what happened.
 //!
 //! ## Outcome taxonomy
 //!
@@ -20,7 +20,7 @@
 //! | [`Verdict::Poisoned`] | Post-detection traffic fail-stopped by containment |
 //! | [`Verdict::RecoveredAfterRetry`] | Transient lane fault absorbed by the bounded retry |
 //! | [`Verdict::Masked`] | Fault injected but provably never consumed |
-//! | [`Verdict::Clean`] | Fault-free plan, byte-identical to the golden twin |
+//! | [`Verdict::Clean`] | Fault-free plan, byte-identical to the shadow memory |
 //! | [`Verdict::SilentCorruption`] | **Forbidden**: wrong bytes accepted, or containment breached |
 //! | [`Verdict::Hang`] | **Forbidden**: scenario exceeded its watchdog budget |
 //!
@@ -30,18 +30,18 @@
 //! ## Writing a `FaultPlan`
 //!
 //! A plan is a seed (all randomness is a deterministic LCG of it), an
-//! integrity scheme, a datapath selection, a trace length, and a list
+//! integrity scheme, a worker-pool lane count, a trace length, and a list
 //! of [`FaultEvent`]s. [`FaultPlan::single`] derives a one-fault plan
 //! from a seed; [`FaultPlan::randomized`] schedules several memory
 //! faults for property tests; or build the struct directly:
 //!
 //! ```
-//! use shef_testkit::{run_plan, DataPath, FaultClass, FaultEvent, FaultPlan, Scheme};
+//! use shef_testkit::{run_plan, FaultClass, FaultEvent, FaultPlan, Scheme};
 //!
 //! let plan = FaultPlan {
 //!     seed: 7,
 //!     scheme: Scheme::Counters,
-//!     path: DataPath::Parallel { lanes: 4 },
+//!     lanes: 4,
 //!     ops: 24,
 //!     events: vec![FaultEvent {
 //!         at_op: 5,
@@ -151,36 +151,6 @@ impl Scheme {
             Scheme::MacOnly => "mac_only",
             Scheme::Counters => "counters",
             Scheme::Merkle => "merkle",
-        }
-    }
-}
-
-/// Which Shield datapath a plan drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataPath {
-    /// The serial per-chunk path (`read`/`write`/`flush`).
-    Serial,
-    /// The batched parallel path over a worker pool.
-    Parallel {
-        /// Worker-pool lanes.
-        lanes: usize,
-    },
-}
-
-impl DataPath {
-    /// Stable label for reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DataPath::Serial => "serial",
-            DataPath::Parallel { .. } => "parallel",
-        }
-    }
-
-    fn lanes(self) -> usize {
-        match self {
-            DataPath::Serial => 1,
-            DataPath::Parallel { lanes } => lanes.max(1),
         }
     }
 }
@@ -322,10 +292,9 @@ impl FaultClass {
         Self::MEMORY.contains(&self)
     }
 
-    /// Whether the class needs the worker pool (the serial path has no
-    /// lanes to kill, so these faults are structurally [`Verdict::Masked`]
-    /// there). [`FaultClass::ShardPanic`] also qualifies: it kills a
-    /// lane inside a service shard's pool.
+    /// Whether the class kills a worker-pool lane.
+    /// [`FaultClass::ShardPanic`] also qualifies: it kills a lane inside
+    /// a service shard's pool.
     #[must_use]
     pub fn uses_pool(self) -> bool {
         matches!(
@@ -350,7 +319,7 @@ pub enum InjectionPoint {
     ShieldStream,
     /// `shield::regif` — sealed register interface.
     ShieldRegif,
-    /// `shield::pool` — worker lanes of the parallel datapath.
+    /// `shield::pool` — worker lanes of the batch datapath.
     ShieldPool,
     /// `shield::service` — the multi-tenant admission queue and shards.
     ShieldService,
@@ -408,9 +377,8 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Integrity scheme of the campaign region.
     pub scheme: Scheme,
-    /// Which datapath the faulted run drives (the golden twin is
-    /// always the un-instrumented serial path).
-    pub path: DataPath,
+    /// Worker-pool lanes of the faulted run.
+    pub lanes: usize,
     /// Trace length in operations.
     pub ops: usize,
     /// Scheduled faults, injected before the op they name.
@@ -420,11 +388,11 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A fault-free plan: must come back [`Verdict::Clean`].
     #[must_use]
-    pub fn clean(seed: u64, scheme: Scheme, path: DataPath) -> Self {
+    pub fn clean(seed: u64, scheme: Scheme, lanes: usize) -> Self {
         FaultPlan {
             seed,
             scheme,
-            path,
+            lanes,
             ops: DEFAULT_OPS,
             events: Vec::new(),
         }
@@ -434,7 +402,7 @@ impl FaultPlan {
     /// class is undetectable under `scheme` (see
     /// [`FaultClass::valid_schemes`]).
     #[must_use]
-    pub fn single(seed: u64, class: FaultClass, scheme: Scheme, path: DataPath) -> Self {
+    pub fn single(seed: u64, class: FaultClass, scheme: Scheme, lanes: usize) -> Self {
         assert!(
             class.valid_schemes().contains(&scheme),
             "{} is undetectable by design under {}",
@@ -452,7 +420,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             scheme,
-            path,
+            lanes,
             ops: DEFAULT_OPS,
             events: vec![event],
         }
@@ -461,7 +429,7 @@ impl FaultPlan {
     /// A multi-fault plan over the memory classes only (property-test
     /// generator). Replay events are skipped under `MacOnly`.
     #[must_use]
-    pub fn randomized(seed: u64, n_events: usize, scheme: Scheme, path: DataPath) -> Self {
+    pub fn randomized(seed: u64, n_events: usize, scheme: Scheme, lanes: usize) -> Self {
         let mut rng = Lcg(seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1));
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
@@ -481,7 +449,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             scheme,
-            path,
+            lanes,
             ops: DEFAULT_OPS,
             events,
         }
@@ -505,7 +473,7 @@ pub enum Verdict {
     RecoveredAfterRetry,
     /// The fault was injected but provably never consumed.
     Masked,
-    /// Fault-free plan, byte-identical to the un-instrumented twin.
+    /// Fault-free plan, byte-identical to the plaintext shadow memory.
     Clean,
     /// **Forbidden**: wrong bytes accepted, or containment breached.
     SilentCorruption,
@@ -671,74 +639,33 @@ fn setup(scheme: Scheme) -> Setup {
 }
 
 impl Setup {
-    fn read(
-        &mut self,
-        path: DataPath,
-        pool: &WorkerPool,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, ShefError> {
-        let addr = REGION_BASE + offset;
-        match path {
-            DataPath::Serial => self.es.read(
-                &mut self.shell,
-                &mut self.dram,
-                &mut self.ledger,
-                addr,
-                len,
-                AccessMode::Streaming,
-            ),
-            DataPath::Parallel { .. } => self.es.read_chunks(
-                &mut self.shell,
-                &mut self.dram,
-                &mut self.ledger,
-                addr,
-                len,
-                AccessMode::Streaming,
-                pool,
-            ),
-        }
+    fn read(&mut self, pool: &WorkerPool, offset: u64, len: usize) -> Result<Vec<u8>, ShefError> {
+        self.es.read(
+            &mut self.shell,
+            &mut self.dram,
+            &mut self.ledger,
+            REGION_BASE + offset,
+            len,
+            AccessMode::Streaming,
+            pool,
+        )
     }
 
-    fn write(
-        &mut self,
-        path: DataPath,
-        pool: &WorkerPool,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), ShefError> {
-        let addr = REGION_BASE + offset;
-        match path {
-            DataPath::Serial => self.es.write(
-                &mut self.shell,
-                &mut self.dram,
-                &mut self.ledger,
-                addr,
-                data,
-                AccessMode::Streaming,
-            ),
-            DataPath::Parallel { .. } => self.es.write_chunks(
-                &mut self.shell,
-                &mut self.dram,
-                &mut self.ledger,
-                addr,
-                data,
-                AccessMode::Streaming,
-                pool,
-            ),
-        }
+    fn write(&mut self, pool: &WorkerPool, offset: u64, data: &[u8]) -> Result<(), ShefError> {
+        self.es.write(
+            &mut self.shell,
+            &mut self.dram,
+            &mut self.ledger,
+            REGION_BASE + offset,
+            data,
+            AccessMode::Streaming,
+            pool,
+        )
     }
 
-    fn flush(&mut self, path: DataPath, pool: &WorkerPool) -> Result<(), ShefError> {
-        match path {
-            DataPath::Serial => self
-                .es
-                .flush(&mut self.shell, &mut self.dram, &mut self.ledger),
-            DataPath::Parallel { .. } => {
-                self.es
-                    .flush_parallel(&mut self.shell, &mut self.dram, &mut self.ledger, pool)
-            }
-        }
+    fn flush(&mut self, pool: &WorkerPool) -> Result<(), ShefError> {
+        self.es
+            .flush(&mut self.shell, &mut self.dram, &mut self.ledger, pool)
     }
 }
 
@@ -747,9 +674,8 @@ fn inject(
     ev: &FaultEvent,
     s: &mut Setup,
     pool: &WorkerPool,
-    path: DataPath,
     snapshots: &HashMap<u32, ReplaySnapshot>,
-) -> bool {
+) {
     let chunk = u64::from(ev.chunk) % NUM_CHUNKS;
     match ev.class {
         FaultClass::DramBitFlip => {
@@ -757,14 +683,12 @@ fn inject(
             let mut byte = s.dram.tamper_read(addr, 1);
             byte[0] ^= ev.flip.max(1);
             s.dram.tamper_write(addr, &byte);
-            true
         }
         FaultClass::TagBitFlip => {
             let addr = TAG_BASE + chunk * TAG_LEN as u64 + (ev.byte % TAG_LEN) as u64;
             let mut byte = s.dram.tamper_read(addr, 1);
             byte[0] ^= ev.flip.max(1);
             s.dram.tamper_write(addr, &byte);
-            true
         }
         FaultClass::CiphertextSplice => {
             let src = chunk;
@@ -778,28 +702,20 @@ fn inject(
                 TAG_BASE + dst * TAG_LEN as u64,
                 TAG_LEN,
             );
-            true
         }
         FaultClass::StaleReplay => {
             snapshots
                 .get(&(chunk as u32))
                 .expect("snapshot captured for every replay event")
                 .replay(&mut s.dram);
-            true
         }
         FaultClass::LanePanic | FaultClass::LanePanicSticky => {
-            if matches!(path, DataPath::Serial) {
-                // The serial path has no lanes to kill: structurally
-                // masked (reported as such if nothing else fires).
-                return false;
-            }
             let nth = (ev.byte % 4) as u64;
             if ev.class == FaultClass::LanePanic {
                 pool.arm_lane_panic(nth);
             } else {
                 pool.arm_lane_panic_sticky(nth);
             }
-            true
         }
         _ => unreachable!("non-memory class in a memory scenario"),
     }
@@ -849,7 +765,6 @@ fn classify_any(classes: &[FaultClass], err: &ShefError) -> Verdict {
 /// Settles a faulted-run failure: classifies the error, then probes
 /// the containment contract that the error kind implies.
 fn settle_failure(
-    plan: &FaultPlan,
     injected: &[FaultClass],
     err: &ShefError,
     faulted: &mut Setup,
@@ -866,7 +781,7 @@ fn settle_failure(
         ShefError::IntegrityViolation(_) => {
             // Detection must poison the engine set: the next access is
             // rejected until containment is explicitly cleared.
-            let next = faulted.read(plan.path, pool, 0, 1);
+            let next = faulted.read(pool, 0, 1);
             match next {
                 Err(ShefError::Fault(ShieldFault::Poisoned { .. })) => Some(Verdict::Poisoned),
                 other => {
@@ -882,8 +797,8 @@ fn settle_failure(
             // or surfaces a *detection* of a co-injected memory fault.
             pool.disarm_lane_panic();
             let drained = faulted
-                .flush(plan.path, pool)
-                .and_then(|()| faulted.read(plan.path, pool, 0, REGION_LEN as usize));
+                .flush(pool)
+                .and_then(|()| faulted.read(pool, 0, REGION_LEN as usize));
             match drained {
                 Ok(_) => Some(Verdict::Drained),
                 Err(ShefError::IntegrityViolation(_))
@@ -909,10 +824,11 @@ fn settle_failure(
 
 fn run_memory_plan(plan: &FaultPlan) -> ScenarioReport {
     let ops = trace(plan.seed, plan.ops);
-    let mut golden = setup(plan.scheme);
     let mut faulted = setup(plan.scheme);
-    let golden_pool = WorkerPool::new(1);
-    let pool = WorkerPool::new(plan.path.lanes());
+    let pool = WorkerPool::new(plan.lanes);
+    // The oracle shares no code with the Shield: a plaintext shadow of
+    // the region, provisioned as zeros and patched by every write.
+    let mut shadow = vec![0u8; REGION_LEN as usize];
     // Stale snapshots are captured at provision time (epoch 0) so a
     // later replay actually rolls the chunk back.
     let mut snapshots: HashMap<u32, ReplaySnapshot> = HashMap::new();
@@ -933,38 +849,25 @@ fn run_memory_plan(plan: &FaultPlan) -> ScenarioReport {
     let mut injected: Vec<FaultClass> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         for ev in plan.events.iter().filter(|e| e.at_op == i) {
-            if inject(ev, &mut faulted, &pool, plan.path, &snapshots) {
-                injected.push(ev.class);
-            }
+            inject(ev, &mut faulted, &pool, &snapshots);
+            injected.push(ev.class);
         }
         let step = match *op {
-            Op::Read { offset, len } => {
-                let want = golden
-                    .read(DataPath::Serial, &golden_pool, offset, len)
-                    .expect("golden trace is fault-free");
-                match faulted.read(plan.path, &pool, offset, len) {
-                    Ok(got) if got == want => Ok(()),
-                    Ok(_) => {
-                        return ScenarioReport::forbidden(format!(
-                            "read at op {i} returned wrong bytes without an error"
-                        ))
-                    }
-                    Err(e) => Err(e),
+            Op::Read { offset, len } => match faulted.read(&pool, offset, len) {
+                Ok(got) if got[..] == shadow[offset as usize..offset as usize + len] => Ok(()),
+                Ok(_) => {
+                    return ScenarioReport::forbidden(format!(
+                        "read at op {i} returned wrong bytes without an error"
+                    ))
                 }
-            }
+                Err(e) => Err(e),
+            },
             Op::Write { offset, len, fill } => {
                 let data: Vec<u8> = (0..len).map(|j| fill.wrapping_add(j as u8)).collect();
-                golden
-                    .write(DataPath::Serial, &golden_pool, offset, &data)
-                    .expect("golden trace is fault-free");
-                faulted.write(plan.path, &pool, offset, &data)
+                shadow[offset as usize..offset as usize + len].copy_from_slice(&data);
+                faulted.write(&pool, offset, &data)
             }
-            Op::Flush => {
-                golden
-                    .flush(DataPath::Serial, &golden_pool)
-                    .expect("golden trace is fault-free");
-                faulted.flush(plan.path, &pool)
-            }
+            Op::Flush => faulted.flush(&pool),
         };
         if let Err(e) = step {
             if injected.is_empty() {
@@ -972,32 +875,26 @@ fn run_memory_plan(plan: &FaultPlan) -> ScenarioReport {
                     "fault-free prefix failed at op {i}: {e}"
                 ));
             }
-            return settle_failure(plan, &injected, &e, &mut faulted, &pool);
+            return settle_failure(&injected, &e, &mut faulted, &pool);
         }
     }
     // The trace completed without an error: sweep for latent faults,
-    // then require byte-identity with the golden twin.
+    // then require byte-identity with the shadow memory.
     pool.disarm_lane_panic();
-    if let Err(e) = faulted.flush(plan.path, &pool) {
+    if let Err(e) = faulted.flush(&pool) {
         if injected.is_empty() {
             return ScenarioReport::forbidden(format!("fault-free final flush failed: {e}"));
         }
-        return settle_failure(plan, &injected, &e, &mut faulted, &pool);
+        return settle_failure(&injected, &e, &mut faulted, &pool);
     }
-    golden
-        .flush(DataPath::Serial, &golden_pool)
-        .expect("golden trace is fault-free");
-    let want = golden
-        .read(DataPath::Serial, &golden_pool, 0, REGION_LEN as usize)
-        .expect("golden trace is fault-free");
-    match faulted.read(plan.path, &pool, 0, REGION_LEN as usize) {
-        Ok(got) if got == want => {}
-        Ok(_) => return ScenarioReport::forbidden("final readback differs from golden twin"),
+    match faulted.read(&pool, 0, REGION_LEN as usize) {
+        Ok(got) if got == shadow => {}
+        Ok(_) => return ScenarioReport::forbidden("final readback differs from shadow memory"),
         Err(e) => {
             if injected.is_empty() {
                 return ScenarioReport::forbidden(format!("fault-free final readback failed: {e}"));
             }
-            return settle_failure(plan, &injected, &e, &mut faulted, &pool);
+            return settle_failure(&injected, &e, &mut faulted, &pool);
         }
     }
     let stats = faulted.es.stats();
@@ -1403,7 +1300,7 @@ fn check_tenant_completions(
 /// as an explicit error on the victim only, and the bystander's trace
 /// is byte-exact throughout.
 fn run_service_plan(plan: &FaultPlan, ev: &FaultEvent) -> ScenarioReport {
-    let lanes = plan.path.lanes();
+    let lanes = plan.lanes.max(1);
     let master = DataEncryptionKey::from_bytes([0x5Fu8; 32]);
     let config = ServiceConfig {
         shards: 2,
@@ -1913,17 +1810,14 @@ fn run_attest_plan(plan: &FaultPlan, ev: &FaultEvent) -> ScenarioReport {
 
 /// Runs one plan to a verdict (see the module docs for the scenario
 /// families). Plans whose events are all memory-class (or empty) run
-/// the full LCG trace against twin engine sets; wire, register,
+/// the full LCG trace against the shadow-memory oracle; wire, register,
 /// debug-port, multi-tenant service and remote-attestation plans run
 /// their own protocol exchanges keyed off the first event.
 #[must_use]
 pub fn run_plan(plan: &FaultPlan) -> ScenarioReport {
     match plan.events.first() {
         None => run_memory_plan(plan),
-        Some(ev) if plan.events.iter().all(|e| e.class.is_memory()) => {
-            let _ = ev;
-            run_memory_plan(plan)
-        }
+        Some(_) if plan.events.iter().all(|e| e.class.is_memory()) => run_memory_plan(plan),
         Some(ev) => match ev.class {
             FaultClass::WireTruncate | FaultClass::WireCorrupt => run_wire_plan(plan, ev),
             FaultClass::RegisterTamper => run_register_plan(plan, ev),
@@ -1955,8 +1849,6 @@ pub struct CampaignRecord {
     pub scheme: Scheme,
     /// Worker-pool lanes of the faulted run.
     pub lanes: usize,
-    /// `"serial"` or `"parallel"`.
-    pub path: &'static str,
     /// The scenario outcome.
     pub report: ScenarioReport,
 }
@@ -1973,13 +1865,12 @@ impl CampaignRecord {
             .probe
             .map_or_else(|| "null".to_string(), |p| format!("\"{p}\""));
         format!(
-            "{{\"seed\": {}, \"class\": \"{}\", \"point\": \"{}\", \"scheme\": \"{}\", \"lanes\": {}, \"path\": \"{}\", \"verdict\": \"{}\", \"probe\": {}, \"allowed\": {}, \"detail\": \"{}\"}}",
+            "{{\"seed\": {}, \"class\": \"{}\", \"point\": \"{}\", \"scheme\": \"{}\", \"lanes\": {}, \"verdict\": \"{}\", \"probe\": {}, \"allowed\": {}, \"detail\": \"{}\"}}",
             self.seed,
             class,
             point,
             self.scheme.as_str(),
             self.lanes,
-            self.path,
             self.report.verdict,
             probe,
             self.report.is_allowed(),
@@ -1999,12 +1890,11 @@ impl CampaignRecord {
 ///
 /// ```
 /// use shef_telemetry::Telemetry;
-/// use shef_testkit::{CampaignTelemetry, run_plan, DataPath, FaultClass, FaultPlan, Scheme};
+/// use shef_testkit::{CampaignTelemetry, run_plan, FaultClass, FaultPlan, Scheme};
 ///
 /// let telemetry = Telemetry::new();
 /// let tele = CampaignTelemetry::bind(&telemetry);
-/// let report = run_plan(&FaultPlan::single(3, FaultClass::DramBitFlip, Scheme::MacOnly,
-///     DataPath::Serial));
+/// let report = run_plan(&FaultPlan::single(3, FaultClass::DramBitFlip, Scheme::MacOnly, 1));
 /// tele.record(&report);
 /// let snapshot = telemetry.report();
 /// assert!(snapshot.counters.iter().any(|(n, v)| n.as_str() == "fault.scenarios" && *v == 1));
@@ -2053,37 +1943,29 @@ impl CampaignTelemetry {
 }
 
 /// Builds the scenario plan for one campaign cell (shared between the
-/// sweep and the serial-vs-parallel equivalence tests).
+/// sweep and the lane-count invariance tests).
 #[must_use]
-pub fn campaign_plan(seed: u64, class: FaultClass, lanes: usize, path: DataPath) -> FaultPlan {
+pub fn campaign_plan(seed: u64, class: FaultClass, lanes: usize) -> FaultPlan {
     let schemes = class.valid_schemes();
     let scheme = schemes[(seed as usize) % schemes.len()];
-    let _ = lanes;
-    FaultPlan::single(seed, class, scheme, path)
+    FaultPlan::single(seed, class, scheme, lanes)
 }
 
 /// Sweeps seeds × fault classes × lane counts (plus fault-free
-/// baselines) and returns the verdict matrix. Lane count 1 runs the
-/// serial datapath for classes that do not need the pool.
+/// baselines on seeds 0 and 1) and returns the verdict matrix.
 #[must_use]
 pub fn run_campaign(seeds: u64, lane_counts: &[usize]) -> Vec<CampaignRecord> {
     let mut records = Vec::new();
     for seed in 0..seeds {
         for class in FaultClass::ALL {
             for &lanes in lane_counts {
-                let path = if lanes <= 1 && !class.uses_pool() {
-                    DataPath::Serial
-                } else {
-                    DataPath::Parallel { lanes }
-                };
-                let plan = campaign_plan(seed, class, lanes, path);
+                let plan = campaign_plan(seed, class, lanes);
                 let report = run_plan(&plan);
                 records.push(CampaignRecord {
                     seed,
                     class: Some(class),
                     scheme: plan.scheme,
                     lanes,
-                    path: path.label(),
                     report,
                 });
             }
@@ -2092,18 +1974,13 @@ pub fn run_campaign(seeds: u64, lane_counts: &[usize]) -> Vec<CampaignRecord> {
     // Fault-free baselines: every scheme × lane count must be Clean.
     for scheme in Scheme::ALL {
         for &lanes in lane_counts {
-            for (seed, path) in [
-                (0u64, DataPath::Serial),
-                (1u64, DataPath::Parallel { lanes }),
-            ] {
-                let plan = FaultPlan::clean(seed, scheme, path);
-                let report = run_plan(&plan);
+            for seed in [0u64, 1] {
+                let report = run_plan(&FaultPlan::clean(seed, scheme, lanes));
                 records.push(CampaignRecord {
                     seed,
                     class: None,
                     scheme,
                     lanes,
-                    path: path.label(),
                     report,
                 });
             }
@@ -2137,9 +2014,9 @@ mod tests {
     #[test]
     fn clean_plans_are_clean_on_both_paths() {
         for scheme in Scheme::ALL {
-            for path in [DataPath::Serial, DataPath::Parallel { lanes: 4 }] {
-                let r = run_plan(&FaultPlan::clean(11, scheme, path));
-                assert_eq!(r.verdict, Verdict::Clean, "{scheme:?} {path:?}: {r:?}");
+            for lanes in [1, 4] {
+                let r = run_plan(&FaultPlan::clean(11, scheme, lanes));
+                assert_eq!(r.verdict, Verdict::Clean, "{scheme:?} {lanes} lanes: {r:?}");
             }
         }
     }
@@ -2147,18 +2024,9 @@ mod tests {
     #[test]
     fn every_class_yields_an_allowed_verdict() {
         for class in FaultClass::ALL {
-            for (seed, path) in [
-                (3u64, DataPath::Serial),
-                (5u64, DataPath::Parallel { lanes: 4 }),
-            ] {
-                let plan = campaign_plan(seed, class, path.lanes(), path);
-                let r = run_plan(&plan);
-                assert!(
-                    r.is_allowed(),
-                    "{} on {}: {r:?}",
-                    class.as_str(),
-                    path.label()
-                );
+            for (seed, lanes) in [(3u64, 1), (5u64, 4)] {
+                let r = run_plan(&campaign_plan(seed, class, lanes));
+                assert!(r.is_allowed(), "{} at {lanes} lanes: {r:?}", class.as_str());
             }
         }
     }
@@ -2168,7 +2036,7 @@ mod tests {
         let plan = FaultPlan {
             seed: 1,
             scheme: Scheme::Counters,
-            path: DataPath::Parallel { lanes: 2 },
+            lanes: 2,
             ops: DEFAULT_OPS,
             events: vec![FaultEvent {
                 at_op: 0,

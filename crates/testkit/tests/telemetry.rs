@@ -1,7 +1,7 @@
 //! Telemetry determinism: two identical traces must export
-//! byte-identical line-JSON reports, on the serial datapath and on the
-//! parallel datapath at every gated lane count. This is the property
-//! the `telemetry-report` CI job enforces end-to-end with `cmp`.
+//! byte-identical line-JSON reports at every gated lane count, 1 lane
+//! (the serial Shield) included. This is the property the
+//! `telemetry-report` CI job enforces end-to-end with `cmp`.
 
 use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
@@ -19,8 +19,8 @@ const REGION_LEN: u64 = CHUNK as u64 * NUM_CHUNKS;
 const TAG_BASE: u64 = 0x20_0000;
 const MERKLE_BASE: u64 = 0x30_0000;
 
-/// Drives one fixed read/write/flush trace and returns the exported
-/// line-JSON telemetry report. `lanes == 0` selects the serial path.
+/// Drives one fixed read/write/flush trace at `lanes` and returns the
+/// exported line-JSON telemetry report.
 fn drive_trace(lanes: usize) -> String {
     let telemetry = Telemetry::new();
     let region = RegionConfig {
@@ -44,69 +44,61 @@ fn drive_trace(lanes: usize) -> String {
     dram.tamper_write(TAG_BASE, &enc.tags);
     let mut shell = Shell::new();
     let mut ledger = CostLedger::new();
-    let pool = WorkerPool::new(lanes.max(1));
+    let pool = WorkerPool::new(lanes);
     pool.attach_telemetry(&telemetry);
 
     let payload = vec![0xC4u8; CHUNK * 6];
-    if lanes == 0 {
-        es.write(
+    es.write(
+        &mut shell,
+        &mut dram,
+        &mut ledger,
+        REGION_BASE + CHUNK as u64,
+        &payload,
+        AccessMode::Streaming,
+        &pool,
+    )
+    .unwrap();
+    let back = es
+        .read(
             &mut shell,
             &mut dram,
             &mut ledger,
             REGION_BASE + CHUNK as u64,
-            &payload,
-            AccessMode::Streaming,
-        )
-        .unwrap();
-        let back = es
-            .read(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                REGION_BASE + CHUNK as u64,
-                payload.len(),
-                AccessMode::Streaming,
-            )
-            .unwrap();
-        assert_eq!(back, payload);
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
-    } else {
-        es.write_chunks(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            REGION_BASE + CHUNK as u64,
-            &payload,
+            payload.len(),
             AccessMode::Streaming,
             &pool,
         )
         .unwrap();
-        let back = es
-            .read_chunks(
-                &mut shell,
-                &mut dram,
-                &mut ledger,
-                REGION_BASE + CHUNK as u64,
-                payload.len(),
-                AccessMode::Streaming,
-                &pool,
-            )
-            .unwrap();
-        assert_eq!(back, payload);
-        es.flush_parallel(&mut shell, &mut dram, &mut ledger, &pool)
-            .unwrap();
-    }
+    assert_eq!(back, payload);
+    es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
     telemetry.report().to_json()
 }
 
+/// The data sections every report must carry, at any lane count.
+const DATAPATH_NEEDLES: [&str; 6] = [
+    "\"schema\": \"shef-telemetry/v1\"",
+    "shield.engine.walk",
+    "shield.engine.crypto",
+    "shield.engine.landing",
+    "shield.pool.batches",
+    "fpga.dram.bytes_read",
+];
+
 #[test]
 fn serial_trace_reports_are_byte_identical() {
-    assert_eq!(drive_trace(0), drive_trace(0));
+    // The 1-lane datapath is the serial Shield: its report is
+    // deterministic and carries the same phase spans and pool counters
+    // as a fanned-out run.
+    let json = drive_trace(1);
+    assert_eq!(json, drive_trace(1));
+    for needle in DATAPATH_NEEDLES {
+        assert!(json.contains(needle), "missing {needle} in:\n{json}");
+    }
 }
 
 #[test]
 fn parallel_trace_reports_are_byte_identical_at_every_lane_count() {
-    for lanes in [1usize, 2, 4] {
+    for lanes in [2usize, 4] {
         let a = drive_trace(lanes);
         let b = drive_trace(lanes);
         assert_eq!(a, b, "report diverged at {lanes} lanes");
@@ -116,14 +108,7 @@ fn parallel_trace_reports_are_byte_identical_at_every_lane_count() {
 #[test]
 fn parallel_report_actually_contains_the_datapath() {
     let json = drive_trace(4);
-    for needle in [
-        "\"schema\": \"shef-telemetry/v1\"",
-        "shield.engine.walk",
-        "shield.engine.crypto",
-        "shield.engine.landing",
-        "shield.pool.batches",
-        "fpga.dram.bytes_read",
-    ] {
+    for needle in DATAPATH_NEEDLES {
         assert!(json.contains(needle), "missing {needle} in:\n{json}");
     }
 }

@@ -9,13 +9,14 @@
 
 use shef::core::attacks::{icap_swap, jtag_probe, MemReadSpoofer, ReplaySnapshot};
 use shef::core::attest::kernel_check_monitors;
-use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig};
+use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig, WorkerPool};
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;
 use shef::fpga::clock::CostLedger;
 use shef::fpga::ports::PortAccessOutcome;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let pool = WorkerPool::new(1);
     let mut bench = TestBench::new("attack-demo");
     let board = bench.fresh_board(b"die-under-attack")?;
     let config = ShieldConfig::builder()
@@ -58,6 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(outcome, Err(ShefError::IntegrityViolation(_))));
     println!("  -> DETECTED: {}", outcome.unwrap_err());
@@ -77,11 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         &[0xEEu8; 512],
         AccessMode::Streaming,
+        &pool,
     )?;
     instance.shield.flush(
         &mut instance.board.shell,
         &mut instance.board.device.dram,
         &mut ledger,
+        &pool,
     )?;
     snapshot.replay(&mut instance.board.device.dram);
     let outcome = instance.shield.read(
@@ -91,6 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(outcome, Err(ShefError::IntegrityViolation(_))));
     println!("  -> DETECTED: freshness counter mismatch");

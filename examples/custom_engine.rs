@@ -20,6 +20,7 @@
 use shef::core::shield::area::shield_area;
 use shef::core::shield::{
     AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::crypto::authenc::MacAlgorithm;
 use shef::crypto::ecies::EciesKeyPair;
@@ -87,6 +88,7 @@ fn variants() -> Vec<Variant> {
 /// random read-modify-writes — the access mix of a stateful accelerator
 /// (e.g. feature maps between layers).
 fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> {
+    let pool = WorkerPool::new(1);
     let mut shell = Shell::new();
     // Full 64 GB F1 address space: the Merkle variant stores its tree in
     // the high arena.
@@ -101,9 +103,10 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             start,
             &[7u8; CHUNK],
             AccessMode::Streaming,
+            &pool,
         )?;
     }
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
 
     let mut state = 0x1234_5678_9abc_def0u64;
     for _ in 0..2_000 {
@@ -116,6 +119,7 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             addr,
             16,
             AccessMode::Streaming,
+            &pool,
         )?;
         bytes[0] = bytes[0].wrapping_add(1);
         shield.write(
@@ -125,9 +129,10 @@ fn run_workload(shield: &mut Shield) -> Result<u64, Box<dyn std::error::Error>> 
             addr,
             &bytes,
             AccessMode::Streaming,
+            &pool,
         )?;
     }
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     ledger.merge(dram.ledger());
     Ok(ledger.bottleneck().0)
 }

@@ -18,6 +18,7 @@
 
 use shef::core::shield::{
     client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::core::ShefError;
 use shef::crypto::ecies::EciesKeyPair;
@@ -41,6 +42,7 @@ fn tenant_shield(name: &str, base: u64, seed: &[u8]) -> Result<Shield, ShefError
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let pool = WorkerPool::new(1);
     // One physical device, two Shield modules in the PR region.
     let mut shell = Shell::new();
     let mut dram = Dram::f1_default();
@@ -75,8 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         &genome,
         AccessMode::Streaming,
+        &pool,
     )?;
-    alice.flush(&mut shell, &mut dram, &mut ledger)?;
+    alice.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     bob.write(
         &mut shell,
         &mut dram,
@@ -84,8 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1 << 26,
         &[0x42u8; 512],
         AccessMode::Streaming,
+        &pool,
     )?;
-    bob.flush(&mut shell, &mut dram, &mut ledger)?;
+    bob.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     println!("[run]     both tenants wrote encrypted state to shared DRAM");
 
     // Property 2: the burst decoder confines each Shield to its regions.
@@ -96,6 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         64,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(foreign, Err(ShefError::UnmappedAddress(_))));
     println!("[isolate] Bob's Shield reading Alice's region → unmapped ✓");
@@ -117,6 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0,
         512,
         AccessMode::Streaming,
+        &pool,
     );
     assert!(matches!(tampered, Err(ShefError::IntegrityViolation(_))));
     println!("[detect]  Alice's Shield flags the tampered chunk ✓");
@@ -129,6 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         1 << 26,
         512,
         AccessMode::Streaming,
+        &pool,
     )?;
     assert_eq!(bob_data, vec![0x42u8; 512]);
     println!("[detect]  Bob's Shield unaffected ✓");

@@ -17,12 +17,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use shef::core::shield::{client, AccessMode};
+use shef::core::shield::{client, AccessMode, WorkerPool};
 use shef::core::shield::{EngineSetConfig, MemRange, ShieldConfig};
 use shef::core::workflow::TestBench;
 use shef::fpga::clock::CostLedger;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let pool = WorkerPool::new(1);
     // ---- The ecosystem: Manufacturer (with CA), CSP, Vendor, Owner.
     let mut bench = TestBench::new("quickstart");
 
@@ -108,6 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         region.range.start,
         records.len(),
         AccessMode::Streaming,
+        &pool,
     )?;
     assert_eq!(plain, records);
     println!(

@@ -1,10 +1,10 @@
 //! End-to-end integration tests: the full Fig. 2 lifecycle across every
 //! crate, positive and negative paths.
 
-use shef::accel::harness::{run_baseline, run_shielded};
+use shef::accel::harness::{run_baseline, run_shielded_parallel};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
-use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig};
+use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig, WorkerPool};
 use shef::core::workflow::{Manufacturer, TestBench};
 use shef::core::ShefError;
 use shef::fpga::board::Board;
@@ -26,6 +26,7 @@ fn simple_config() -> ShieldConfig {
 
 #[test]
 fn full_lifecycle_with_data_round_trip() {
+    let pool = WorkerPool::new(1);
     let mut bench = TestBench::new("it-lifecycle");
     let board = bench.fresh_board(b"it-die-1").unwrap();
     let product = bench
@@ -64,6 +65,7 @@ fn full_lifecycle_with_data_round_trip() {
             0,
             8192,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
     assert_eq!(plain, data);
@@ -138,6 +140,7 @@ fn unknown_kernel_is_rejected_by_vendor() {
 
 #[test]
 fn every_accelerator_verifies_both_shielded_and_baseline() {
+    let pool = WorkerPool::new(1);
     // Small instances of each workload: functional correctness across
     // the whole stack.
     let accels: Vec<Box<dyn Accelerator>> = vec![
@@ -186,7 +189,8 @@ fn every_accelerator_verifies_both_shielded_and_baseline() {
     ];
     for mut accel in accels {
         let id = accel.id().to_owned();
-        let report = run_shielded(accel.as_mut(), &CryptoProfile::AES128_16X, 11).unwrap();
+        let report =
+            run_shielded_parallel(accel.as_mut(), &CryptoProfile::AES128_16X, 11, &pool).unwrap();
         assert!(report.outputs_verified, "{id} shielded must verify");
     }
 }
@@ -194,8 +198,8 @@ fn every_accelerator_verifies_both_shielded_and_baseline() {
 #[test]
 fn shield_overhead_is_nonnegative_and_profile_ordered() {
     let make = || Box::new(VectorAdd::new(64 * 1024, 9)) as Box<dyn Accelerator>;
-    let fast = shef::accel::harness::overhead(&make, &CryptoProfile::AES128_16X).unwrap();
-    let slow = shef::accel::harness::overhead(&make, &CryptoProfile::AES256_4X).unwrap();
+    let fast = shef::accel::harness::overhead(&make, &CryptoProfile::AES128_16X, 1).unwrap();
+    let slow = shef::accel::harness::overhead(&make, &CryptoProfile::AES256_4X, 1).unwrap();
     assert!(fast.normalized >= 1.0);
     assert!(
         slow.normalized >= fast.normalized,

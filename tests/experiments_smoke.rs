@@ -4,11 +4,12 @@
 
 use shef::accel::bitcoin::Bitcoin;
 use shef::accel::dnnweaver::DnnWeaver;
-use shef::accel::harness::{overhead, run_baseline, run_shielded};
+use shef::accel::harness::{overhead, run_baseline, run_shielded_parallel};
 use shef::accel::sdp::{SdpEngineConfig, SdpStore};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
 use shef::core::shield::area::shield_area;
+use shef::core::shield::WorkerPool;
 
 #[test]
 fn fig5_shape_grows_with_size_and_separates_profiles() {
@@ -16,11 +17,13 @@ fn fig5_shape_grows_with_size_and_separates_profiles() {
     let small = overhead(
         &|| Box::new(VectorAdd::new(16 * 1024, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_4X,
+        1,
     )
     .unwrap();
     let large = overhead(
         &|| Box::new(VectorAdd::new(SMOKE_FILE_BYTES, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_4X,
+        1,
     )
     .unwrap();
     assert!(
@@ -31,6 +34,7 @@ fn fig5_shape_grows_with_size_and_separates_profiles() {
     let strong = overhead(
         &|| Box::new(VectorAdd::new(SMOKE_FILE_BYTES, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_16X,
+        1,
     )
     .unwrap();
     assert!(strong.normalized < large.normalized, "16x must beat 4x");
@@ -63,6 +67,7 @@ fn table2_shape_hmac_flat_pmac_wins_then_saturates() {
                 )) as Box<dyn Accelerator>
             },
             &CryptoProfile::AES128_16X,
+            1,
         )
         .unwrap()
         .normalized
@@ -94,12 +99,13 @@ fn table2_shape_hmac_flat_pmac_wins_then_saturates() {
 
 #[test]
 fn fig6_dnnweaver_pmac_story() {
+    let pool = WorkerPool::new(1);
     let mut hmac = DnnWeaver::new(2, 3);
-    let hmac_cycles = run_shielded(&mut hmac, &CryptoProfile::AES128_16X, 1)
+    let hmac_cycles = run_shielded_parallel(&mut hmac, &CryptoProfile::AES128_16X, 1, &pool)
         .unwrap()
         .cycles;
     let mut pmac = DnnWeaver::new(2, 3).with_pmac_weights();
-    let pmac_cycles = run_shielded(&mut pmac, &CryptoProfile::AES128_16X_PMAC, 1)
+    let pmac_cycles = run_shielded_parallel(&mut pmac, &CryptoProfile::AES128_16X_PMAC, 1, &pool)
         .unwrap()
         .cycles;
     let mut base = DnnWeaver::new(2, 3);
@@ -116,6 +122,7 @@ fn fig6_bitcoin_is_free_to_shield() {
     let report = overhead(
         &|| Box::new(Bitcoin::new(12, 9)) as Box<dyn Accelerator>,
         &CryptoProfile::AES256_4X,
+        1,
     )
     .unwrap();
     assert!(
@@ -146,6 +153,7 @@ fn boot_time_matches_paper_headline() {
 
 #[test]
 fn integrity_ablation_shape_counters_free_merkle_pays() {
+    let pool = WorkerPool::new(1);
     // Scaled-down version of the integrity_ablation bench: counters
     // match MAC-only exactly on engine-lane cycles; the Merkle tree
     // costs a multiple; the node cache recovers part of the gap.
@@ -181,10 +189,11 @@ fn integrity_ablation_shape_counters_free_merkle_pays() {
                 start,
                 &[0u8; 64],
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         }
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let mut ledger = CostLedger::new();
         let mut state = 7u64;
         for _ in 0..256 {
@@ -198,6 +207,7 @@ fn integrity_ablation_shape_counters_free_merkle_pays() {
                     addr,
                     8,
                     AccessMode::Streaming,
+                    &pool,
                 )
                 .unwrap();
             es.write(
@@ -207,10 +217,11 @@ fn integrity_ablation_shape_counters_free_merkle_pays() {
                 addr,
                 &b,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap();
         }
-        es.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        es.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         ledger.bottleneck().0
     };
 

@@ -10,6 +10,7 @@
 
 use shef::core::shield::{
     AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;
@@ -74,6 +75,7 @@ fn shield_for(scheme: Scheme) -> (Shield, Shell, Dram, CostLedger) {
 /// Write-flush-rewrite-flush, then roll DRAM (data + tag) back to the
 /// first version. Returns the victim's re-read result.
 fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
+    let pool = WorkerPool::new(1);
     let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
     shield.write(
         &mut shell,
@@ -82,8 +84,9 @@ fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
         0,
         &[1u8; CHUNK],
         AccessMode::Streaming,
+        &pool,
     )?;
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     let old_ct = dram.tamper_read(0, CHUNK);
     let old_tag = dram.tamper_read(shield.config().tag_base(0), 16);
     shield.write(
@@ -93,8 +96,9 @@ fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
         0,
         &[2u8; CHUNK],
         AccessMode::Streaming,
+        &pool,
     )?;
-    shield.flush(&mut shell, &mut dram, &mut ledger)?;
+    shield.flush(&mut shell, &mut dram, &mut ledger, &pool)?;
     dram.tamper_write(0, &old_ct);
     dram.tamper_write(shield.config().tag_base(0), &old_tag);
     shield.read(
@@ -104,11 +108,13 @@ fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
         0,
         CHUNK,
         AccessMode::Streaming,
+        &pool,
     )
 }
 
 #[test]
 fn happy_path_is_identical_across_schemes() {
+    let pool = WorkerPool::new(1);
     let payload: Vec<u8> = (0..REGION_LEN as u32).map(|i| (i % 241) as u8).collect();
     for scheme in [
         Scheme::MacOnly,
@@ -125,10 +131,11 @@ fn happy_path_is_identical_across_schemes() {
                 0,
                 &payload,
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("write");
         shield
-            .flush(&mut shell, &mut dram, &mut ledger)
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
             .expect("flush");
         let got = shield
             .read(
@@ -138,6 +145,7 @@ fn happy_path_is_identical_across_schemes() {
                 0,
                 payload.len(),
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("read");
         assert_eq!(got, payload, "{scheme:?} must be functionally transparent");
@@ -146,6 +154,7 @@ fn happy_path_is_identical_across_schemes() {
 
 #[test]
 fn spoofing_detected_by_all_schemes() {
+    let pool = WorkerPool::new(1);
     for scheme in [Scheme::MacOnly, Scheme::Counters, Scheme::Merkle] {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         shield
@@ -156,10 +165,11 @@ fn spoofing_detected_by_all_schemes() {
                 0,
                 &[7u8; 2 * CHUNK],
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("write");
         shield
-            .flush(&mut shell, &mut dram, &mut ledger)
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
             .expect("flush");
         let mut b = dram.tamper_read(100, 1);
         b[0] ^= 0x10;
@@ -172,6 +182,7 @@ fn spoofing_detected_by_all_schemes() {
                 0,
                 CHUNK,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(
@@ -183,6 +194,7 @@ fn spoofing_detected_by_all_schemes() {
 
 #[test]
 fn splicing_detected_by_all_schemes() {
+    let pool = WorkerPool::new(1);
     for scheme in [Scheme::MacOnly, Scheme::Counters, Scheme::Merkle] {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         shield
@@ -193,6 +205,7 @@ fn splicing_detected_by_all_schemes() {
                 0,
                 &[1u8; CHUNK],
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("write chunk 0");
         shield
@@ -203,10 +216,11 @@ fn splicing_detected_by_all_schemes() {
                 CHUNK as u64,
                 &[2u8; CHUNK],
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("write chunk 1");
         shield
-            .flush(&mut shell, &mut dram, &mut ledger)
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
             .expect("flush");
         // Copy chunk 0 (ciphertext + tag) over chunk 1.
         let c0 = dram.tamper_read(0, CHUNK);
@@ -221,6 +235,7 @@ fn splicing_detected_by_all_schemes() {
                 CHUNK as u64,
                 CHUNK,
                 AccessMode::Streaming,
+                &pool,
             )
             .unwrap_err();
         assert!(
@@ -248,6 +263,7 @@ fn replay_detected_only_with_freshness() {
 
 #[test]
 fn merkle_pays_and_counters_do_not() {
+    let pool = WorkerPool::new(1);
     // §5.2.2's cost argument as an executable assertion: on a random
     // RMW workload, counters cost ≈ MAC-only, the cached tree costs
     // more, and the uncached tree costs the most.
@@ -263,10 +279,11 @@ fn merkle_pays_and_counters_do_not() {
                 0,
                 &vec![0u8; REGION_LEN as usize],
                 AccessMode::Streaming,
+                &pool,
             )
             .expect("warm-up write");
         shield
-            .flush(&mut shell, &mut dram, &mut ledger)
+            .flush(&mut shell, &mut dram, &mut ledger, &pool)
             .expect("warm-up flush");
         dram.reset_accounting();
         let mut ledger = CostLedger::new();
@@ -285,11 +302,12 @@ fn merkle_pays_and_counters_do_not() {
                         addr,
                         &[round; 64],
                         AccessMode::Streaming,
+                        &pool,
                     )
                     .expect("rmw write");
             }
             shield
-                .flush(&mut shell, &mut dram, &mut ledger)
+                .flush(&mut shell, &mut dram, &mut ledger, &pool)
                 .expect("flush");
         }
         ledger.merge(dram.ledger());
@@ -315,6 +333,7 @@ fn merkle_pays_and_counters_do_not() {
 
 #[test]
 fn merkle_config_survives_the_full_vendor_pipeline() {
+    let pool = WorkerPool::new(1);
     // A Shield config with a Merkle region is hashed into a bitstream,
     // encrypted, attested, decrypted and instantiated — end to end.
     let mut bench = TestBench::new("integrity-pipeline");
@@ -351,6 +370,7 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
             0,
             &[9u8; CHUNK],
             AccessMode::Streaming,
+            &pool,
         )
         .expect("write through deployed shield");
     instance
@@ -359,6 +379,7 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
             &mut instance.board.shell,
             &mut instance.board.device.dram,
             &mut ledger,
+            &pool,
         )
         .expect("flush");
     let got = instance
@@ -370,6 +391,7 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
             0,
             CHUNK,
             AccessMode::Streaming,
+            &pool,
         )
         .expect("read back");
     assert_eq!(got, vec![9u8; CHUNK]);

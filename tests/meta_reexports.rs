@@ -5,6 +5,7 @@
 
 use shef::core::shield::{
     client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::crypto::authenc::{AuthEncKey, MacAlgorithm};
 use shef::crypto::drbg::HmacDrbg;
@@ -34,6 +35,7 @@ fn crypto_facade_seals_and_opens() {
 /// from `shef::crypto` underneath — the full cross-crate path.
 #[test]
 fn shield_round_trip_through_facades() {
+    let pool = WorkerPool::new(1);
     let region = MemRange::new(REGION_BASE, REGION_LEN);
     let config = ShieldConfig::builder()
         .region("data", region, EngineSetConfig::default())
@@ -71,6 +73,7 @@ fn shield_round_trip_through_facades() {
             REGION_BASE,
             REGION_LEN as usize,
             AccessMode::Streaming,
+            &pool,
         )
         .expect("shielded read");
     assert_eq!(got, plaintext);
@@ -86,10 +89,11 @@ fn shield_round_trip_through_facades() {
             REGION_BASE,
             &update,
             AccessMode::Streaming,
+            &pool,
         )
         .expect("shielded write");
     shield
-        .flush(&mut shell, &mut dram, &mut ledger)
+        .flush(&mut shell, &mut dram, &mut ledger, &pool)
         .expect("flush");
     let in_dram = dram.tamper_read(REGION_BASE, 64);
     assert_ne!(in_dram, update, "DRAM must hold ciphertext, not plaintext");
@@ -200,12 +204,14 @@ fn service_facade_serves_two_tenants() {
 /// The accelerator façade drives the same Shield machinery end-to-end.
 #[test]
 fn accel_facade_runs_shielded_vecadd() {
-    use shef::accel::harness::run_shielded;
+    let pool = WorkerPool::new(1);
+    use shef::accel::harness::run_shielded_parallel;
     use shef::accel::vecadd::VectorAdd;
     use shef::accel::CryptoProfile;
 
     let mut accel = VectorAdd::new(1 << 12, 7);
-    let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 7).expect("shielded vecadd");
+    let report = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 7, &pool)
+        .expect("shielded vecadd");
     assert!(
         report.outputs_verified,
         "shielded output must match the golden model"

@@ -9,6 +9,7 @@
 
 use shef::core::shield::{
     client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::core::ShefError;
 use shef::crypto::ecies::EciesKeyPair;
@@ -33,6 +34,7 @@ fn shield(name: &str, base: u64, seed: &[u8]) -> Shield {
 
 #[test]
 fn two_shields_have_independent_keys_and_data() {
+    let pool = WorkerPool::new(1);
     let mut shield_a = shield("tenant-a", 0, b"shield-a");
     let mut shield_b = shield("tenant-b", 1 << 24, b"shield-b");
 
@@ -59,9 +61,12 @@ fn two_shields_have_independent_keys_and_data() {
             0,
             &[0xAAu8; 512],
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
-    shield_a.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+    shield_a
+        .flush(&mut shell, &mut dram, &mut ledger, &pool)
+        .unwrap();
 
     // Tenant A reads it back.
     let got = shield_a
@@ -72,6 +77,7 @@ fn two_shields_have_independent_keys_and_data() {
             0,
             512,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap();
     assert_eq!(got, vec![0xAAu8; 512]);
@@ -85,6 +91,7 @@ fn two_shields_have_independent_keys_and_data() {
             0,
             512,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap_err();
     assert!(matches!(err, ShefError::UnmappedAddress(_)));
@@ -104,6 +111,7 @@ fn two_shields_have_independent_keys_and_data() {
             0,
             512,
             AccessMode::Streaming,
+            &pool,
         )
         .unwrap_err();
     assert!(matches!(err, ShefError::IntegrityViolation(_)));

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use shef::core::shield::{
     client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef::crypto::ecies::EciesKeyPair;
 use shef::fpga::clock::CostLedger;
@@ -78,6 +79,7 @@ proptest! {
         buffer_lines in 1usize..8,
         counters in any::<bool>(),
     ) {
+        let pool = WorkerPool::new(1);
         let chunk = 1usize << chunk_pow;
         let (mut shield, mut shell, mut dram, mut ledger, dek) =
             shield_setup(chunk, chunk * buffer_lines, counters);
@@ -93,14 +95,14 @@ proptest! {
                 Op::Read { offset, len } => {
                     if len == 0 { continue; }
                     let got = shield
-                        .read(&mut shell, &mut dram, &mut ledger, offset, len, AccessMode::Streaming)
+                        .read(&mut shell, &mut dram, &mut ledger, offset, len, AccessMode::Streaming, &pool)
                         .unwrap();
                     prop_assert_eq!(&got[..], &reference[offset as usize..offset as usize + len]);
                 }
                 Op::Write { offset, data } => {
                     if data.is_empty() { continue; }
                     shield
-                        .write(&mut shell, &mut dram, &mut ledger, offset, &data, AccessMode::Streaming)
+                        .write(&mut shell, &mut dram, &mut ledger, offset, &data, AccessMode::Streaming, &pool)
                         .unwrap();
                     reference[offset as usize..offset as usize + data.len()]
                         .copy_from_slice(&data);
@@ -108,9 +110,9 @@ proptest! {
             }
         }
         // After a flush, a full readback still matches.
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let all = shield
-            .read(&mut shell, &mut dram, &mut ledger, 0, REGION_LEN as usize, AccessMode::Streaming)
+            .read(&mut shell, &mut dram, &mut ledger, 0, REGION_LEN as usize, AccessMode::Streaming, &pool)
             .unwrap();
         prop_assert_eq!(all, reference);
     }
@@ -119,6 +121,7 @@ proptest! {
     fn dram_never_contains_plaintext_needles(
         needle in proptest::collection::vec(1u8..=255, 24..48),
     ) {
+        let pool = WorkerPool::new(1);
         // Write a distinctive plaintext needle through the Shield; the
         // ciphertext in DRAM must not contain it.
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, false);
@@ -127,9 +130,9 @@ proptest! {
         dram.tamper_write(0, &enc.ciphertext);
         dram.tamper_write(shield.config().tag_base(0), &enc.tags);
         shield
-            .write(&mut shell, &mut dram, &mut ledger, 128, &needle, AccessMode::Streaming)
+            .write(&mut shell, &mut dram, &mut ledger, 128, &needle, AccessMode::Streaming, &pool)
             .unwrap();
-        shield.flush(&mut shell, &mut dram, &mut ledger).unwrap();
+        shield.flush(&mut shell, &mut dram, &mut ledger, &pool).unwrap();
         let raw = dram.tamper_read(0, REGION_LEN as usize);
         prop_assert!(
             !raw.windows(needle.len()).any(|w| w == &needle[..]),
@@ -142,6 +145,7 @@ proptest! {
         byte_index in 0usize..2048,
         bit in 0u8..8,
     ) {
+        let pool = WorkerPool::new(1);
         let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, false);
         let region = shield.config().regions[0].clone();
         let enc = client::encrypt_region(&dek, &region, &vec![7u8; REGION_LEN as usize], 0);
@@ -156,7 +160,7 @@ proptest! {
             &mut ledger,
             (byte_index as u64 / 512) * 512,
             512,
-            AccessMode::Streaming,
+            AccessMode::Streaming, &pool,
         );
         prop_assert!(result.is_err(), "bit flip at {byte_index}:{bit} went undetected");
     }
