@@ -18,6 +18,11 @@ fn bench_aes(c: &mut Criterion) {
     let block = [0x5au8; 16];
     group.bench_function("aes128_block", |b| b.iter(|| aes128.encrypt_block(&block)));
     group.bench_function("aes256_block", |b| b.iter(|| aes256.encrypt_block(&block)));
+    // One full bitsliced pass: the per-block cost CTR and PMAC pay.
+    let mut blocks = [block; 4];
+    group.bench_function("aes128_blocks4", |b| {
+        b.iter(|| aes128.encrypt_blocks(&mut blocks))
+    });
     for size in [512usize, 4096] {
         let mut buf = vec![0u8; size];
         group.throughput(Throughput::Bytes(size as u64));

@@ -14,7 +14,7 @@
 //! binding the epoch (backed by on-chip counters) defeats *replay*
 //! (§5.2.1/§5.2.2).
 
-use shef_crypto::authenc::{AuthEncKey, Sealed, TAG_LEN};
+use shef_crypto::authenc::{AuthEncKey, TAG_LEN};
 use shef_crypto::ctr::ChunkIv;
 
 use crate::wire::Writer;
@@ -77,16 +77,14 @@ pub fn open_chunk(
 ) -> Result<Vec<u8>, ShefError> {
     let iv = chunk_iv(region_nonce, chunk_idx, epoch);
     let ad = chunk_ad(region_name, chunk_idx, epoch);
-    let sealed = Sealed {
-        iv: iv.0,
-        ciphertext: ciphertext.to_vec(),
-        tag: *tag,
-    };
-    key.open(&sealed, &ad).map_err(|_| {
-        ShefError::IntegrityViolation(format!(
-            "chunk {chunk_idx} of region '{region_name}' failed authentication at epoch {epoch}"
-        ))
-    })
+    let mut plaintext = ciphertext.to_vec();
+    key.open_in_place(&iv.0, &ad, &mut plaintext, tag)
+        .map_err(|_| {
+            ShefError::IntegrityViolation(format!(
+                "chunk {chunk_idx} of region '{region_name}' failed authentication at epoch {epoch}"
+            ))
+        })?;
+    Ok(plaintext)
 }
 
 #[cfg(test)]

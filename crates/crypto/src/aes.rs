@@ -1,12 +1,32 @@
-//! AES-128 / AES-256 block cipher (FIPS 197).
+//! AES-128 / AES-256 block cipher (FIPS 197), fixsliced and constant-time.
 //!
-//! This models the Shield's AES engine (§5.2.2): the engine "contains an
-//! internal 256-byte lookup table for the S-box" which can be "duplicated
-//! up to 16 times per engine, reducing the AES latency through parallel
-//! lookups at the cost of higher resource consumption". The software
-//! implementation here is correspondingly S-box based (no T-tables), and
-//! [`SBoxParallelism`] captures the duplication factor for the timing and
-//! area models in `shef-core`.
+//! The Shield's AES engine (§5.2.2) "contains an internal 256-byte lookup
+//! table for the S-box" which can be "duplicated up to 16 times per
+//! engine, reducing the AES latency through parallel lookups at the cost
+//! of higher resource consumption". That duplication is a hardware
+//! latency/area trade-off; [`SBoxParallelism`] models it for the timing
+//! and area models in `shef-core`.
+//!
+//! The software cipher does not use a table. A table indexed by secret
+//! bytes leaks through the cache, and §5.2 promises that "the timing of
+//! Shield cryptographic engines does not depend on any confidential
+//! information". So the cipher is bitsliced: four blocks are packed into
+//! eight `u64` words, word `j` holding bit `j` of every byte (the BearSSL
+//! `aes_ct64` layout), and SubBytes is the Boyar–Peralta Boolean circuit
+//! ("A new combinational logic minimization technique with applications
+//! to cryptology", eprint 2009/191). It is also *fixsliced* (Adomnicai
+//! and Peyrin, "Fixslicing AES-like Ciphers", TCHES 2021): ShiftRows is
+//! never computed in the rounds. Round `r` works on the state shifted by
+//! ShiftRows^(−r), which MixColumns absorbs into its row rotations and the
+//! key schedule into round key `r`; one ShiftRows² at the end restores
+//! the standard state, because both key sizes have `rounds mod 4 = 2`.
+//! No lookup is indexed by key or data and nothing branches on them, so
+//! the running time depends only on the number of blocks.
+//!
+//! The cipher runs four blocks per pass, so [`Aes::encrypt_blocks`] is the
+//! fast path for CTR, PMAC and GCM; [`Aes::encrypt_block`] runs one pass
+//! with a single live block. Only the forward cipher exists: every mode in
+//! this crate (CTR, PMAC, GCM and the GHASH subkey) encrypts.
 //!
 //! # Example
 //!
@@ -15,45 +35,23 @@
 //!
 //! let aes = Aes::new_128(&[0u8; 16]);
 //! let ct = aes.encrypt_block(&[0u8; 16]);
-//! assert_eq!(aes.decrypt_block(&ct), [0u8; 16]);
+//! let mut blocks = [[0u8; 16]; 5];
+//! aes.encrypt_blocks(&mut blocks);
+//! assert!(blocks.iter().all(|b| *b == ct));
 //! assert_eq!(aes.key_size(), AesKeySize::Aes128);
 //! ```
 
 /// Bytes in one AES block.
 pub const AES_BLOCK_LEN: usize = 16;
 
-const SBOX: [u8; 256] = [
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-];
+/// Blocks encrypted by one pass of the bitsliced cipher. Callers with
+/// many blocks hand them to [`Aes::encrypt_blocks`] in groups of this size.
+pub const AES_BATCH: usize = 4;
 
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
+const MAX_ROUNDS: usize = 14;
 
-const RCON: [u8; 15] = [
-    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8, 0xab, 0x4d, 0x9a,
-];
+/// Round constants of the key schedule (public values).
+const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// AES key size, selectable per Shield engine set at bitstream compile time
 /// ("users are also able to configure the AES key size (128 or 256 bits)
@@ -141,10 +139,18 @@ impl core::fmt::Display for SBoxParallelism {
     }
 }
 
+/// Four blocks in bitsliced form: word `j` holds bit `j` of every byte,
+/// and byte (row `r`, column `c`) of block `b` sits at bit `16·r + 4·c + b`.
+/// Each 16-bit lane of a word is thus one row of all four blocks.
+type State = [u64; 8];
+
 /// An AES cipher instance with an expanded key schedule.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Bitsliced round keys (the same key in all four block slots). Key
+    /// `r` for `0 < r < rounds` is stored shifted by ShiftRows^(−r) to
+    /// match the fixsliced state; keys 0 and `rounds` are unshifted.
+    round_keys: [State; MAX_ROUNDS + 1],
     key_size: AesKeySize,
 }
 
@@ -190,42 +196,35 @@ impl Aes {
     fn expand(key: &[u8], key_size: AesKeySize) -> Self {
         let nk = key.len() / 4; // words in key: 4 or 8
         let rounds = key_size.rounds();
-        let total_words = 4 * (rounds + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for chunk in key.chunks_exact(4) {
-            w.push(chunk.try_into().expect("4-byte word"));
+        let mut w = [[0u8; 4]; 4 * (MAX_ROUNDS + 1)];
+        for (word, chunk) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = chunk.try_into().expect("4-byte word");
         }
-        for i in nk..total_words {
+        for i in nk..4 * (rounds + 1) {
             let mut temp = w[i - 1];
             if i % nk == 0 {
                 temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp = sub_word(temp);
                 temp[0] ^= RCON[i / nk - 1];
             } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            for k in 0..4 {
+                w[i][k] = w[i - nk][k] ^ temp[k];
+            }
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|ws| {
-                let mut rk = [0u8; 16];
-                for (i, word) in ws.iter().enumerate() {
-                    rk[i * 4..i * 4 + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
+        let mut round_keys = [[0u64; 8]; MAX_ROUNDS + 1];
+        for (r, rk) in round_keys[..=rounds].iter_mut().enumerate() {
+            let mut block = [0u8; AES_BLOCK_LEN];
+            for (dst, word) in block.chunks_exact_mut(4).zip(&w[4 * r..4 * r + 4]) {
+                dst.copy_from_slice(word);
+            }
+            *rk = load(&[block; AES_BATCH]);
+            if r < rounds {
+                // ShiftRows^(−r) = ShiftRows^(4 − r mod 4).
+                shift_rows(rk, (4 - r % 4) as u32);
+            }
+        }
         Aes {
             round_keys,
             key_size,
@@ -235,125 +234,322 @@ impl Aes {
     /// Encrypts one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        let mut blocks = [*block];
+        self.encrypt_blocks(&mut blocks);
+        blocks[0]
+    }
+
+    /// Encrypts `blocks` in place, [`AES_BATCH`] blocks per cipher pass.
+    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        for group in blocks.chunks_mut(AES_BATCH) {
+            let mut q = load(group);
+            self.encrypt_state(&mut q);
+            store(q, group);
+        }
+    }
+
+    fn encrypt_state(&self, q: &mut State) {
         let rounds = self.key_size.rounds();
-        let mut state = *block;
-        xor_in_place(&mut state, &self.round_keys[0]);
-        for round in 1..rounds {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            xor_in_place(&mut state, &self.round_keys[round]);
+        debug_assert_eq!(
+            rounds % 4,
+            2,
+            "the final ShiftRows² assumes rounds mod 4 = 2"
+        );
+        let rk = &self.round_keys;
+        add_round_key(q, &rk[0]);
+        let mut r = 1;
+        loop {
+            round::<1>(q, &rk[r]);
+            if r + 1 == rounds {
+                break;
+            }
+            round::<2>(q, &rk[r + 1]);
+            round::<3>(q, &rk[r + 2]);
+            round::<0>(q, &rk[r + 3]);
+            r += 4;
         }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        xor_in_place(&mut state, &self.round_keys[rounds]);
-        state
-    }
-
-    /// Decrypts one 16-byte block.
-    #[must_use]
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let rounds = self.key_size.rounds();
-        let mut state = *block;
-        xor_in_place(&mut state, &self.round_keys[rounds]);
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        for round in (1..rounds).rev() {
-            xor_in_place(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state);
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-        }
-        xor_in_place(&mut state, &self.round_keys[0]);
-        state
+        sub_bytes(q);
+        shift_rows(q, 2);
+        add_round_key(q, &rk[rounds]);
     }
 }
 
-fn xor_in_place(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State layout is column-major as in FIPS 197: byte i is row i%4, col i/4.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[row + 4 * col] = s[row + 4 * ((col + row) % 4)];
-        }
-    }
-}
-
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[row + 4 * ((col + row) % 4)] = s[row + 4 * col];
-        }
-    }
-}
-
-/// Multiplication in GF(2^8) with the AES polynomial 0x11b.
+/// The AES S-box of one byte, evaluated by the cipher's bitsliced circuit
+/// (no table lookup).
 #[must_use]
-pub fn gf_mul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
-        b >>= 1;
-    }
-    p
+pub fn sbox(x: u8) -> u8 {
+    sub_word([x, 0, 0, 0])[0]
 }
 
-fn mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = [
-            state[4 * col],
-            state[4 * col + 1],
-            state[4 * col + 2],
-            state[4 * col + 3],
-        ];
-        state[4 * col] = gf_mul(c[0], 2) ^ gf_mul(c[1], 3) ^ c[2] ^ c[3];
-        state[4 * col + 1] = c[0] ^ gf_mul(c[1], 2) ^ gf_mul(c[2], 3) ^ c[3];
-        state[4 * col + 2] = c[0] ^ c[1] ^ gf_mul(c[2], 2) ^ gf_mul(c[3], 3);
-        state[4 * col + 3] = gf_mul(c[0], 3) ^ c[1] ^ c[2] ^ gf_mul(c[3], 2);
+/// SubWord of the key schedule: four bytes through one pass of the
+/// bitsliced S-box, byte `i` at bit `i` of each bit plane.
+fn sub_word(word: [u8; 4]) -> [u8; 4] {
+    let mut q = [0u64; 8];
+    for (j, plane) in q.iter_mut().enumerate() {
+        for (i, b) in word.iter().enumerate() {
+            *plane |= u64::from((b >> j) & 1) << i;
+        }
+    }
+    sub_bytes(&mut q);
+    let mut out = [0u8; 4];
+    for (i, b) in out.iter_mut().enumerate() {
+        for (j, plane) in q.iter().enumerate() {
+            *b |= (((plane >> i) & 1) as u8) << j;
+        }
+    }
+    out
+}
+
+/// One full round `r` with `R = r mod 4`: SubBytes, the fixsliced
+/// MixColumns (ShiftRows folded in), AddRoundKey.
+#[inline]
+fn round<const R: u32>(q: &mut State, rk: &State) {
+    sub_bytes(q);
+    mix_columns::<R>(q);
+    add_round_key(q, rk);
+}
+
+#[inline]
+fn add_round_key(q: &mut State, rk: &State) {
+    for (x, k) in q.iter_mut().zip(rk) {
+        *x ^= k;
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let c = [
-            state[4 * col],
-            state[4 * col + 1],
-            state[4 * col + 2],
-            state[4 * col + 3],
-        ];
-        state[4 * col] = gf_mul(c[0], 14) ^ gf_mul(c[1], 11) ^ gf_mul(c[2], 13) ^ gf_mul(c[3], 9);
-        state[4 * col + 1] =
-            gf_mul(c[0], 9) ^ gf_mul(c[1], 14) ^ gf_mul(c[2], 11) ^ gf_mul(c[3], 13);
-        state[4 * col + 2] =
-            gf_mul(c[0], 13) ^ gf_mul(c[1], 9) ^ gf_mul(c[2], 14) ^ gf_mul(c[3], 11);
-        state[4 * col + 3] =
-            gf_mul(c[0], 11) ^ gf_mul(c[1], 13) ^ gf_mul(c[2], 9) ^ gf_mul(c[3], 14);
+/// Rotates the row lanes of `x` so row `r` takes row `r + rows`, then
+/// rotates each 16-bit row lane right by `4·cols` bits so column `c`
+/// takes column `c + cols`.
+#[inline]
+fn rotate(x: u64, rows: u32, cols: u32) -> u64 {
+    let low = 0x0001_0001_0001_0001 * (0xffff >> (4 * cols));
+    let by = 16 * rows + 4 * cols;
+    (x.rotate_right(by) & low) | (x.rotate_right((by + 48) % 64) & !low)
+}
+
+/// ShiftRows^k: row `r` is rotated left by `r·k` columns.
+#[inline]
+fn shift_rows(q: &mut State, k: u32) {
+    for x in q.iter_mut() {
+        let mut out = *x & 0xffff;
+        for r in 1..4 {
+            let lane = (*x >> (16 * r)) as u16;
+            out |= u64::from(lane.rotate_right(4 * ((r * k) % 4))) << (16 * r);
+        }
+        *x = out;
+    }
+}
+
+/// MixColumns of round `r`, `R = r mod 4`, on the state shifted by
+/// ShiftRows^(−r). The textbook bitsliced MixColumns is
+/// `xtime(c) ⊕ rotr16(q) ⊕ rotr32(c)` with `c = q ⊕ rotr16(q)`;
+/// conjugating by ShiftRows^r turns each row rotation into a row rotation
+/// followed by a column rotation of `R` (after `rotr16`) or `2R` (after
+/// `rotr32`) columns.
+#[inline]
+fn mix_columns<const R: u32>(q: &mut State) {
+    let r = q.map(|x| rotate(x, 1, R));
+    let c: State = core::array::from_fn(|j| q[j] ^ r[j]);
+    let s = c.map(|x| rotate(x, 2, (2 * R) % 4));
+    q[0] = r[0] ^ c[7] ^ s[0];
+    q[1] = r[1] ^ c[0] ^ c[7] ^ s[1];
+    q[2] = r[2] ^ c[1] ^ s[2];
+    q[3] = r[3] ^ c[2] ^ c[7] ^ s[3];
+    q[4] = r[4] ^ c[3] ^ c[7] ^ s[4];
+    q[5] = r[5] ^ c[4] ^ s[5];
+    q[6] = r[6] ^ c[5] ^ s[6];
+    q[7] = r[7] ^ c[6] ^ s[7];
+}
+
+/// SubBytes on all 64 bytes at once: the Boyar–Peralta circuit (113
+/// gates). `x0`/`s0` are the most significant bit, i.e. `q[7]`.
+#[inline]
+fn sub_bytes(q: &mut State) {
+    let [x7, x6, x5, x4, x3, x2, x1, x0] = *q;
+
+    // Top linear transformation.
+    let y14 = x3 ^ x5;
+    let y13 = x0 ^ x6;
+    let y9 = x0 ^ x3;
+    let y8 = x0 ^ x5;
+    let t0 = x1 ^ x2;
+    let y1 = t0 ^ x7;
+    let y4 = y1 ^ x3;
+    let y12 = y13 ^ y14;
+    let y2 = y1 ^ x0;
+    let y5 = y1 ^ x6;
+    let y3 = y5 ^ y8;
+    let t1 = x4 ^ y12;
+    let y15 = t1 ^ x5;
+    let y20 = t1 ^ x1;
+    let y6 = y15 ^ x7;
+    let y10 = y15 ^ t0;
+    let y11 = y20 ^ y9;
+    let y7 = x7 ^ y11;
+    let y17 = y10 ^ y11;
+    let y19 = y10 ^ y8;
+    let y16 = t0 ^ y11;
+    let y21 = y13 ^ y16;
+    let y18 = x0 ^ y16;
+
+    // Non-linear section.
+    let t2 = y12 & y15;
+    let t3 = y3 & y6;
+    let t4 = t3 ^ t2;
+    let t5 = y4 & x7;
+    let t6 = t5 ^ t2;
+    let t7 = y13 & y16;
+    let t8 = y5 & y1;
+    let t9 = t8 ^ t7;
+    let t10 = y2 & y7;
+    let t11 = t10 ^ t7;
+    let t12 = y9 & y11;
+    let t13 = y14 & y17;
+    let t14 = t13 ^ t12;
+    let t15 = y8 & y10;
+    let t16 = t15 ^ t12;
+    let t17 = t4 ^ t14;
+    let t18 = t6 ^ t16;
+    let t19 = t9 ^ t14;
+    let t20 = t11 ^ t16;
+    let t21 = t17 ^ y20;
+    let t22 = t18 ^ y19;
+    let t23 = t19 ^ y21;
+    let t24 = t20 ^ y18;
+
+    let t25 = t21 ^ t22;
+    let t26 = t21 & t23;
+    let t27 = t24 ^ t26;
+    let t28 = t25 & t27;
+    let t29 = t28 ^ t22;
+    let t30 = t23 ^ t24;
+    let t31 = t22 ^ t26;
+    let t32 = t31 & t30;
+    let t33 = t32 ^ t24;
+    let t34 = t23 ^ t33;
+    let t35 = t27 ^ t33;
+    let t36 = t24 & t35;
+    let t37 = t36 ^ t34;
+    let t38 = t27 ^ t36;
+    let t39 = t29 & t38;
+    let t40 = t25 ^ t39;
+
+    let t41 = t40 ^ t37;
+    let t42 = t29 ^ t33;
+    let t43 = t29 ^ t40;
+    let t44 = t33 ^ t37;
+    let t45 = t42 ^ t41;
+    let z0 = t44 & y15;
+    let z1 = t37 & y6;
+    let z2 = t33 & x7;
+    let z3 = t43 & y16;
+    let z4 = t40 & y1;
+    let z5 = t29 & y7;
+    let z6 = t42 & y11;
+    let z7 = t45 & y17;
+    let z8 = t41 & y10;
+    let z9 = t44 & y12;
+    let z10 = t37 & y3;
+    let z11 = t33 & y4;
+    let z12 = t43 & y13;
+    let z13 = t40 & y5;
+    let z14 = t29 & y2;
+    let z15 = t42 & y9;
+    let z16 = t45 & y14;
+    let z17 = t41 & y8;
+
+    // Bottom linear transformation.
+    let t46 = z15 ^ z16;
+    let t47 = z10 ^ z11;
+    let t48 = z5 ^ z13;
+    let t49 = z9 ^ z10;
+    let t50 = z2 ^ z12;
+    let t51 = z2 ^ z5;
+    let t52 = z7 ^ z8;
+    let t53 = z0 ^ z3;
+    let t54 = z6 ^ z7;
+    let t55 = z16 ^ z17;
+    let t56 = z12 ^ t48;
+    let t57 = t50 ^ t53;
+    let t58 = z4 ^ t46;
+    let t59 = z3 ^ t54;
+    let t60 = t46 ^ t57;
+    let t61 = z14 ^ t57;
+    let t62 = t52 ^ t58;
+    let t63 = t49 ^ t58;
+    let t64 = z4 ^ t59;
+    let t65 = t61 ^ t62;
+    let t66 = z1 ^ t63;
+    let s0 = t59 ^ t63;
+    let s6 = t56 ^ !t62;
+    let s7 = t48 ^ !t60;
+    let t67 = t64 ^ t65;
+    let s3 = t53 ^ t66;
+    let s4 = t51 ^ t66;
+    let s5 = t47 ^ t65;
+    let s1 = t64 ^ !s3;
+    let s2 = t55 ^ !t67;
+
+    *q = [s7, s6, s5, s4, s3, s2, s1, s0];
+}
+
+/// Packs up to four blocks into the bitsliced state (missing blocks are
+/// zero): BearSSL's `interleave_in` per block, then [`ortho`].
+#[inline]
+fn load(blocks: &[[u8; 16]]) -> State {
+    debug_assert!(blocks.len() <= AES_BATCH);
+    let mut q = [0u64; 8];
+    for (b, block) in blocks.iter().enumerate() {
+        let [x0, x1, x2, x3] = core::array::from_fn(|c| {
+            // Column `c` as a little-endian word: row `r` in byte `r`,
+            // spread to bits 16·r..16·r + 8.
+            let word = u32::from_le_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes"));
+            let x = u64::from(word);
+            let x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+            (x | (x << 8)) & 0x00ff_00ff_00ff_00ff
+        });
+        q[b] = x0 | (x2 << 8);
+        q[b + 4] = x1 | (x3 << 8);
+    }
+    ortho(&mut q);
+    q
+}
+
+/// Unpacks the bitsliced state into `blocks` (at most four): the inverse
+/// of [`load`].
+#[inline]
+fn store(mut q: State, blocks: &mut [[u8; 16]]) {
+    ortho(&mut q);
+    let gather = |x: u64| {
+        let x = x & 0x00ff_00ff_00ff_00ff;
+        let x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+        ((x | (x >> 16)) as u32).to_le_bytes()
+    };
+    for (b, block) in blocks.iter_mut().enumerate() {
+        let columns = [q[b], q[b + 4], q[b] >> 8, q[b + 4] >> 8];
+        for (dst, column) in block.chunks_exact_mut(4).zip(columns) {
+            dst.copy_from_slice(&gather(column));
+        }
+    }
+}
+
+/// Transposes each byte position of the eight words as an 8×8 bit
+/// matrix: bit `i` of byte `k` of word `j` swaps with bit `j` of byte `k`
+/// of word `i`. An involution, so it both packs and unpacks.
+#[inline]
+fn ortho(q: &mut State) {
+    fn swap(q: &mut State, i: usize, j: usize, low: u64, shift: u32) {
+        let (a, b) = (q[i], q[j]);
+        q[i] = (a & low) | ((b & low) << shift);
+        q[j] = ((a & !low) >> shift) | (b & !low);
+    }
+    for i in [0, 2, 4, 6] {
+        swap(q, i, i + 1, 0x5555_5555_5555_5555, 1);
+    }
+    for i in [0, 1, 4, 5] {
+        swap(q, i, i + 2, 0x3333_3333_3333_3333, 2);
+    }
+    for i in [0, 1, 2, 3] {
+        swap(q, i, i + 4, 0x0f0f_0f0f_0f0f_0f0f, 4);
     }
 }
 
@@ -376,7 +572,6 @@ mod tests {
         let aes = Aes::new_128(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(crate::to_hex(&ct), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
     #[test]
@@ -394,30 +589,33 @@ mod tests {
         let aes = Aes::new_256(&key);
         let ct = aes.encrypt_block(&pt);
         assert_eq!(crate::to_hex(&ct), "8ea2b7ca516745bfeafc49904b496089");
-        assert_eq!(aes.decrypt_block(&ct), pt);
     }
 
     #[test]
     fn nist_aes128_ecb_kat() {
-        // SP 800-38A F.1.1, first block
+        // SP 800-38A F.1.1: all four blocks through one batched pass.
         let key: [u8; 16] = from_hex("2b7e151628aed2a6abf7158809cf4f3c")
             .unwrap()
             .try_into()
             .unwrap();
-        let pt: [u8; 16] = from_hex("6bc1bee22e409f96e93d7e117393172a")
-            .unwrap()
-            .try_into()
-            .unwrap();
-        let aes = Aes::new_128(&key);
+        let pt = from_hex(
+            "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
+        )
+        .unwrap();
+        let mut blocks: Vec<[u8; 16]> = pt.chunks(16).map(|b| b.try_into().unwrap()).collect();
+        Aes::new_128(&key).encrypt_blocks(&mut blocks);
         assert_eq!(
-            crate::to_hex(&aes.encrypt_block(&pt)),
-            "3ad77bb40d7a3660a89ecaf32466ef97"
+            crate::to_hex(&blocks.concat()),
+            "3ad77bb40d7a3660a89ecaf32466ef97f5d3d58503b9699de785895a96fdbaaf\
+             43b1cd7f598ece23881b00e3ed0306887b0c785e27e8ad3f8223207104725dd4"
         );
     }
 
     #[test]
-    fn encrypt_decrypt_round_trip_random() {
-        // Deterministic pseudo-random coverage of both key sizes.
+    fn encrypt_blocks_matches_encrypt_block_random() {
+        // Deterministic pseudo-random coverage of both key sizes and of
+        // every position inside a four-block pass.
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             x ^= x << 13;
@@ -425,19 +623,25 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for _ in 0..50 {
+        for _ in 0..20 {
             let mut key = [0u8; 32];
             for chunk in key.chunks_exact_mut(8) {
                 chunk.copy_from_slice(&next().to_le_bytes());
             }
-            let mut pt = [0u8; 16];
-            for chunk in pt.chunks_exact_mut(8) {
+            let mut blocks = [[0u8; 16]; 7];
+            for chunk in blocks.as_flattened_mut().chunks_exact_mut(8) {
                 chunk.copy_from_slice(&next().to_le_bytes());
             }
-            let aes128 = Aes::new_128(&key[..16].try_into().unwrap());
-            assert_eq!(aes128.decrypt_block(&aes128.encrypt_block(&pt)), pt);
-            let aes256 = Aes::new_256(&key);
-            assert_eq!(aes256.decrypt_block(&aes256.encrypt_block(&pt)), pt);
+            for aes in [
+                Aes::new_128(&key[..16].try_into().unwrap()),
+                Aes::new_256(&key),
+            ] {
+                let mut batched = blocks;
+                aes.encrypt_blocks(&mut batched);
+                for (b, ct) in blocks.iter().zip(&batched) {
+                    assert_eq!(aes.encrypt_block(b), *ct);
+                }
+            }
         }
     }
 
@@ -456,13 +660,5 @@ mod tests {
             !dbg.contains("aa"),
             "debug output must not contain key bytes: {dbg}"
         );
-    }
-
-    #[test]
-    fn gf_mul_known_values() {
-        assert_eq!(gf_mul(0x57, 0x83), 0xc1);
-        assert_eq!(gf_mul(0x57, 0x13), 0xfe);
-        assert_eq!(gf_mul(1, 0xab), 0xab);
-        assert_eq!(gf_mul(0, 0xab), 0);
     }
 }

@@ -15,8 +15,8 @@ use crate::aes::{Aes, AesKeySize};
 use crate::ctr::{ctr_xor, ChunkIv, IV_LEN};
 use crate::ghash;
 use crate::hkdf;
-use crate::hmac::hmac_sha256_multi;
-use crate::pmac::pmac_multi;
+use crate::hmac::HmacSha256;
+use crate::pmac::pmac_multi_with_l;
 use crate::{ct, CryptoError};
 
 /// Tag length stored alongside each chunk.
@@ -98,8 +98,11 @@ impl Sealed {
 #[derive(Clone)]
 pub struct AuthEncKey {
     enc: Aes,
-    mac_key: [u8; 32],
+    /// The HMAC key with both pads absorbed.
+    hmac: HmacSha256,
     mac_aes: Aes,
+    /// `E_K(0^128)` under the MAC-AES key: PMAC's `L` and GCM's `H`.
+    mac_zero_block: [u8; 16],
     algorithm: MacAlgorithm,
     seal_counter: u64,
     master: [u8; 32],
@@ -127,10 +130,12 @@ impl AuthEncKey {
         let enc_key = hkdf::derive(&[], &master, b"shef.authenc.enc", key_size.key_len());
         let mac_key = hkdf::derive_key32(&[], &master, b"shef.authenc.mac");
         let mac_aes_key: [u8; 16] = mac_key[..16].try_into().expect("16 bytes");
+        let mac_aes = Aes::new_128(&mac_aes_key);
         AuthEncKey {
             enc: Aes::new(&enc_key),
-            mac_key,
-            mac_aes: Aes::new_128(&mac_aes_key),
+            hmac: HmacSha256::new(&mac_key),
+            mac_zero_block: mac_aes.encrypt_block(&[0u8; 16]),
+            mac_aes,
             algorithm,
             seal_counter: 0,
             master,
@@ -186,13 +191,30 @@ impl AuthEncKey {
     /// Returns [`CryptoError::TagMismatch`] if authentication fails; no
     /// plaintext is released in that case.
     pub fn open(&self, sealed: &Sealed, associated_data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let expected = self.compute_tag(associated_data, &sealed.iv, &sealed.ciphertext);
-        if !ct::eq(&expected, &sealed.tag) {
+        let mut plaintext = sealed.ciphertext.clone();
+        self.open_in_place(&sealed.iv, associated_data, &mut plaintext, &sealed.tag)?;
+        Ok(plaintext)
+    }
+
+    /// Verifies `tag` over `buf` and decrypts `buf` in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::TagMismatch`] if authentication fails; `buf`
+    /// is left holding the ciphertext in that case.
+    pub fn open_in_place(
+        &self,
+        iv: &[u8; IV_LEN],
+        associated_data: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), CryptoError> {
+        let expected = self.compute_tag(associated_data, iv, buf);
+        if !ct::eq(&expected, tag) {
             return Err(CryptoError::TagMismatch);
         }
-        let mut plaintext = sealed.ciphertext.clone();
-        ctr_xor(&self.enc, &ChunkIv(sealed.iv), &mut plaintext);
-        Ok(plaintext)
+        ctr_xor(&self.enc, &ChunkIv(*iv), buf);
+        Ok(())
     }
 
     /// Computes the 16-byte tag over `ad || iv || ciphertext`.
@@ -200,21 +222,24 @@ impl AuthEncKey {
     pub fn compute_tag(&self, ad: &[u8], iv: &[u8; IV_LEN], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         match self.algorithm {
             MacAlgorithm::HmacSha256 => {
-                let full = hmac_sha256_multi(&self.mac_key, &[ad, iv, ciphertext]);
+                let full = self.hmac.mac_multi(&[ad, iv, ciphertext]);
                 full[..TAG_LEN].try_into().expect("truncate to 16")
             }
             MacAlgorithm::PmacAes => {
                 // Length-prefix the associated data so (ad, ct) boundaries
                 // are unambiguous.
                 let len = (ad.len() as u64).to_be_bytes();
-                pmac_multi(&self.mac_aes, &[&len, ad, iv, ciphertext])
+                pmac_multi_with_l(
+                    &self.mac_aes,
+                    &self.mac_zero_block,
+                    &[&len, ad, iv, ciphertext],
+                )
             }
             MacAlgorithm::AesGcm => {
                 // GCM tag composition over the already-produced CTR
                 // ciphertext: T = E_K(J0(iv)) ⊕ GHASH_H(ad, ct), with
                 // H = E_K(0^128) from the dedicated MAC-AES engine.
-                let h = self.mac_aes.encrypt_block(&[0u8; 16]);
-                let s = ghash::ghash(&h, ad, ciphertext);
+                let s = ghash::ghash(&self.mac_zero_block, ad, ciphertext);
                 let mut j0 = [0u8; 16];
                 j0[..IV_LEN].copy_from_slice(iv);
                 j0[15] = 1;

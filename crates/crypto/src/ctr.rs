@@ -21,7 +21,7 @@
 //! assert_eq!(&data, b"shield chunk payload");
 //! ```
 
-use crate::aes::{Aes, AES_BLOCK_LEN};
+use crate::aes::{Aes, AES_BATCH, AES_BLOCK_LEN};
 
 /// Length of the CTR initialization vector in bytes.
 pub const IV_LEN: usize = 12;
@@ -76,12 +76,24 @@ impl ChunkIv {
 ///
 /// Encryption and decryption are the same operation.
 pub fn ctr_xor(aes: &Aes, iv: &ChunkIv, data: &mut [u8]) {
-    let mut counter_block = [0u8; AES_BLOCK_LEN];
-    counter_block[..IV_LEN].copy_from_slice(&iv.0);
-    for (block_idx, chunk) in data.chunks_mut(AES_BLOCK_LEN).enumerate() {
-        counter_block[IV_LEN..].copy_from_slice(&(block_idx as u32).to_be_bytes());
-        let keystream = aes.encrypt_block(&counter_block);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+    ctr_xor_from(aes, &iv.0, 0, data);
+}
+
+/// XORs the keystream of counter blocks `iv || be32(first + i)` (the
+/// counter wraps modulo 2^32) into `data`, [`AES_BATCH`] blocks per cipher
+/// pass. Shared by [`ctr_xor`] and GCM's GCTR.
+pub(crate) fn ctr_xor_from(aes: &Aes, iv: &[u8; IV_LEN], first: u32, data: &mut [u8]) {
+    let mut keystream = [[0u8; AES_BLOCK_LEN]; AES_BATCH];
+    let mut counter = first;
+    for group in data.chunks_mut(AES_BATCH * AES_BLOCK_LEN) {
+        let blocks = &mut keystream[..group.len().div_ceil(AES_BLOCK_LEN)];
+        for block in blocks.iter_mut() {
+            block[..IV_LEN].copy_from_slice(iv);
+            block[IV_LEN..].copy_from_slice(&counter.to_be_bytes());
+            counter = counter.wrapping_add(1);
+        }
+        aes.encrypt_blocks(blocks);
+        for (d, k) in group.iter_mut().zip(blocks.as_flattened()) {
             *d ^= k;
         }
     }

@@ -20,6 +20,7 @@
 //! ```
 
 use crate::aes::Aes;
+use crate::ctr::ctr_xor_from;
 use crate::ghash::{Ghash, GHASH_LEN};
 use crate::{ct, CryptoError};
 
@@ -63,22 +64,10 @@ impl AesGcm {
         block
     }
 
-    /// 32-bit wrapping increment of the counter word (inc32).
-    fn inc32(block: &mut [u8; 16]) {
-        let ctr = u32::from_be_bytes(block[12..16].try_into().expect("4 bytes"));
-        block[12..16].copy_from_slice(&ctr.wrapping_add(1).to_be_bytes());
-    }
-
-    /// GCTR keystream application starting from `inc32(J0)`.
+    /// GCTR keystream application starting from `inc32(J0)`, whose
+    /// counter word is 2 for a 96-bit IV.
     fn gctr(&self, iv: &[u8; GCM_IV_LEN], data: &mut [u8]) {
-        let mut counter = Self::j0(iv);
-        for chunk in data.chunks_mut(16) {
-            Self::inc32(&mut counter);
-            let keystream = self.aes.encrypt_block(&counter);
-            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *b ^= k;
-            }
-        }
+        ctr_xor_from(&self.aes, iv, 2, data);
     }
 
     fn tag(&self, iv: &[u8; GCM_IV_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; GCM_TAG_LEN] {

@@ -31,21 +31,20 @@ pub const GHASH_LEN: usize = 16;
 
 /// Multiplies two elements of GF(2^128) in GCM's bit-reflected
 /// representation (Algorithm 1 of SP 800-38D).
+///
+/// Constant-time: each step selects with an all-ones/all-zeros mask
+/// instead of branching on a bit of `x` or `v`, since both carry secrets
+/// (the hash subkey and the running hash).
 #[must_use]
 pub fn gf128_mul(x: u128, y: u128) -> u128 {
     // R = 11100001 || 0^120.
     const R: u128 = 0xe1 << 120;
+    let mask = |bit: u128| 0u128.wrapping_sub(bit & 1);
     let mut z = 0u128;
     let mut v = y;
     for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
+        z ^= v & mask(x >> (127 - i));
+        v = (v >> 1) ^ (R & mask(v));
     }
     z
 }

@@ -33,24 +33,57 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 /// materializing the concatenation; this mirrors that datapath.
 #[must_use]
 pub fn hmac_sha256_multi(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let mut key_block = [0u8; SHA256_BLOCK_LEN];
-    if key.len() > SHA256_BLOCK_LEN {
-        key_block[..32].copy_from_slice(&Sha256::digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacSha256::new(key).mac_multi(parts)
+}
+
+/// An HMAC-SHA256 key with its pads already absorbed.
+///
+/// Holds the two SHA-256 states left after compressing `K ⊕ ipad` and
+/// `K ⊕ opad`, so each tag costs only the message and the outer digest
+/// compressions — two fewer than [`hmac_sha256_multi`], which rebuilds
+/// the pads on every call.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl core::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // The midstates are key material.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
     }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    for part in parts {
-        inner.update(part);
+}
+
+impl HmacSha256 {
+    /// Absorbs `key ⊕ ipad` and `key ⊕ opad` (RFC 2104; keys longer than
+    /// a block are hashed first).
+    #[must_use]
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; SHA256_BLOCK_LEN];
+        if key.len() > SHA256_BLOCK_LEN {
+            key_block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+
+    /// The HMAC-SHA256 tag over the concatenation of `parts`.
+    #[must_use]
+    pub fn mac_multi(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Computes HMAC-SHA512 over `data` (used by the deterministic DRBG).
@@ -63,13 +96,11 @@ pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; 64] {
         key_block[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha512::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(data);
     let inner_digest = inner.finalize();
     let mut outer = Sha512::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }

@@ -5,9 +5,9 @@
 //! protocol-level asymmetric cryptography (§3–§4):
 //!
 //! * [`aes`] — AES-128/AES-256 block cipher, the Shield's encryption
-//!   engine. The implementation is S-box based (not T-table) so that the
-//!   Shield's configurable *S-box parallelism* has a faithful counterpart
-//!   in the timing model.
+//!   engine. The implementation is fixsliced and constant-time (no S-box
+//!   table); the Shield's configurable *S-box parallelism* lives in the
+//!   timing model as [`aes::SBoxParallelism`].
 //! * [`ctr`] — AES-CTR mode with the paper's 12-byte IV + 4-byte counter.
 //! * [`sha2`] — SHA-256 (Shield HMAC engine, Bitcoin accelerator) and
 //!   SHA-512 (Ed25519).

@@ -28,34 +28,21 @@
 //! assert_eq!(tag.len(), 16);
 //! ```
 
-use crate::aes::{Aes, AES_BLOCK_LEN};
+use crate::aes::{Aes, AES_BATCH, AES_BLOCK_LEN};
 use crate::ct;
 
 /// Length in bytes of a PMAC tag.
 pub const PMAC_TAG_LEN: usize = 16;
 
 /// Doubles a 128-bit value in GF(2^128) (the standard dbl() used by
-/// OMAC/PMAC mask schedules).
+/// OMAC/PMAC mask schedules), without branching on the secret top bit.
 fn dbl(block: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in (0..16).rev() {
-        let b = block[i];
-        out[i] = (b << 1) | carry;
-        carry = b >> 7;
-    }
-    if carry != 0 {
-        out[15] ^= 0x87;
-    }
-    out
+    let v = u128::from_be_bytes(*block);
+    ((v << 1) ^ (0x87 & 0u128.wrapping_sub(v >> 127))).to_be_bytes()
 }
 
 fn xor16(a: &[u8; 16], b: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    for i in 0..16 {
-        out[i] = a[i] ^ b[i];
-    }
-    out
+    (u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)).to_ne_bytes()
 }
 
 /// Computes a PMAC tag over `data` with the given AES instance.
@@ -67,41 +54,60 @@ pub fn pmac(aes: &Aes, data: &[u8]) -> [u8; PMAC_TAG_LEN] {
 /// Computes a PMAC tag over the concatenation of `parts`.
 #[must_use]
 pub fn pmac_multi(aes: &Aes, parts: &[&[u8]]) -> [u8; PMAC_TAG_LEN] {
-    let data: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-    let l = aes.encrypt_block(&[0u8; 16]);
+    pmac_multi_with_l(aes, &aes.encrypt_block(&[0u8; 16]), parts)
+}
+
+/// [`pmac_multi`] with the caller's cached `l = E_K(0^128)`.
+///
+/// The parts stream through a 16-byte carry block, so nothing is
+/// concatenated. A full carry block is only known not to be the final
+/// block once more input arrives; then it is masked and queued, and every
+/// [`AES_BATCH`] queued blocks go through one cipher pass.
+pub(crate) fn pmac_multi_with_l(aes: &Aes, l: &[u8; 16], parts: &[&[u8]]) -> [u8; PMAC_TAG_LEN] {
     let mut sigma = [0u8; 16];
-    let n_full = data.len() / AES_BLOCK_LEN;
-    let rem = data.len() % AES_BLOCK_LEN;
-    // All blocks except a possibly-final partial one are masked and
-    // encrypted independently — the parallelizable part.
-    let mut mask = dbl(&l);
-    let last_full_is_final = rem == 0 && n_full > 0;
-    let parallel_blocks = if last_full_is_final {
-        n_full - 1
-    } else {
-        n_full
-    };
-    for i in 0..parallel_blocks {
-        let block: [u8; 16] = data[i * 16..(i + 1) * 16].try_into().expect("full block");
-        sigma = xor16(&sigma, &aes.encrypt_block(&xor16(&block, &mask)));
-        mask = dbl(&mask);
+    let mut mask = dbl(l);
+    let mut queue = [[0u8; AES_BLOCK_LEN]; AES_BATCH];
+    let mut queued = 0;
+    let mut carry = [0u8; AES_BLOCK_LEN];
+    let mut carried = 0;
+    for part in parts {
+        let mut input = *part;
+        while !input.is_empty() {
+            if carried == AES_BLOCK_LEN {
+                // All blocks except the final one are masked and
+                // encrypted independently — the parallelizable part.
+                queue[queued] = xor16(&carry, &mask);
+                mask = dbl(&mask);
+                queued += 1;
+                if queued == AES_BATCH {
+                    sigma = absorb(aes, sigma, &mut queue);
+                    queued = 0;
+                }
+                carried = 0;
+            }
+            let take = (AES_BLOCK_LEN - carried).min(input.len());
+            carry[carried..carried + take].copy_from_slice(&input[..take]);
+            carried += take;
+            input = &input[take..];
+        }
     }
+    sigma = absorb(aes, sigma, &mut queue[..queued]);
     // Final block handling: full final block XORed directly with a
-    // distinct mask; partial block padded 10*.
-    let final_mask_full = dbl(&dbl(&l));
-    let final_mask_partial = dbl(&dbl(&dbl(&l)));
-    if last_full_is_final {
-        let block: [u8; 16] = data[(n_full - 1) * 16..].try_into().expect("final block");
-        sigma = xor16(&sigma, &block);
-        sigma = xor16(&sigma, &final_mask_full);
+    // distinct mask; partial (or empty) block padded 10*.
+    let final_mask = if carried == AES_BLOCK_LEN {
+        dbl(&dbl(l))
     } else {
-        let mut block = [0u8; 16];
-        block[..rem].copy_from_slice(&data[n_full * 16..]);
-        block[rem] = 0x80;
-        sigma = xor16(&sigma, &block);
-        sigma = xor16(&sigma, &final_mask_partial);
-    }
-    aes.encrypt_block(&sigma)
+        carry[carried..].fill(0);
+        carry[carried] = 0x80;
+        dbl(&dbl(&dbl(l)))
+    };
+    aes.encrypt_block(&xor16(&xor16(&sigma, &carry), &final_mask))
+}
+
+/// Encrypts the queued masked blocks and XORs them into `sigma`.
+fn absorb(aes: &Aes, sigma: [u8; 16], blocks: &mut [[u8; 16]]) -> [u8; 16] {
+    aes.encrypt_blocks(blocks);
+    blocks.iter().fold(sigma, |acc, b| xor16(&acc, b))
 }
 
 /// Verifies a PMAC tag in constant time.

@@ -187,16 +187,12 @@ impl Sha256 {
     /// Consumes the hasher, returning the digest.
     pub fn finalize(mut self) -> [u8; SHA256_DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // `update` above already adjusted total_len; the padding length is
-        // derived from the captured bit_len so the extra bookkeeping is
-        // harmless.
-        while self.buffered != SHA256_BLOCK_LEN - 8 {
-            self.update(&[0u8]);
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&len_bytes);
+        // 0x80, zeros up to 56 mod 64, then the 64-bit length: one update.
+        let fill = 1 + (SHA256_BLOCK_LEN + 55 - self.buffered) % SHA256_BLOCK_LEN;
+        let mut pad = [0u8; SHA256_BLOCK_LEN + 8];
+        pad[0] = 0x80;
+        pad[fill..fill + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..fill + 8]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; SHA256_DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
@@ -332,13 +328,12 @@ impl Sha512 {
     /// Consumes the hasher, returning the digest.
     pub fn finalize(mut self) -> [u8; SHA512_DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != SHA512_BLOCK_LEN - 16 {
-            self.update(&[0u8]);
-        }
-        let mut len_bytes = [0u8; 16];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&len_bytes);
+        // 0x80, zeros up to 112 mod 128, then the 128-bit length: one update.
+        let fill = 1 + (SHA512_BLOCK_LEN + 111 - self.buffered) % SHA512_BLOCK_LEN;
+        let mut pad = [0u8; SHA512_BLOCK_LEN + 16];
+        pad[0] = 0x80;
+        pad[fill..fill + 16].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..fill + 16]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; SHA512_DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(8).zip(self.state.iter()) {
@@ -469,6 +464,42 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha512::digest(&data), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn one_shot_padding_matches_bytewise_padding_at_every_length() {
+        // The FIPS 180-4 §5.1 padding fed one byte at a time, then the
+        // raw state, against `finalize`'s single padding update.
+        let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        for len in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            h.update(&[0x80]);
+            while h.buffered != SHA256_BLOCK_LEN - 8 {
+                h.update(&[0]);
+            }
+            h.update(&(len as u64 * 8).to_be_bytes());
+            let expected: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(
+                Sha256::digest(&data[..len])[..],
+                expected[..],
+                "SHA-256, {len} bytes"
+            );
+
+            let mut h = Sha512::new();
+            h.update(&data[..len]);
+            h.update(&[0x80]);
+            while h.buffered != SHA512_BLOCK_LEN - 16 {
+                h.update(&[0]);
+            }
+            h.update(&(len as u128 * 8).to_be_bytes());
+            let expected: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(
+                Sha512::digest(&data[..len])[..],
+                expected[..],
+                "SHA-512, {len} bytes"
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests over the cryptographic substrate.
 
 use proptest::prelude::*;
-use shef_crypto::aes::{Aes, AesKeySize};
+use shef_crypto::aes::Aes;
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, Sealed};
 use shef_crypto::ctr::{ctr_xor, ChunkIv};
 use shef_crypto::drbg::HmacDrbg;
@@ -10,26 +10,13 @@ use shef_crypto::ed25519::SigningKey;
 use shef_crypto::field25519::FieldElement;
 use shef_crypto::gcm::AesGcm;
 use shef_crypto::hkdf;
-use shef_crypto::hmac::hmac_sha256;
+use shef_crypto::hmac::{hmac_sha256, hmac_sha256_multi, HmacSha256};
 use shef_crypto::pmac::pmac;
 use shef_crypto::scalar25519::Scalar;
 use shef_crypto::sha2::{Sha256, Sha512};
 use shef_crypto::x25519;
 
 proptest! {
-    #[test]
-    fn aes128_round_trip(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
-        let aes = Aes::new_128(&key);
-        prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-    }
-
-    #[test]
-    fn aes256_round_trip(key in any::<[u8; 32]>(), block in any::<[u8; 16]>()) {
-        let aes = Aes::new_256(&key);
-        prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-        prop_assert_eq!(aes.key_size(), AesKeySize::Aes256);
-    }
-
     #[test]
     fn ctr_involution(key in any::<[u8; 16]>(), nonce in any::<[u8; 8]>(),
                       idx in any::<u32>(), data in proptest::collection::vec(any::<u8>(), 0..600)) {
@@ -66,6 +53,34 @@ proptest! {
                             msg in proptest::collection::vec(any::<u8>(), 0..128)) {
         prop_assume!(key1 != key2);
         prop_assert_ne!(hmac_sha256(&key1, &msg), hmac_sha256(&key2, &msg));
+    }
+
+    #[test]
+    fn hmac_cached_pads_match_one_shot(key in proptest::collection::vec(any::<u8>(), 0..100),
+                                       msg in proptest::collection::vec(any::<u8>(), 0..300),
+                                       cuts in any::<(u16, u16)>()) {
+        // Textbook RFC 2104, hashing the pads on every call.
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&Sha256::digest(&key));
+        } else {
+            block[..key.len()].copy_from_slice(&key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&block.map(|b| b ^ 0x36));
+        inner.update(&msg);
+        let mut outer = Sha256::new();
+        outer.update(&block.map(|b| b ^ 0x5c));
+        outer.update(&inner.finalize());
+        let expected = outer.finalize();
+
+        let a = usize::from(cuts.0) % (msg.len() + 1);
+        let b = a + usize::from(cuts.1) % (msg.len() - a + 1);
+        let parts: [&[u8]; 3] = [&msg[..a], &msg[a..b], &msg[b..]];
+        let cached = HmacSha256::new(&key);
+        prop_assert_eq!(cached.mac_multi(&parts), expected);
+        prop_assert_eq!(cached.mac_multi(&[&msg]), expected);
+        prop_assert_eq!(hmac_sha256_multi(&key, &parts), expected);
     }
 
     #[test]

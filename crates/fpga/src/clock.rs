@@ -135,7 +135,14 @@ impl CostLedger {
 
     /// Adds busy cycles to a named lane.
     pub fn add_busy(&mut self, lane: &str, cycles: Cycles) {
-        *self.lanes.entry(lane.to_owned()).or_default() += cycles;
+        // Look up before inserting: only a lane's first charge allocates
+        // its name.
+        match self.lanes.get_mut(lane) {
+            Some(busy) => *busy += cycles,
+            None => {
+                self.lanes.insert(lane.to_owned(), cycles);
+            }
+        }
     }
 
     /// Adds strictly serial cycles (setup, drain, handshakes).
@@ -214,7 +221,7 @@ impl CostLedger {
     pub fn merge(&mut self, other: &CostLedger) {
         self.serial += other.serial;
         for (lane, cycles) in &other.lanes {
-            *self.lanes.entry(lane.clone()).or_default() += *cycles;
+            self.add_busy(lane, *cycles);
         }
     }
 }
