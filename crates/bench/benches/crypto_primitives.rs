@@ -1,11 +1,12 @@
 //! Criterion microbenchmarks of the cryptographic substrate — the
 //! software analogues of the Shield's engines.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shef_crypto::aes::Aes;
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm};
 use shef_crypto::ctr::{ctr_xor, ChunkIv};
 use shef_crypto::ed25519::SigningKey;
+use shef_crypto::field25519::FieldElement;
 use shef_crypto::hmac::hmac_sha256;
 use shef_crypto::pmac::pmac;
 use shef_crypto::sha2::Sha256;
@@ -74,6 +75,15 @@ fn bench_authenc(c: &mut Criterion) {
 
 fn bench_asymmetric(c: &mut Criterion) {
     let mut group = c.benchmark_group("asymmetric");
+    let fa = FieldElement::from_bytes(&[0x5au8; 32]);
+    let fb = FieldElement::from_bytes(&[0xc3u8; 32]);
+    // black_box keeps the loop-invariant field operations in the loop.
+    group.bench_function("field_mul", |b| b.iter(|| black_box(&fa).mul(&fb)));
+    group.bench_function("field_square", |b| b.iter(|| black_box(&fa).square()));
+    group.bench_function("field_invert", |b| b.iter(|| black_box(&fa).invert()));
+    group.bench_function("ed25519_keygen", |b| {
+        b.iter(|| SigningKey::from_seed(&[3u8; 32]))
+    });
     let key = SigningKey::from_seed(&[3u8; 32]);
     let msg = vec![0x42u8; 256];
     let sig = key.sign(&msg);

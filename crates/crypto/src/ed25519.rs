@@ -88,7 +88,7 @@ impl VerifyingKey {
         h.update(message);
         let k = Scalar::from_bytes_wide(&h.finalize());
         // Check S·B == R + k·A.
-        let lhs = EdwardsPoint::basepoint().mul_bits(&s_bytes);
+        let lhs = EdwardsPoint::mul_base(&s_bytes);
         let rhs = r.add(&a.mul_bits(&k.to_bytes()));
         if lhs == rhs {
             Ok(())
@@ -128,7 +128,7 @@ impl SigningKey {
         scalar[31] &= 127;
         scalar[31] |= 64;
         let prefix: [u8; 32] = digest[32..].try_into().expect("upper half");
-        let public_point = EdwardsPoint::basepoint().mul_bits(&scalar);
+        let public_point = EdwardsPoint::mul_base(&scalar);
         SigningKey {
             scalar,
             prefix,
@@ -149,7 +149,7 @@ impl SigningKey {
         h.update(&self.prefix);
         h.update(message);
         let r = Scalar::from_bytes_wide(&h.finalize());
-        let r_point = EdwardsPoint::basepoint().mul_bits(&r.to_bytes());
+        let r_point = EdwardsPoint::mul_base(&r.to_bytes());
         let r_bytes = r_point.compress();
 
         let mut h = Sha512::new();

@@ -4,6 +4,12 @@
 //! representation. This backs both [`crate::x25519`] (the attestation
 //! session-key exchange) and [`crate::ed25519`] (device/attestation
 //! signatures).
+//!
+//! Multiplication and squaring fold the ×19 wrap-around into the
+//! operand and reduce with a single carry pass; inversion and the
+//! square-root exponent share the ref10 addition chain. Nothing here
+//! branches on or indexes by an element's value except the encoding
+//! helpers' final canonical reduction, which is itself branch-free.
 
 use crate::ct;
 
@@ -36,6 +42,16 @@ impl Default for FieldElement {
         Self::ZERO
     }
 }
+
+/// √−1 = 2^((p−1)/4) in the field, needed for Ed25519 point
+/// decompression.
+pub const SQRT_M1: FieldElement = FieldElement([
+    1718705420411056,
+    234908883556509,
+    2233514472574048,
+    2117202627021982,
+    765476049583133,
+]);
 
 impl FieldElement {
     /// The additive identity.
@@ -75,9 +91,11 @@ impl FieldElement {
     /// Returns the canonical little-endian 32-byte encoding.
     #[must_use]
     pub fn to_bytes(self) -> [u8; 32] {
-        // First bring limbs below 2^51 via two carry passes.
+        // One carry pass leaves limbs below 2^51 + 19, so the integer
+        // they spell is below 2p.
         let mut l = self.carry().0;
-        // Compute q = 1 iff the value is >= p, then add 19q and drop bit 255.
+        // Compute q = 1 iff that integer is >= p (the nested carries of
+        // +19 are exact for such limbs), then add 19q and drop bit 255.
         let mut q = (l[0].wrapping_add(19)) >> 51;
         q = (l[1].wrapping_add(q)) >> 51;
         q = (l[2].wrapping_add(q)) >> 51;
@@ -109,18 +127,20 @@ impl FieldElement {
         out
     }
 
+    /// One carry pass: every limb carries into the next at once, the top
+    /// one wrapping around ×19, which keeps the dependency chain short.
+    /// Limbs below 2^56 come out below 2^52 (each gains at most 19·2^5
+    /// over 2^51).
     fn carry(self) -> Self {
-        let mut l = self.0;
-        for _ in 0..2 {
-            let mut carry = 0u64;
-            for limb in l.iter_mut() {
-                let v = limb.wrapping_add(carry);
-                carry = v >> 51;
-                *limb = v & MASK_51;
-            }
-            l[0] = l[0].wrapping_add(19 * carry);
-        }
-        FieldElement(l)
+        let l = self.0;
+        let c = l.map(|x| x >> 51);
+        FieldElement([
+            (l[0] & MASK_51) + 19 * c[4],
+            (l[1] & MASK_51) + c[0],
+            (l[2] & MASK_51) + c[1],
+            (l[3] & MASK_51) + c[2],
+            (l[4] & MASK_51) + c[3],
+        ])
     }
 
     /// Field addition.
@@ -160,20 +180,50 @@ impl FieldElement {
     /// Field multiplication.
     #[must_use]
     pub fn mul(&self, rhs: &FieldElement) -> FieldElement {
-        let a = self.0.map(|x| x as u128);
-        let b = rhs.0.map(|x| x as u128);
-        let c0 = a[0] * b[0] + 19 * (a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]);
-        let c1 = a[0] * b[1] + a[1] * b[0] + 19 * (a[2] * b[4] + a[3] * b[3] + a[4] * b[2]);
-        let c2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + 19 * (a[3] * b[4] + a[4] * b[3]);
-        let c3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + 19 * (a[4] * b[4]);
-        let c4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
-        Self::reduce_wide([c0, c1, c2, c3, c4])
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        let a = &self.0;
+        let b = &rhs.0;
+        // 2^255 ≡ 19: limb products that land at or above 2^255 wrap
+        // around multiplied by 19, folded into b here (b < 2^52, so
+        // 19·b < 2^57 and every column stays below 2^111).
+        let b1 = 19 * b[1];
+        let b2 = 19 * b[2];
+        let b3 = 19 * b[3];
+        let b4 = 19 * b[4];
+        let c0 = m(a[0], b[0]) + m(a[4], b1) + m(a[3], b2) + m(a[2], b3) + m(a[1], b4);
+        let c1 = m(a[1], b[0]) + m(a[0], b[1]) + m(a[4], b2) + m(a[3], b3) + m(a[2], b4);
+        let c2 = m(a[2], b[0]) + m(a[1], b[1]) + m(a[0], b[2]) + m(a[4], b3) + m(a[3], b4);
+        let c3 = m(a[3], b[0]) + m(a[2], b[1]) + m(a[1], b[2]) + m(a[0], b[3]) + m(a[4], b4);
+        let c4 = m(a[4], b[0]) + m(a[3], b[1]) + m(a[2], b[2]) + m(a[1], b[3]) + m(a[0], b[4]);
+        Self::reduce_columns([c0, c1, c2, c3, c4])
     }
 
-    /// Field squaring.
+    /// Field squaring: the 15 distinct limb products of `self · self`.
     #[must_use]
     pub fn square(&self) -> FieldElement {
-        self.mul(self)
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        let a = &self.0;
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+        let d0 = 2 * a[0];
+        let d1 = 2 * a[1];
+        let d2 = 2 * a[2];
+        let c0 = m(a[0], a[0]) + m(d1, a4_19) + m(d2, a3_19);
+        let c1 = m(a[3], a3_19) + m(d0, a[1]) + m(d2, a4_19);
+        let c2 = m(a[1], a[1]) + m(d0, a[2]) + m(2 * a[4], a3_19);
+        let c3 = m(a[4], a4_19) + m(d0, a[3]) + m(d1, a[2]);
+        let c4 = m(a[2], a[2]) + m(d0, a[4]) + m(d1, a[3]);
+        Self::reduce_columns([c0, c1, c2, c3, c4])
+    }
+
+    /// `self` squared `k` times, i.e. `self^(2^k)`.
+    #[must_use]
+    pub fn square_n(&self, k: u32) -> FieldElement {
+        let mut x = *self;
+        for _ in 0..k {
+            x = x.square();
+        }
+        x
     }
 
     /// Multiplication by a small scalar (used by the X25519 ladder's
@@ -182,40 +232,63 @@ impl FieldElement {
     pub fn mul_small(&self, k: u32) -> FieldElement {
         let k = k as u128;
         let a = self.0.map(|x| x as u128);
-        Self::reduce_wide([a[0] * k, a[1] * k, a[2] * k, a[3] * k, a[4] * k])
+        Self::reduce_columns([a[0] * k, a[1] * k, a[2] * k, a[3] * k, a[4] * k])
     }
 
-    fn reduce_wide(mut c: [u128; 5]) -> FieldElement {
+    /// Reduces five column sums to limbs below 2^52: one carry pass over
+    /// the columns, the top carry wrapped around ×19 into limb 0, and one
+    /// final carry from limb 0 into limb 1. Columns are below 2^111 and
+    /// the top one (which carries no ×19 terms) below 2^107.
+    fn reduce_columns(c: [u128; 5]) -> FieldElement {
         let mut l = [0u64; 5];
-        // Two carry passes bring each limb below 2^52.
-        for _ in 0..2 {
-            let mut carry: u128 = 0;
-            for limb in c.iter_mut() {
-                let v = *limb + carry;
-                carry = v >> 51;
-                *limb = v & (MASK_51 as u128);
-            }
-            c[0] += 19 * carry;
+        let mut carry = 0u128;
+        for (limb, col) in l.iter_mut().zip(c) {
+            let v = col + carry;
+            *limb = (v as u64) & MASK_51;
+            carry = v >> 51;
         }
-        for i in 0..5 {
-            l[i] = c[i] as u64;
-        }
-        FieldElement(l).carry()
+        // carry < 2^56, so the ×19 wrap-around fits a u64.
+        l[0] += 19 * (carry as u64);
+        l[1] += l[0] >> 51;
+        l[0] &= MASK_51;
+        FieldElement(l)
     }
 
-    /// Raises the element to the power given as a big-endian byte string.
-    #[must_use]
-    pub fn pow_be(&self, exponent: &[u8]) -> FieldElement {
-        let mut result = FieldElement::ONE;
-        for byte in exponent {
-            for bit in (0..8).rev() {
-                result = result.square();
-                if (byte >> bit) & 1 == 1 {
-                    result = result.mul(self);
-                }
-            }
+    /// Replaces `self` with `other` if `choice` is true, without
+    /// branching on `choice`.
+    pub fn conditional_assign(&mut self, other: &FieldElement, choice: bool) {
+        let mask = ct::mask_u64(choice);
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a ^= mask & (*a ^ b);
         }
-        result
+    }
+
+    /// Swaps `a` and `b` if `choice` is true, without branching on
+    /// `choice`.
+    pub fn conditional_swap(a: &mut FieldElement, b: &mut FieldElement, choice: bool) {
+        let mask = ct::mask_u64(choice);
+        for (x, y) in a.0.iter_mut().zip(b.0.iter_mut()) {
+            let t = mask & (*x ^ *y);
+            *x ^= t;
+            *y ^= t;
+        }
+    }
+
+    /// The ref10 chain shared by [`Self::invert`] and [`Self::pow_p58`]:
+    /// returns `(self^(2^250 − 1), self^11)`.
+    fn pow22501(&self) -> (FieldElement, FieldElement) {
+        let t2 = self.square(); // 2
+        let t9 = self.mul(&t2.square_n(2)); // 9
+        let t11 = t2.mul(&t9); // 11
+        let t5_0 = t9.mul(&t11.square()); // 2^5 − 1
+        let t10_0 = t5_0.square_n(5).mul(&t5_0); // 2^10 − 1
+        let t20_0 = t10_0.square_n(10).mul(&t10_0); // 2^20 − 1
+        let t40_0 = t20_0.square_n(20).mul(&t20_0); // 2^40 − 1
+        let t50_0 = t40_0.square_n(10).mul(&t10_0); // 2^50 − 1
+        let t100_0 = t50_0.square_n(50).mul(&t50_0); // 2^100 − 1
+        let t200_0 = t100_0.square_n(100).mul(&t100_0); // 2^200 − 1
+        let t250_0 = t200_0.square_n(50).mul(&t50_0); // 2^250 − 1
+        (t250_0, t11)
     }
 
     /// Multiplicative inverse via Fermat's little theorem (x^(p−2)).
@@ -223,22 +296,18 @@ impl FieldElement {
     /// Returns zero for zero input.
     #[must_use]
     pub fn invert(&self) -> FieldElement {
-        // p - 2 = 2^255 - 21, big-endian.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0x7f;
-        exp[31] = 0xeb;
-        self.pow_be(&exp)
+        // p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
+        let (t250_0, t11) = self.pow22501();
+        t250_0.square_n(5).mul(&t11)
     }
 
     /// x^((p−5)/8), the core exponentiation of the Ed25519 decompression
     /// square-root computation.
     #[must_use]
     pub fn pow_p58(&self) -> FieldElement {
-        // (p - 5) / 8 = 2^252 - 3, big-endian.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0x0f;
-        exp[31] = 0xfd;
-        self.pow_be(&exp)
+        // (p − 5)/8 = 2^252 − 3 = (2^250 − 1)·2^2 + 1.
+        let (t250_0, _) = self.pow22501();
+        t250_0.square_n(2).mul(self)
     }
 
     /// True if the element is zero.
@@ -253,16 +322,6 @@ impl FieldElement {
     pub fn is_negative(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
-}
-
-/// √−1 in the field, needed for Ed25519 point decompression.
-#[must_use]
-pub fn sqrt_m1() -> FieldElement {
-    // 2^((p-1)/4): (p - 1) / 4 = 2^253 - 5, big-endian.
-    let mut exp = [0xffu8; 32];
-    exp[0] = 0x1f;
-    exp[31] = 0xfb;
-    FieldElement::from_u64(2).pow_be(&exp)
 }
 
 #[cfg(test)]
@@ -308,12 +367,18 @@ mod tests {
         let p = FieldElement::from_bytes(&p_bytes);
         assert_eq!(p.to_bytes(), [0u8; 32]);
         assert!(p.is_zero());
+        // 2p in limbs below 2^52: the integer is ≥ 2p, so encoding needs
+        // the carry pass before the single conditional subtraction.
+        let m = 1u64 << 52;
+        let two_p = FieldElement([m - 38, m - 2, m - 2, m - 2, m - 2]);
+        assert_eq!(two_p.to_bytes(), [0u8; 32]);
     }
 
     #[test]
     fn minus_one_times_minus_one() {
         let minus_one = FieldElement::ZERO.sub(&FieldElement::ONE);
         assert_eq!(minus_one.mul(&minus_one), FieldElement::ONE);
+        assert_eq!(minus_one.square(), FieldElement::ONE);
     }
 
     #[test]
@@ -325,9 +390,51 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
         let minus_one = FieldElement::ZERO.sub(&FieldElement::ONE);
-        assert_eq!(i.square(), minus_one);
+        assert_eq!(SQRT_M1.square(), minus_one);
+    }
+
+    #[test]
+    fn sqrt_m1_is_two_to_the_p_minus_one_over_four() {
+        // (p − 1)/4 = 2^253 − 5, by square-and-multiply over its bits.
+        let two = fe(2);
+        let mut acc = FieldElement::ONE;
+        for bit in (0..253).rev() {
+            acc = acc.square();
+            if bit >= 3 || bit == 1 || bit == 0 {
+                acc = acc.mul(&two);
+            }
+        }
+        assert_eq!(acc, SQRT_M1);
+    }
+
+    #[test]
+    fn limbs_stay_below_2_pow_52() {
+        // Worst case: every limb at the invariant's bound.
+        let big = FieldElement([(1 << 52) - 1; 5]);
+        for x in [
+            big.mul(&big),
+            big.square(),
+            big.add(&big),
+            FieldElement::ZERO.sub(&big),
+            big.mul_small(121_665),
+        ] {
+            assert!(x.0.iter().all(|&l| l < 1 << 52), "{:?}", x.0);
+        }
+        assert_eq!(big.square(), big.mul(&big));
+    }
+
+    #[test]
+    fn conditional_helpers() {
+        let (mut a, mut b) = (fe(3), fe(4));
+        FieldElement::conditional_swap(&mut a, &mut b, false);
+        assert_eq!((a, b), (fe(3), fe(4)));
+        FieldElement::conditional_swap(&mut a, &mut b, true);
+        assert_eq!((a, b), (fe(4), fe(3)));
+        a.conditional_assign(&fe(9), false);
+        assert_eq!(a, fe(4));
+        a.conditional_assign(&fe(9), true);
+        assert_eq!(a, fe(9));
     }
 
     #[test]

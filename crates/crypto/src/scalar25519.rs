@@ -3,7 +3,9 @@
 //!
 //! Used by [`crate::ed25519`] for signature scalars. Throughput is not a
 //! concern here (scalars are only touched during boot/attestation), so a
-//! simple shift-and-subtract reduction keeps the code auditable.
+//! simple shift-and-subtract reduction keeps the code auditable. Its
+//! conditional subtractions are masked, not branched: the signing nonce
+//! and secret key pass through here.
 
 /// ℓ as four little-endian 64-bit limbs.
 const L: [u64; 4] = [
@@ -41,15 +43,17 @@ fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
     true
 }
 
-fn sub(a: &mut [u64; 4], b: &[u64; 4]) {
-    let mut borrow = 0u64;
+/// `a − b` mod 2^256, and whether it borrowed (a < b).
+fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], bool) {
+    let mut diff = [0u64; 4];
+    let mut borrow = false;
     for i in 0..4 {
         let (v, b1) = a[i].overflowing_sub(b[i]);
-        let (v, b2) = v.overflowing_sub(borrow);
-        a[i] = v;
-        borrow = (b1 | b2) as u64;
+        let (v, b2) = v.overflowing_sub(borrow as u64);
+        diff[i] = v;
+        borrow = b1 | b2;
     }
-    debug_assert_eq!(borrow, 0, "subtraction must not underflow");
+    (diff, borrow)
 }
 
 impl Scalar {
@@ -101,9 +105,7 @@ impl Scalar {
         }
         // Inputs are < ℓ < 2^253, so no carry out of 256 bits is possible.
         debug_assert_eq!(carry, 0);
-        if geq(&limbs, &L) {
-            sub(&mut limbs, &L);
-        }
+        reduce_once(&mut limbs);
         Scalar(limbs)
     }
 
@@ -162,15 +164,21 @@ fn reduce_wide(limbs: [u64; 8]) -> [u64; 4] {
             carry = new_carry;
         }
         debug_assert_eq!(carry, 0);
-        let word = limbs[bit / 64];
-        if (word >> (bit % 64)) & 1 == 1 {
-            r[0] |= 1;
-        }
-        if geq(&r, &L) {
-            sub(&mut r, &L);
-        }
+        r[0] |= (limbs[bit / 64] >> (bit % 64)) & 1;
+        reduce_once(&mut r);
     }
     r
+}
+
+/// Subtracts ℓ from `a` if `a ≥ ℓ` (for `a < 2ℓ`), selecting the result
+/// with masks so that secret scalars never steer a branch.
+fn reduce_once(a: &mut [u64; 4]) {
+    let (diff, borrow) = sub(a, &L);
+    // No borrow means a ≥ ℓ: keep the difference.
+    let keep_diff = crate::ct::mask_u64(!borrow);
+    for (limb, d) in a.iter_mut().zip(diff) {
+        *limb ^= keep_diff & (*limb ^ d);
+    }
 }
 
 #[cfg(test)]
@@ -196,8 +204,8 @@ mod tests {
 
     #[test]
     fn l_minus_one_is_canonical() {
-        let mut limbs = L;
-        sub(&mut limbs, &[1, 0, 0, 0]);
+        let (limbs, borrow) = sub(&L, &[1, 0, 0, 0]);
+        assert!(!borrow);
         let s = Scalar(limbs);
         assert!(Scalar::is_canonical(&s.to_bytes()));
         // (ℓ-1) + 1 ≡ 0 mod ℓ

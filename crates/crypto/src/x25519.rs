@@ -58,6 +58,10 @@ pub fn shared_secret(secret: &[u8; 32], peer_public: &[u8; 32]) -> [u8; 32] {
 
 /// The X25519 function: Montgomery-ladder scalar multiplication on the
 /// u-coordinate.
+///
+/// Every step runs the same field operations, and the ladder's swaps go
+/// through [`FieldElement::conditional_swap`], so neither control flow
+/// nor memory access depends on the scalar's bits.
 #[must_use]
 pub fn scalar_mult(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let k = clamp(*scalar);
@@ -71,10 +75,8 @@ pub fn scalar_mult(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     for t in (0..255).rev() {
         let k_t = (k[t / 8] >> (t % 8)) & 1 == 1;
         swap ^= k_t;
-        if swap {
-            core::mem::swap(&mut x2, &mut x3);
-            core::mem::swap(&mut z2, &mut z3);
-        }
+        FieldElement::conditional_swap(&mut x2, &mut x3, swap);
+        FieldElement::conditional_swap(&mut z2, &mut z3, swap);
         swap = k_t;
 
         let a = x2.add(&z2);
@@ -91,10 +93,8 @@ pub fn scalar_mult(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         x2 = aa.mul(&bb);
         z2 = e.mul(&aa.add(&e.mul_small(121_665)));
     }
-    if swap {
-        core::mem::swap(&mut x2, &mut x3);
-        core::mem::swap(&mut z2, &mut z3);
-    }
+    FieldElement::conditional_swap(&mut x2, &mut x3, swap);
+    FieldElement::conditional_swap(&mut z2, &mut z3, swap);
     x2.mul(&z2.invert()).to_bytes()
 }
 

@@ -123,19 +123,23 @@ proptest! {
     }
 
     #[test]
-    fn field_ring_axioms(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let fa = FieldElement::from_u64(a);
-        let fb = FieldElement::from_u64(b);
-        let fc = FieldElement::from_u64(c);
+    fn field_ring_axioms(a in any::<[u8; 32]>(), b in any::<[u8; 32]>(), c in any::<[u8; 32]>()) {
+        // Full-width encodings: every limb populated.
+        let fa = FieldElement::from_bytes(&a);
+        let fb = FieldElement::from_bytes(&b);
+        let fc = FieldElement::from_bytes(&c);
         prop_assert_eq!(fa.add(&fb), fb.add(&fa));
         prop_assert_eq!(fa.mul(&fb), fb.mul(&fa));
         prop_assert_eq!(fa.mul(&fb.add(&fc)), fa.mul(&fb).add(&fa.mul(&fc)));
     }
 
     #[test]
-    fn field_inversion(a in 1u64..) {
-        let fa = FieldElement::from_u64(a);
+    fn field_inversion(a in any::<[u8; 32]>()) {
+        let fa = FieldElement::from_bytes(&a);
+        prop_assume!(!fa.is_zero());
         prop_assert_eq!(fa.mul(&fa.invert()), FieldElement::ONE);
+        // (x^((p−5)/8))^8 · x^4 = x^(p−1) = 1.
+        prop_assert_eq!(fa.pow_p58().square_n(3).mul(&fa.square_n(2)), FieldElement::ONE);
     }
 
     #[test]
