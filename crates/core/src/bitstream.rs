@@ -138,8 +138,9 @@ impl EncryptedBitstream {
         Bitstream::from_bytes(&plain)
     }
 
-    /// SHA-256 of the encrypted container — the
-    /// `H(Enc_BitstrKey(Accelerator))` bound into attestation reports.
+    /// SHA-256 of the encrypted container, `H(Enc_BitstrKey(Accelerator))`.
+    /// Attestation does not compare it directly: the Security Kernel
+    /// folds the whole container into its measurement chain.
     #[must_use]
     pub fn hash(&self) -> [u8; 32] {
         Sha256::digest(&self.0)

@@ -1,125 +1,35 @@
 //! The ShEF secure boot chain (§3 steps 6–7, §4 "Secure Boot").
 //!
 //! ```text
-//! BootROM ──decrypts──▶ SPB firmware ──measures──▶ Security Kernel
-//!    │                        │                          │
-//!    └─ AES device key        └─ private device key      └─ Attestation Key
-//!       (e-fuses)                (inside encrypted fw)      bound to (device, H(SecKrnl))
+//! BootROM ──authenticates──▶ SPB firmware ──measures──▶ Security Kernel
+//!    │                           │                           │
+//!    └─ AES device key ──HKDF──▶ attestation root            └─ Attestation Key
+//!       (e-fuses)                (key store locks)              bound to (device, measurement)
 //! ```
 //!
-//! The SPB firmware "reads the Security Kernel out of the boot medium and
-//! hashes it … signs the hash with the private device key \[and\] uses the
-//! resulting value to seed a key generator to produce a unique asymmetric
-//! Attestation Key pair", then certifies it with
-//! `σ_SecKrnl = Sign_DeviceKey(H(SecKrnl), AttestKey_pub)`.
+//! BootROM authenticates the Manufacturer's firmware under the e-fuse
+//! device key and hands the Security Kernel an [`AttestationRoot`]
+//! (`Spb::boot_rom_measured`). The firmware payload is the
+//! Manufacturer's [`DeviceCert`] for the identity the kernel derives
+//! from that root. The kernel then extends its measurement chain with
+//! its own binary and the staged encrypted accelerator bitstream, so
+//! its Attestation Key — and every quote it signs — names the device,
+//! the audited kernel and the bitstream at once. The IP Vendor releases
+//! the Bitstream Key against exactly that measurement
+//! ([`crate::workflow::IpVendor`]).
 //!
-//! Because our signatures are deterministic Ed25519, the derived
-//! Attestation Key is a pure function of (device key, kernel binary):
-//! re-booting the same kernel on the same device reproduces the same
-//! identity, exactly as the paper intends.
+//! Deterministic derivation means re-booting the same kernel and
+//! bitstream on the same device reproduces the same identity, exactly
+//! as the paper intends.
+//!
+//! [`AttestationRoot`]: shef_attest::AttestationRoot
 
-use shef_crypto::drbg::HmacDrbg;
-use shef_crypto::ecies::EciesKeyPair;
-use shef_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
-use shef_crypto::sha2::{Sha256, Sha512};
+use shef_attest::{DeviceCert, SecurityKernel};
+use shef_crypto::sha2::Sha256;
 use shef_fpga::board::{image_names, Board};
 use shef_fpga::processor::KernelImage;
 
-use crate::wire::{Reader, Writer};
 use crate::ShefError;
-
-/// Private-memory slot names used by the Security Kernel.
-pub mod slots {
-    /// Seed of the attestation signing key.
-    pub const ATTEST_SIGN_SEED: &str = "attest-sign-seed";
-    /// Seed of the attestation Diffie–Hellman key.
-    pub const ATTEST_DH_SEED: &str = "attest-dh-seed";
-    /// σ_SecKrnl certificate bytes.
-    pub const SIGMA_SECKRNL: &str = "sigma-seckrnl";
-    /// Measured kernel hash.
-    pub const KERNEL_HASH: &str = "kernel-hash";
-    /// Established attestation session key (after a challenge).
-    pub const SESSION_KEY: &str = "session-key";
-    /// Nonce of the in-flight attestation session.
-    pub const SESSION_NONCE: &str = "session-nonce";
-}
-
-/// The payload the Manufacturer seals inside the SPB firmware: the
-/// asymmetric private device key (§3 step 2).
-#[derive(Clone)]
-pub struct FirmwarePayload {
-    /// Seed of the device signing key.
-    pub device_key_seed: [u8; 32],
-}
-
-impl core::fmt::Debug for FirmwarePayload {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FirmwarePayload").finish_non_exhaustive()
-    }
-}
-
-impl FirmwarePayload {
-    /// Serializes for sealing.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("shef.firmware.v1");
-        w.put_fixed(&self.device_key_seed);
-        w.finish()
-    }
-
-    /// Parses a decrypted firmware payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShefError::Malformed`] on bad layout.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ShefError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.get_str()?;
-        if tag != "shef.firmware.v1" {
-            return Err(ShefError::Malformed("bad firmware payload tag".into()));
-        }
-        let device_key_seed = r.get_fixed::<32>()?;
-        r.finish()?;
-        Ok(FirmwarePayload { device_key_seed })
-    }
-
-    /// The device signing key held by this firmware.
-    #[must_use]
-    pub fn device_signing_key(&self) -> SigningKey {
-        SigningKey::from_seed(&self.device_key_seed)
-    }
-}
-
-/// Message over which σ_SecKrnl is computed.
-#[must_use]
-pub fn seckrnl_cert_message(
-    kernel_hash: &[u8; 32],
-    attest_sign_public: &VerifyingKey,
-    attest_dh_public: &[u8; 32],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_str("shef.sigma-seckrnl.v1");
-    w.put_fixed(kernel_hash);
-    w.put_fixed(&attest_sign_public.0);
-    w.put_fixed(attest_dh_public);
-    w.finish()
-}
-
-/// Public outcome of a successful secure boot.
-#[derive(Debug, Clone)]
-pub struct BootReport {
-    /// SHA-256 of the Security Kernel binary.
-    pub kernel_hash: [u8; 32],
-    /// The attestation signing public key.
-    pub attest_sign_public: VerifyingKey,
-    /// The attestation Diffie–Hellman public key.
-    pub attest_dh_public: [u8; 32],
-    /// Device certificate over the kernel hash and attestation keys.
-    pub sigma_seckrnl: Signature,
-    /// Modelled boot latency.
-    pub timing: BootTiming,
-}
 
 /// Boot-phase latency model, calibrated to the paper's Ultra96
 /// measurement: "the boot process, from power-on to bitstream loading,
@@ -162,249 +72,176 @@ impl BootTiming {
     }
 }
 
-/// Derives the attestation keys from a device signature over the kernel
-/// hash, per §4: the signature seeds a key generator.
-#[must_use]
-pub fn derive_attestation_keys(
-    device_key: &SigningKey,
-    kernel_hash: &[u8; 32],
-) -> (SigningKey, EciesKeyPair) {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    let digest = Sha512::digest(&sig.0);
-    let sign_seed: [u8; 32] = digest[..32].try_into().expect("lower half");
-    let mut dh_drbg = HmacDrbg::from_seed(&digest);
-    dh_drbg.reseed(b"shef.attest.dh");
-    let sign_key = SigningKey::from_seed(&sign_seed);
-    let dh_key = EciesKeyPair::generate(&mut dh_drbg);
-    (sign_key, dh_key)
-}
-
-/// Executes the full secure boot chain on a board.
+/// Executes the full secure boot chain on a board whose boot medium
+/// holds the SPB firmware, the Security Kernel and the staged encrypted
+/// accelerator bitstream.
 ///
 /// On success the Security Kernel is running on the dedicated processor
-/// with the attestation keys in its private memory, and the tamper
-/// monitors are armed.
+/// with the tamper monitors armed, and the returned kernel is ready to
+/// answer an attestation challenge.
 ///
 /// # Errors
 ///
-/// * [`ShefError::Fpga`] if BootROM rejects the firmware or images are
+/// * [`ShefError::Fpga`] if BootROM rejects the firmware or an image is
 ///   missing.
-/// * [`ShefError::Malformed`] if the firmware payload is corrupt.
-pub fn secure_boot(board: &mut Board) -> Result<BootReport, ShefError> {
-    // 1. BootROM: decrypt + authenticate the SPB firmware.
-    let enc_fw = board.boot_medium.load(image_names::SPB_FIRMWARE)?.to_vec();
-    let payload_bytes = board
+/// * [`ShefError::AttestationFailed`] if the firmware's device
+///   certificate is corrupt or names another device.
+pub fn secure_boot(board: &mut Board) -> Result<SecurityKernel, ShefError> {
+    // 1. BootROM: authenticate the firmware, derive the root, lock the
+    //    key store.
+    let firmware = board.boot_medium.load(image_names::SPB_FIRMWARE)?.to_vec();
+    let (payload, root) = board
         .device
         .spb
-        .boot_rom(&mut board.device.keystore, &enc_fw)?;
-    let firmware = FirmwarePayload::from_bytes(&payload_bytes)?;
-    let device_key = firmware.device_signing_key();
+        .boot_rom_measured(&mut board.device.keystore, &firmware)?;
+    let device_cert = DeviceCert::from_bytes(&payload)?;
+    let mut kernel = SecurityKernel::new(root, board.device.die_serial(), device_cert)?;
 
-    // 2. Firmware measures the Security Kernel.
-    let kernel = board
+    // 2. Measure the Security Kernel, then the staged bitstream.
+    let binary = board
         .boot_medium
         .load(image_names::SECURITY_KERNEL)?
         .to_vec();
-    let kernel_hash = Sha256::digest(&kernel);
+    kernel.load_shield_bitstream(image_names::SECURITY_KERNEL, &binary);
+    kernel.load_shield_bitstream(
+        image_names::ACCELERATOR_BITSTREAM,
+        board.boot_medium.load(image_names::ACCELERATOR_BITSTREAM)?,
+    );
 
-    // 3. Attestation keys bound to (device, kernel).
-    let (attest_sign, attest_dh) = derive_attestation_keys(&device_key, &kernel_hash);
-    let attest_sign_public = attest_sign.verifying_key();
-    let attest_dh_public = attest_dh.public_key().0;
-    let sigma_seckrnl = device_key.sign(&seckrnl_cert_message(
-        &kernel_hash,
-        &attest_sign_public,
-        &attest_dh_public,
-    ));
-
-    // 4. Load the kernel onto the dedicated processor; hand it the keys
-    //    through on-chip shared memory. The kernel never sees the device
-    //    key itself.
+    // 3. Start the kernel on its processor; it arms the monitors.
     board.device.sk_processor.load_kernel(KernelImage {
-        binary: kernel,
-        hash: kernel_hash,
+        hash: Sha256::digest(&binary),
+        binary,
     });
-    let mem = board.device.sk_processor.private_memory();
-    // Reconstruct seeds the same way derive_attestation_keys did: store
-    // the generator inputs rather than raw secrets where possible.
-    mem.store(
-        slots::ATTEST_SIGN_SEED,
-        attest_sign_seed_bytes(&device_key, &kernel_hash).to_vec(),
-    );
-    mem.store(
-        slots::ATTEST_DH_SEED,
-        attest_dh_seed_bytes(&device_key, &kernel_hash).to_vec(),
-    );
-    mem.store(slots::SIGMA_SECKRNL, sigma_seckrnl.0.to_vec());
-    mem.store(slots::KERNEL_HASH, kernel_hash.to_vec());
-
-    // 5. The kernel starts its continuous monitors.
     board.device.ports.arm_monitors();
-
-    Ok(BootReport {
-        kernel_hash,
-        attest_sign_public,
-        attest_dh_public,
-        sigma_seckrnl,
-        timing: BootTiming::ultra96(),
-    })
+    Ok(kernel)
 }
 
-/// Seed bytes for the attestation signing key (shared derivation between
-/// the firmware and the kernel's private-memory copy).
-fn attest_sign_seed_bytes(device_key: &SigningKey, kernel_hash: &[u8; 32]) -> [u8; 32] {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    let digest = Sha512::digest(&sig.0);
-    digest[..32].try_into().expect("lower half")
-}
-
-/// Seed bytes for the attestation DH key.
-fn attest_dh_seed_bytes(device_key: &SigningKey, kernel_hash: &[u8; 32]) -> [u8; 64] {
-    let mut msg = b"shef.attest-seed.v1".to_vec();
-    msg.extend_from_slice(kernel_hash);
-    let sig = device_key.sign(&msg);
-    Sha512::digest(&sig.0)
-}
-
-/// Reconstructs the Security Kernel's attestation keys from private
-/// memory (what kernel code does at runtime).
+/// Security-Kernel runtime duty: poll the tamper monitors; on any event,
+/// halt the kernel, clear the PR region and report.
 ///
 /// # Errors
 ///
-/// Returns [`ShefError::BootFailed`] if the kernel was not booted.
-pub fn kernel_attestation_keys(board: &mut Board) -> Result<(SigningKey, EciesKeyPair), ShefError> {
-    let mem = board.device.sk_processor.private_memory();
-    let sign_seed = mem
-        .load(slots::ATTEST_SIGN_SEED)
-        .ok_or_else(|| ShefError::BootFailed("attestation keys not provisioned".into()))?;
-    let sign_seed: [u8; 32] = sign_seed
-        .try_into()
-        .map_err(|_| ShefError::BootFailed("corrupt attestation seed".into()))?;
-    let dh_seed = mem
-        .load(slots::ATTEST_DH_SEED)
-        .ok_or_else(|| ShefError::BootFailed("attestation DH seed missing".into()))?
-        .to_vec();
-    let sign_key = SigningKey::from_seed(&sign_seed);
-    let mut dh_drbg = HmacDrbg::from_seed(&dh_seed);
-    dh_drbg.reseed(b"shef.attest.dh");
-    let dh_key = EciesKeyPair::generate(&mut dh_drbg);
-    Ok((sign_key, dh_key))
+/// Returns [`ShefError::TamperDetected`] describing the first event.
+pub fn kernel_check_monitors(board: &mut Board) -> Result<(), ShefError> {
+    let events = board.device.ports.take_events();
+    if let Some(event) = events.first() {
+        board.device.fabric.clear_partial();
+        board.device.sk_processor.halt();
+        return Err(ShefError::TamperDetected(format!(
+            "{} access: {}",
+            event.port, event.description
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::{Csp, Manufacturer, SECURITY_KERNEL_BINARY};
+    use shef_attest::{AttestError, AttestationRoot, ManufacturerCa, MeasurementChain};
     use shef_fpga::keystore::KeyProtection;
     use shef_fpga::spb::seal_firmware;
 
-    fn provisioned_board() -> Board {
+    const STAGED: &[u8] = b"staged encrypted accelerator bitstream";
+
+    fn provisioned_board() -> (Board, Manufacturer) {
+        let mut manufacturer = Manufacturer::new(b"boot-tests");
         let mut board = Board::new(b"die-boot-test");
-        let device_aes = [0x10u8; 32];
+        manufacturer.provision_device(&mut board).unwrap();
+        Csp::new("shell-v1").rack_board(&mut board).unwrap();
         board
-            .device
-            .keystore
-            .burn_aes_key(device_aes, KeyProtection::PufWrapped)
-            .unwrap();
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
-        board.boot_medium.store(
-            image_names::SPB_FIRMWARE,
-            seal_firmware(&device_aes, &fw.to_bytes()),
-        );
-        board.boot_medium.store(
-            image_names::SECURITY_KERNEL,
-            b"shef security kernel v1".to_vec(),
-        );
-        board
+            .boot_medium
+            .store(image_names::ACCELERATOR_BITSTREAM, STAGED.to_vec());
+        (board, manufacturer)
     }
 
     #[test]
     fn boot_succeeds_on_provisioned_board() {
-        let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
+        let (mut board, _) = provisioned_board();
+        let kernel = secure_boot(&mut board).unwrap();
         assert!(board.device.sk_processor.is_running());
         assert!(board.device.ports.monitors_armed());
-        assert_eq!(
-            report.kernel_hash,
-            Sha256::digest(b"shef security kernel v1")
-        );
+        let mut chain = MeasurementChain::new();
+        chain.extend(image_names::SECURITY_KERNEL, SECURITY_KERNEL_BINARY);
+        chain.extend(image_names::ACCELERATOR_BITSTREAM, STAGED);
+        assert_eq!(kernel.measurement().unwrap(), chain.current());
     }
 
     #[test]
     fn attestation_key_bound_to_kernel_binary() {
-        let mut board = provisioned_board();
-        let report1 = secure_boot(&mut board).unwrap();
+        let (mut board, _) = provisioned_board();
+        let ak1 = secure_boot(&mut board).unwrap().ak_cert().unwrap().clone();
         // Same device, same kernel → same identity on re-boot.
         board.device.power_cycle();
-        let report2 = secure_boot(&mut board).unwrap();
-        assert_eq!(report1.attest_sign_public, report2.attest_sign_public);
+        let ak2 = secure_boot(&mut board).unwrap().ak_cert().unwrap().clone();
+        assert_eq!(ak1, ak2);
         // Different kernel → different identity.
         board.device.power_cycle();
         board
             .boot_medium
             .store(image_names::SECURITY_KERNEL, b"EVIL kernel".to_vec());
-        let report3 = secure_boot(&mut board).unwrap();
-        assert_ne!(report1.attest_sign_public, report3.attest_sign_public);
-        assert_ne!(report1.kernel_hash, report3.kernel_hash);
+        let ak3 = secure_boot(&mut board).unwrap().ak_cert().unwrap().clone();
+        assert_ne!(ak1.ak_public, ak3.ak_public);
+        assert_ne!(ak1.measurement, ak3.measurement);
     }
 
     #[test]
     fn sigma_seckrnl_verifies_under_device_key() {
-        let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
-        let device_public = SigningKey::from_seed(&[0x20u8; 32]).verifying_key();
-        let msg = seckrnl_cert_message(
-            &report.kernel_hash,
-            &report.attest_sign_public,
-            &report.attest_dh_public,
-        );
-        device_public.verify(&msg, &report.sigma_seckrnl).unwrap();
-    }
-
-    #[test]
-    fn kernel_keys_recoverable_from_private_memory() {
-        let mut board = provisioned_board();
-        let report = secure_boot(&mut board).unwrap();
-        let (sign, dh) = kernel_attestation_keys(&mut board).unwrap();
-        assert_eq!(sign.verifying_key(), report.attest_sign_public);
-        assert_eq!(dh.public_key().0, report.attest_dh_public);
+        // The AK certificate is the paper's σ_SecKrnl: the device
+        // identity signs (measurement ∋ H(SecKrnl), AttestKey_pub).
+        let (mut board, manufacturer) = provisioned_board();
+        let kernel = secure_boot(&mut board).unwrap();
+        let device_cert = kernel.device_cert();
+        device_cert.verify(&manufacturer.ca_root()).unwrap();
+        kernel
+            .ak_cert()
+            .unwrap()
+            .verify(&device_cert.device_public)
+            .unwrap();
     }
 
     #[test]
     fn boot_fails_with_wrong_device_key_firmware() {
-        let mut board = provisioned_board();
+        let (mut board, _) = provisioned_board();
         // Replace firmware with one sealed under a different AES key.
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&[0xEEu8; 32], &fw.to_bytes()),
+            seal_firmware(&[0xEEu8; 32], b"firmware for another device"),
         );
-        assert!(secure_boot(&mut board).is_err());
+        assert!(matches!(
+            secure_boot(&mut board),
+            Err(ShefError::Fpga(
+                shef_fpga::FpgaError::FirmwareAuthentication
+            ))
+        ));
         assert!(!board.device.sk_processor.is_running());
     }
 
-    #[test]
-    fn boot_fails_without_kernel_image() {
-        let mut board = Board::new(b"die-2");
+    /// A board whose burned key authenticates firmware carrying a CA
+    /// certificate for `certified_die`'s identity.
+    fn burned_board(die: &[u8], certified_die: &[u8]) -> Board {
+        let mut board = Board::new(die);
         board
             .device
             .keystore
             .burn_aes_key([0x10u8; 32], KeyProtection::EFuse)
             .unwrap();
-        let fw = FirmwarePayload {
-            device_key_seed: [0x20u8; 32],
-        };
+        let cert = ManufacturerCa::from_seed(b"boot-tests").certify_device(
+            certified_die,
+            &AttestationRoot::from_device_key(&[0x10u8; 32]),
+        );
         board.boot_medium.store(
             image_names::SPB_FIRMWARE,
-            seal_firmware(&[0x10u8; 32], &fw.to_bytes()),
+            seal_firmware(&[0x10u8; 32], &cert.to_bytes()),
         );
+        board
+    }
+
+    #[test]
+    fn boot_fails_without_kernel_image() {
+        let mut board = burned_board(b"die-2", b"die-2");
         assert!(matches!(
             secure_boot(&mut board),
             Err(ShefError::Fpga(shef_fpga::FpgaError::MissingImage(_)))
@@ -412,12 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn unbooted_board_has_no_attestation_keys() {
-        let mut board = provisioned_board();
+    fn forged_device_rejected() {
+        // Genuine firmware whose certificate names another die.
+        let mut board = burned_board(b"die-3", b"die-other");
         assert!(matches!(
-            kernel_attestation_keys(&mut board),
-            Err(ShefError::BootFailed(_))
+            secure_boot(&mut board),
+            Err(ShefError::AttestationFailed(AttestError::CertChain(_)))
         ));
+        assert!(!board.device.sk_processor.is_running());
     }
 
     #[test]
@@ -431,12 +270,29 @@ mod tests {
     }
 
     #[test]
-    fn firmware_payload_round_trip() {
-        let fw = FirmwarePayload {
-            device_key_seed: [7u8; 32],
-        };
-        let parsed = FirmwarePayload::from_bytes(&fw.to_bytes()).unwrap();
-        assert_eq!(parsed.device_key_seed, fw.device_key_seed);
-        assert!(FirmwarePayload::from_bytes(b"junk").is_err());
+    fn monitor_trip_halts_kernel() {
+        let (mut board, _) = provisioned_board();
+        secure_boot(&mut board).unwrap();
+        board
+            .device
+            .fabric
+            .load_partial(b"accelerator".to_vec())
+            .unwrap();
+        board
+            .device
+            .ports
+            .adversarial_access(shef_fpga::ports::DebugPort::Jtag, "probe");
+        let err = kernel_check_monitors(&mut board).unwrap_err();
+        assert!(matches!(err, ShefError::TamperDetected(_)));
+        assert!(!board.device.sk_processor.is_running());
+        assert!(board.device.fabric.partial().is_none());
+    }
+
+    #[test]
+    fn clean_monitors_pass() {
+        let (mut board, _) = provisioned_board();
+        secure_boot(&mut board).unwrap();
+        kernel_check_monitors(&mut board).unwrap();
+        assert!(board.device.sk_processor.is_running());
     }
 }

@@ -1,5 +1,6 @@
 //! Error types for the ShEF core.
 
+use shef_attest::AttestError;
 use shef_crypto::CryptoError;
 use shef_fpga::FpgaError;
 
@@ -14,8 +15,9 @@ pub enum ShefError {
     Fpga(FpgaError),
     /// A message or image failed to deserialize.
     Malformed(String),
-    /// Attestation failed verification; the reason is for the audit log.
-    AttestationFailed(String),
+    /// Attestation failed verification; the typed check names the
+    /// reason.
+    AttestationFailed(AttestError),
     /// The Shield detected an integrity violation (spoof/splice/replay).
     IntegrityViolation(String),
     /// An operation required a key that has not been provisioned.
@@ -61,6 +63,7 @@ impl std::error::Error for ShefError {
         match self {
             ShefError::Crypto(e) => Some(e),
             ShefError::Fpga(e) => Some(e),
+            ShefError::AttestationFailed(e) => Some(e),
             _ => None,
         }
     }
@@ -78,9 +81,9 @@ impl From<FpgaError> for ShefError {
     }
 }
 
-impl From<shef_attest::AttestError> for ShefError {
-    fn from(e: shef_attest::AttestError) -> Self {
-        ShefError::AttestationFailed(e.to_string())
+impl From<AttestError> for ShefError {
+    fn from(e: AttestError) -> Self {
+        ShefError::AttestationFailed(e)
     }
 }
 

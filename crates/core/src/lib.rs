@@ -5,10 +5,8 @@
 //! [`shef_fpga`]:
 //!
 //! * [`boot`] — the secure boot chain (§4 "Secure Boot"): BootROM → SPB
-//!   firmware → measured Security Kernel with a device-bound Attestation
-//!   Key.
-//! * [`attest`] — the remote attestation protocol of Fig. 3, three-party
-//!   (Data Owner ↔ IP Vendor ↔ Security Kernel) over untrusted channels.
+//!   firmware → a `shef_attest` Security Kernel that has measured itself
+//!   and the staged accelerator bitstream.
 //! * [`bitstream`] — the partial-bitstream container: accelerator logic,
 //!   Shield configuration and the embedded private Shield Encryption Key,
 //!   sealed under the Bitstream Encryption Key.
@@ -16,10 +14,10 @@
 //!   interposes authenticated encryption on the register and memory
 //!   interfaces between accelerator and Shell, with per-region engine
 //!   sets, buffers and freshness counters, plus area and timing models.
-//! * [`pki`] — the certificate authority machinery binding device keys
-//!   to the Manufacturer and Security-Kernel hashes to a public list.
 //! * [`workflow`] — the four parties (Manufacturer, CSP, IP Vendor, Data
-//!   Owner) and the eleven-step lifecycle of Fig. 2 as a typed API.
+//!   Owner) and the eleven-step lifecycle of Fig. 2 as a typed API; the
+//!   vendor releases the Bitstream Key (Fig. 3) through one `shef_attest`
+//!   attestation round.
 //! * [`attacks`] — the adversarial harness used to demonstrate that the
 //!   threat-model attacks (Shell man-in-the-middle, DRAM spoof/splice/
 //!   replay, JTAG tamper, bitstream swaps) are detected.
@@ -54,13 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod attacks;
-pub mod attest;
 pub mod bitstream;
 pub mod boot;
 pub mod error;
 pub mod fault;
 pub mod oram;
-pub mod pki;
 pub mod shield;
 pub mod sidechannel;
 pub mod workflow;

@@ -52,7 +52,10 @@ impl MemRange {
     /// True if the full `[addr, addr+len)` window fits inside the range.
     #[must_use]
     pub fn contains_span(&self, addr: u64, len: usize) -> bool {
-        self.contains(addr) && addr + len as u64 <= self.end()
+        self.contains(addr)
+            && addr
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= self.end())
     }
 
     /// True if two ranges overlap.
@@ -299,6 +302,18 @@ impl ShieldConfig {
     ///
     /// Returns [`ShefError::InvalidConfig`] describing the violation.
     pub fn validate(&self) -> Result<(), ShefError> {
+        // Every later check computes `end()`, so reject wrapping ranges
+        // before any of them runs.
+        if let Some(region) = self
+            .regions
+            .iter()
+            .find(|r| r.range.start.checked_add(r.range.len).is_none())
+        {
+            return Err(ShefError::InvalidConfig(format!(
+                "region '{}' ends past the address space",
+                region.name
+            )));
+        }
         for (i, region) in self.regions.iter().enumerate() {
             region.engine_set.validate()?;
             if region.range.len == 0 {
@@ -494,6 +509,27 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ShefError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn wrapping_region_rejected() {
+        let err = ShieldConfig::builder()
+            .region("r", MemRange::new(u64::MAX, 2), es(512))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ShefError::InvalidConfig(_)));
+        // The same region through the wire format.
+        let mut cfg = ShieldConfig::builder()
+            .region("r", MemRange::new(0, 4096), es(512))
+            .build()
+            .unwrap();
+        cfg.regions[0].range = MemRange::new(u64::MAX, 2);
+        let parsed = ShieldConfig::from_bytes(&cfg.to_bytes()).unwrap();
+        assert!(matches!(
+            parsed.validate(),
+            Err(ShefError::InvalidConfig(_))
+        ));
+        assert!(!MemRange::new(0, 4096).contains_span(100, usize::MAX));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Minimal length-prefixed wire format used by bitstreams, boot payloads
-//! and attestation messages.
+//! Minimal length-prefixed wire format used by bitstreams, Shield
+//! configurations, stream frames and the MAC/AD encodings.
 //!
 //! Hand-rolled (rather than serde) because the formats are tiny, must be
 //! stable byte-for-byte (they are hashed and signed), and the offline

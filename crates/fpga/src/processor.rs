@@ -119,8 +119,7 @@ impl SecurityKernelProcessor {
     /// Access to the kernel's private on-chip memory.
     ///
     /// This accessor represents code *running on* the processor; the rest
-    /// of the system has no path to it. (`shef-core::boot` is the only
-    /// caller.)
+    /// of the system has no path to it.
     pub fn private_memory(&mut self) -> &mut PrivateMemory {
         &mut self.private_memory
     }

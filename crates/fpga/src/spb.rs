@@ -7,11 +7,11 @@
 //! manufacturer's SPB firmware with the e-fuse AES device key and hands
 //! control to it (§4, "Secure Boot").
 //!
-//! The *behaviour* of the decrypted firmware (hashing the Security
-//! Kernel, deriving the Attestation Key) is ShEF logic and lives in
-//! `shef-core::boot`; this module provides the hardware primitive: an
-//! authenticated-decryption BootROM path that is the only consumer of the
-//! device key.
+//! The *behaviour* after hand-off (measuring the Security Kernel,
+//! deriving the Attestation Key) is ShEF logic and lives in
+//! `shef-core::boot` and `shef-attest`; this module provides the hardware
+//! primitive: an authenticated-decryption BootROM path that is the only
+//! consumer of the device key.
 
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, Sealed};
 use shef_crypto::{hkdf, CryptoError};
@@ -107,8 +107,12 @@ impl Spb {
     }
 
     /// Executes BootROM: reads the AES device key from the key store,
-    /// decrypts and authenticates the firmware image, locks the key
-    /// store, and returns the firmware payload.
+    /// decrypts and authenticates the firmware image, derives the
+    /// [`AttestationRoot`] from the device key, locks the key store, and
+    /// returns the firmware payload with the root. The caller (the
+    /// Security Kernel model in `shef-attest`) uses the root to derive
+    /// its attestation identity and keys; the raw device key stays
+    /// confined to this method.
     ///
     /// Locking the key store models the hardware property that after
     /// boot hand-off no other logic can touch the device key — the basis
@@ -119,25 +123,6 @@ impl Spb {
     /// * [`FpgaError::KeyStore`] if no device key is burned.
     /// * [`FpgaError::FirmwareAuthentication`] if the image does not
     ///   decrypt and authenticate under the device key.
-    pub fn boot_rom(
-        &mut self,
-        keystore: &mut KeyStore,
-        encrypted_firmware: &[u8],
-    ) -> Result<Vec<u8>, FpgaError> {
-        self.boot_rom_measured(keystore, encrypted_firmware)
-            .map(|(payload, _)| payload)
-    }
-
-    /// [`Spb::boot_rom`] for a measured-boot flow: additionally derives
-    /// the [`AttestationRoot`] from the device key before locking the
-    /// key store, and hands it out alongside the firmware payload. The
-    /// caller (the Security Kernel model in `shef-attest`) uses the
-    /// root to derive its attestation identity and keys; the raw device
-    /// key stays confined to this method.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Spb::boot_rom`].
     pub fn boot_rom_measured(
         &mut self,
         keystore: &mut KeyStore,
@@ -182,7 +167,7 @@ mod tests {
         let mut ks = burned_keystore();
         let enc = seal_firmware(&[0x11u8; 32], b"firmware payload");
         let mut spb = Spb::new();
-        let payload = spb.boot_rom(&mut ks, &enc).unwrap();
+        let (payload, _) = spb.boot_rom_measured(&mut ks, &enc).unwrap();
         assert_eq!(payload, b"firmware payload");
         assert_eq!(spb.state(), SpbState::FirmwareLoaded);
     }
@@ -192,10 +177,10 @@ mod tests {
         let mut ks = burned_keystore();
         let enc = seal_firmware(&[0x11u8; 32], b"fw");
         let mut spb = Spb::new();
-        spb.boot_rom(&mut ks, &enc).unwrap();
+        spb.boot_rom_measured(&mut ks, &enc).unwrap();
         // Second boot attempt without reset fails: key store is locked.
         assert!(matches!(
-            spb.boot_rom(&mut ks, &enc),
+            spb.boot_rom_measured(&mut ks, &enc),
             Err(FpgaError::KeyStore(_))
         ));
     }
@@ -206,7 +191,7 @@ mod tests {
         let enc = seal_firmware(&[0x22u8; 32], b"fw built for another device");
         let mut spb = Spb::new();
         assert_eq!(
-            spb.boot_rom(&mut ks, &enc),
+            spb.boot_rom_measured(&mut ks, &enc),
             Err(FpgaError::FirmwareAuthentication)
         );
         assert_eq!(spb.state(), SpbState::Faulted);
@@ -220,7 +205,7 @@ mod tests {
         enc[last] ^= 1;
         let mut spb = Spb::new();
         assert_eq!(
-            spb.boot_rom(&mut ks, &enc),
+            spb.boot_rom_measured(&mut ks, &enc),
             Err(FpgaError::FirmwareAuthentication)
         );
     }
@@ -230,7 +215,7 @@ mod tests {
         let mut ks = burned_keystore();
         let mut spb = Spb::new();
         assert_eq!(
-            spb.boot_rom(&mut ks, &[1, 2, 3]),
+            spb.boot_rom_measured(&mut ks, &[1, 2, 3]),
             Err(FpgaError::FirmwareAuthentication)
         );
     }
@@ -255,7 +240,7 @@ mod tests {
         let enc = seal_firmware(&[0u8; 32], b"fw");
         let mut spb = Spb::new();
         assert!(matches!(
-            spb.boot_rom(&mut ks, &enc),
+            spb.boot_rom_measured(&mut ks, &enc),
             Err(FpgaError::KeyStore(_))
         ));
     }

@@ -75,12 +75,12 @@ proptest! {
         ks.burn_aes_key(device_key, KeyProtection::PufWrapped).unwrap();
         let mut spb = Spb::new();
         let good = seal_firmware(&device_key, &payload);
-        prop_assert_eq!(spb.boot_rom(&mut ks, &good).unwrap(), payload.clone());
+        prop_assert_eq!(spb.boot_rom_measured(&mut ks, &good).unwrap().0, payload.clone());
         // Reset; wrong-key firmware must be rejected.
         spb.reset();
         ks.unlock_on_reset();
         let bad = seal_firmware(&other_key, &payload);
-        prop_assert!(spb.boot_rom(&mut ks, &bad).is_err());
+        prop_assert!(spb.boot_rom_measured(&mut ks, &bad).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example attack_demo`
 
 use shef::core::attacks::{icap_swap, jtag_probe, MemReadSpoofer, ReplaySnapshot};
-use shef::core::attest::kernel_check_monitors;
+use shef::core::boot::kernel_check_monitors;
 use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig, WorkerPool};
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;

@@ -1,37 +1,36 @@
-//! Tenant onboarding over remote attestation, message by message.
+//! Remote attestation, message by message: two key releases, one
+//! protocol.
 //!
-//! `attestation_flow` walks the IP **vendor's** protocol: releasing the
-//! bitstream decryption key to a measured Security Kernel. This example
-//! walks the **Data Owner's** protocol one layer up: convincing
-//! yourself the right Shield bitstream is running, sealing your data
-//! encryption key to that enclave, and presenting the resulting ticket
-//! to the multi-tenant `ShieldService` — which refuses any tenant that
-//! cannot show one.
+//! Both of ShEF's key releases run the same `shef-attest` round —
+//! challenge → quote → verify and seal → redeem — against a measured
+//! Security Kernel:
 //!
-//! 1. Manufacturing: the Manufacturer burns a device key, derives the
-//!    attestation root during measured boot, and certifies the device.
-//! 2. The Security Kernel measures the Shield bitstream and derives its
-//!    Attestation Key from root ‖ measurement.
-//! 3. Verifier → Kernel: nonce + ephemeral X25519 key (the challenge).
-//! 4. Kernel → Verifier: quote — measurement, nonce, key-exchange
-//!    shares, and the device/AK certificate chain, AK-signed.
-//! 5. Verifier: checks freshness, the chain, the signature, and the
-//!    measurement registry; seals the tenant DEK to the session;
-//!    signs an admission ticket.
-//! 6. Kernel: unseals the DEK (one-shot) → an `AttestedTenant` grant.
-//! 7. `ShieldService::register_tenant` admits the grant, pins the
-//!    verifier, and rejects forgeries and replays.
+//! * **Round 1, the IP Vendor (Fig. 3).** Secure boot measures the
+//!   Security Kernel binary and the staged encrypted accelerator
+//!   bitstream. The vendor checks that the quote chains to the
+//!   Manufacturer CA (genuine device), that the measurement is an
+//!   audited kernel followed by its bitstream, and that the nonce is
+//!   fresh. It then seals the **Bitstream Key** to the kernel's session,
+//!   and the kernel decrypts and loads the accelerator.
+//! * **Round 2, the Data Owner.** The owner's verifier checks the Shield
+//!   bitstream the same way and seals the tenant's **Data Encryption
+//!   Key**. The multi-tenant `ShieldService` admits only grants that
+//!   the owner's verifier issued. A replayed credential is refused, and
+//!   so is the vendor's Bitstream-Key grant.
 //!
 //! Run with: `cargo run --release --example attested_tenant`
 
 use shef::attest::{AttestError, AttestationEnvironment};
+use shef::core::boot::secure_boot;
 use shef::core::fault::ShieldFault;
 use shef::core::shield::{
     AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, ServiceConfig, ServiceRequest,
     ShieldConfig, ShieldService,
 };
+use shef::core::workflow::{load_accelerator, TestBench};
 use shef::core::ShefError;
 use shef::crypto::to_hex;
+use shef::fpga::board::image_names;
 
 fn hex8(bytes: &[u8]) -> String {
     format!("{}…", &to_hex(bytes)[..16])
@@ -49,6 +48,49 @@ fn shield_config() -> ShieldConfig {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // ===== Round 1: the IP Vendor releases the Bitstream Key.
+    let mut bench = TestBench::new("examples.attested-tenant");
+    let mut board = bench.fresh_board(b"die-attest-042")?;
+    let product = bench.vendor.package_accelerator(
+        "attest-demo-v1",
+        shield_config(),
+        b"<netlist>".to_vec(),
+    )?;
+    board.boot_medium.store(
+        image_names::ACCELERATOR_BITSTREAM,
+        product.encrypted_bitstream.0.clone(),
+    );
+    let mut kernel = secure_boot(&mut board)?;
+    println!(
+        "[boot]    kernel + staged bitstream measured: {}",
+        hex8(&kernel.measurement()?.0)
+    );
+    let challenge = bench.vendor.challenge(&product.accel_id)?;
+    println!("[vendor]  nonce {}", hex8(&challenge.nonce));
+    let quote = kernel.quote(&challenge)?;
+    println!("[kernel]  quote signed by AK {}", hex8(&quote.ak_public.0));
+    let ticket = bench
+        .vendor
+        .release_bitstream_key(&product.accel_id, &quote)?;
+    println!("[vendor]  device ✓ kernel + bitstream ✓ nonce ✓ → Bitstream Key sealed");
+    let key_grant = kernel.redeem(&ticket)?;
+    let bitstream = load_accelerator(&mut board, &key_grant)?;
+    println!(
+        "[kernel]  '{}' decrypted and loaded into the PR region ✓",
+        bitstream.accel_id
+    );
+    match bench
+        .vendor
+        .release_bitstream_key(&product.accel_id, &quote)
+    {
+        Err(ShefError::AttestationFailed(AttestError::ReplayedNonce)) => {
+            println!("[vendor]  replayed quote refused ✓");
+        }
+        other => panic!("replayed quote must be refused, got {other:?}"),
+    }
+    println!();
+
+    // ===== Round 2: the Data Owner releases its DEK.
     // --- 1–2. Manufacturing + measured boot, bundled by the fixture:
     // a device with a burned key, a certified attestation root, and a
     // Security Kernel that has measured the demo Shield bitstream.
@@ -146,6 +188,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("replayed grant must be rejected, got {other:?}"),
     }
 
-    println!("\nAttested onboarding complete: measure → quote → verify → seal → admit.");
+    // (c) The vendor's Bitstream-Key grant is no tenant credential.
+    match service.register_tenant("attest-demo-v1", shield_config(), &key_grant) {
+        Err(ShefError::Fault(ShieldFault::AttestationRejected { reason, .. })) => {
+            println!("[reject]  vendor key grant: {reason} ✓");
+        }
+        other => panic!("vendor grant must be rejected, got {other:?}"),
+    }
+
+    println!("\nTwo key releases, one protocol: measure → quote → verify → seal → redeem.");
     Ok(())
 }

@@ -20,8 +20,8 @@
 //! walk-through, and `docs/SECURITY_MODEL.md` for the threat model and
 //! attestation protocol. The `examples/` directory holds end-to-end
 //! walkthroughs (`quickstart`, `gdpr_storage`, `secure_ml_inference`,
-//! `attack_demo`, `attestation_flow`, `attested_tenant`,
-//! `custom_engine`, `multi_tenant`, `secure_stream`); the repository
+//! `attack_demo`, `attested_tenant`, `custom_engine`, `multi_tenant`,
+//! `secure_stream`); the repository
 //! `README.md` has build, test, and benchmark instructions, including
 //! how to regenerate the paper's tables and figures with the binaries
 //! in `crates/bench`.

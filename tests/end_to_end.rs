@@ -4,6 +4,8 @@
 use shef::accel::harness::{run_baseline, run_shielded_parallel};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
+use shef::attest::AttestError;
+use shef::core::boot::secure_boot;
 use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig, WorkerPool};
 use shef::core::workflow::{Manufacturer, TestBench};
 use shef::core::ShefError;
@@ -80,16 +82,32 @@ fn two_devices_have_distinct_attestation_identities() {
         .vendor
         .package_accelerator("id-accel", simple_config(), vec![])
         .unwrap();
-    let (instance_a, _) = bench
+    let (mut instance_a, _) = bench
         .data_owner
         .deploy(board_a, &mut bench.vendor, &bench.manufacturer, &product)
         .unwrap();
-    let (instance_b, _) = bench
+    let (mut instance_b, _) = bench
         .data_owner
         .deploy(board_b, &mut bench.vendor, &bench.manufacturer, &product)
         .unwrap();
+    // Same kernel and bitstream: same measurement, device-unique keys.
+    assert_eq!(
+        instance_a.boot_report.measurement,
+        instance_b.boot_report.measurement
+    );
     assert_ne!(
-        instance_a.boot_report.attest_sign_public, instance_b.boot_report.attest_sign_public,
+        instance_a
+            .kernel_mut()
+            .unwrap()
+            .ak_cert()
+            .unwrap()
+            .ak_public,
+        instance_b
+            .kernel_mut()
+            .unwrap()
+            .ak_cert()
+            .unwrap()
+            .ak_public,
         "attestation keys must be device-unique"
     );
 }
@@ -109,20 +127,22 @@ fn tampered_staged_bitstream_fails_attestation() {
         .data_owner
         .deploy(board, &mut bench.vendor, &bench.manufacturer, &evil)
         .unwrap_err();
-    assert!(matches!(err, ShefError::AttestationFailed(_)));
+    assert!(matches!(
+        err,
+        ShefError::AttestationFailed(AttestError::UnknownMeasurement(_))
+    ));
 }
 
 #[test]
 fn unknown_kernel_is_rejected_by_vendor() {
-    use shef::core::pki::MeasurementRegistry;
     use shef::core::workflow::{Csp, DataOwner, IpVendor};
 
     let mut manufacturer = Manufacturer::new(b"it-maker");
-    // Vendor with an empty registry: no kernel is trusted.
+    // Vendor that audited a different kernel build than the CSP runs.
     let mut vendor = IpVendor::new(
         "paranoid",
         manufacturer.ca_root(),
-        MeasurementRegistry::new(),
+        &[b"shef-security-kernel v0.9 (audited)"],
     );
     let csp = Csp::new("shell-v1");
     let mut owner = DataOwner::new(b"it-owner");
@@ -135,7 +155,10 @@ fn unknown_kernel_is_rejected_by_vendor() {
     let err = owner
         .deploy(board, &mut vendor, &manufacturer, &product)
         .unwrap_err();
-    assert!(matches!(err, ShefError::AttestationFailed(m) if m.contains("registry")));
+    assert!(matches!(
+        err,
+        ShefError::AttestationFailed(AttestError::UnknownMeasurement(_))
+    ));
 }
 
 #[test]
@@ -219,8 +242,31 @@ fn power_cycle_requires_fresh_boot() {
         .data_owner
         .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
         .unwrap();
+    let challenge = bench.vendor.challenge("pc-accel").unwrap();
+    let quote = instance.kernel_mut().unwrap().quote(&challenge).unwrap();
+    let ticket = bench
+        .vendor
+        .release_bitstream_key("pc-accel", &quote)
+        .unwrap();
+
     instance.board.device.power_cycle();
     assert!(!instance.board.device.sk_processor.is_running());
-    // The kernel's attestation keys were erased with it.
-    assert!(shef::core::boot::kernel_attestation_keys(&mut instance.board).is_err());
+    // The kernel died with its sessions: no quote, no redeem.
+    assert!(matches!(
+        instance.kernel_mut(),
+        Err(ShefError::BootFailed(_))
+    ));
+    // Secure boot yields a fresh kernel; the old session stays dead.
+    let mut kernel = secure_boot(&mut instance.board).unwrap();
+    assert!(instance.kernel_mut().is_err());
+    assert_eq!(
+        kernel.redeem(&ticket).unwrap_err(),
+        AttestError::UnknownSession
+    );
+    let challenge = bench.vendor.challenge("pc-accel").unwrap();
+    let quote = kernel.quote(&challenge).unwrap();
+    bench
+        .vendor
+        .release_bitstream_key("pc-accel", &quote)
+        .unwrap();
 }
