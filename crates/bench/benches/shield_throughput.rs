@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the Shield datapath itself: functional
 //! (wall-clock) throughput of engine-set reads/writes under different
-//! configurations and lane counts, plus the end-to-end vecadd harness.
+//! configurations and lane counts, the per-op cost of a 64 B buffer hit
+//! and miss, plus the end-to-end vecadd harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shef_accel::harness::{run_baseline, run_shielded_parallel};
@@ -16,7 +17,11 @@ use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 
-fn shielded_setup(chunk: usize, mac: MacAlgorithm) -> (Shield, Shell, Dram, DataEncryptionKey) {
+fn shielded_setup(
+    chunk: usize,
+    mac: MacAlgorithm,
+    buffer_bytes: usize,
+) -> (Shield, Shell, Dram, DataEncryptionKey) {
     let config = ShieldConfig::builder()
         .region(
             "bench",
@@ -24,7 +29,7 @@ fn shielded_setup(chunk: usize, mac: MacAlgorithm) -> (Shield, Shell, Dram, Data
             EngineSetConfig {
                 chunk_size: chunk,
                 mac,
-                buffer_bytes: 64 * 1024,
+                buffer_bytes,
                 ..EngineSetConfig::default()
             },
         )
@@ -54,7 +59,7 @@ fn bench_shield_reads(c: &mut Criterion) {
         ("c4096_pmac", 4096, MacAlgorithm::PmacAes, 1),
         ("c4096_gcm", 4096, MacAlgorithm::AesGcm, 1),
     ] {
-        let (mut shield, mut shell, mut dram, _) = shielded_setup(chunk, mac);
+        let (mut shield, mut shell, mut dram, _) = shielded_setup(chunk, mac, 64 * 1024);
         let pool = WorkerPool::new(lanes);
         group.throughput(Throughput::Bytes(1 << 20));
         group.bench_function(BenchmarkId::new("stream_1mb", name), |b| {
@@ -70,6 +75,34 @@ fn bench_shield_reads(c: &mut Criterion) {
                         &mut ledger,
                         0,
                         1 << 20,
+                        AccessMode::Streaming,
+                        &pool,
+                    )
+                    .unwrap()
+            })
+        });
+    }
+    // One 64 B accelerator read on 64 B HMAC chunks, the affine gather's
+    // geometry, on one lane: `hit_64b` re-reads a resident chunk;
+    // `miss_64b` alternates two chunks through a one-line buffer, so
+    // every read evicts a clean line and opens a chunk from DRAM.
+    for (name, buffer_bytes, flip) in [("hit_64b", 4096, 0u64), ("miss_64b", 0, 64)] {
+        let (mut shield, mut shell, mut dram, _) =
+            shielded_setup(64, MacAlgorithm::HmacSha256, buffer_bytes);
+        let pool = WorkerPool::new(1);
+        let mut ledger = CostLedger::new();
+        let mut addr = 0u64;
+        group.throughput(Throughput::Bytes(64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                addr ^= flip;
+                shield
+                    .read(
+                        &mut shell,
+                        &mut dram,
+                        &mut ledger,
+                        addr,
+                        64,
                         AccessMode::Streaming,
                         &pool,
                     )

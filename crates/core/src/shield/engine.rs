@@ -5,9 +5,10 @@
 //! line size of `C_mem`"), and optional freshness counters. All DRAM
 //! traffic flows through the (untrusted, interposable) Shell.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use shef_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use shef_telemetry::{Counter, Gauge, Histogram, Scope, Telemetry};
 
 use shef_crypto::authenc::AuthEncKey;
 use shef_fpga::clock::CostLedger;
@@ -17,11 +18,12 @@ use shef_fpga::shell::Shell;
 use super::chunk::{open_chunk, seal_chunk, CHUNK_TAG_LEN};
 use super::config::RegionConfig;
 use super::keys::DataEncryptionKey;
+use super::lru::LruMap;
 use super::merkle::{MerkleStats, MerkleTree};
 use super::pool::WorkerPool;
 use super::timing::{
-    buffer_hit_cost, parallel_batch_cost, ACCEL_PORT_READ_LANE, ACCEL_PORT_WRITE_LANE,
-    PORT_READ_LANE, PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
+    buffer_hit_cost, BatchCost, ACCEL_PORT_READ_LANE, ACCEL_PORT_WRITE_LANE, PORT_READ_LANE,
+    PORT_WRITE_LANE, SHELL_PORT_BYTES_PER_CYCLE,
 };
 use crate::ShefError;
 use shef_fpga::clock::Cycles;
@@ -135,7 +137,9 @@ impl EngineSetStats {
 /// reports stay byte-identical run to run.
 #[derive(Debug, Clone)]
 struct EngineTelemetry {
-    registry: Telemetry,
+    walk: Scope,
+    crypto: Scope,
+    landing: Scope,
     hits: Counter,
     misses: Counter,
     writebacks: Counter,
@@ -163,7 +167,9 @@ impl EngineTelemetry {
 
     fn bind(t: &Telemetry) -> Self {
         EngineTelemetry {
-            registry: t.clone(),
+            walk: t.scope("shield.engine.walk"),
+            crypto: t.scope("shield.engine.crypto"),
+            landing: t.scope("shield.engine.landing"),
             hits: t.counter("shield.engine.hits"),
             misses: t.counter("shield.engine.misses"),
             writebacks: t.counter("shield.engine.writebacks"),
@@ -195,12 +201,17 @@ struct Line {
 pub struct EngineSet {
     region: RegionConfig,
     tag_base: u64,
-    key: AuthEncKey,
-    nonce: [u8; 8],
+    cipher: Arc<ChunkCipher>,
     lane: String,
-    lines: HashMap<u32, Line>,
-    lru: VecDeque<u32>,
+    /// The last batch's crypto cost, recomputed in place per batch.
+    batch_cost: BatchCost,
+    /// Resident lines in LRU order.
+    lines: LruMap<Line>,
     capacity_lines: usize,
+    /// Staging buffers, reused by every batch operation. Boxed so an
+    /// operation takes it by moving a pointer; `None` before the first
+    /// operation and while one runs.
+    plan: Option<Box<BatchPlan>>,
     counters: HashMap<u32, u64>,
     merkle: Option<MerkleTree>,
     stats: EngineSetStats,
@@ -254,13 +265,17 @@ impl EngineSet {
         });
         EngineSet {
             lane,
+            batch_cost: BatchCost::default(),
+            cipher: Arc::new(ChunkCipher {
+                key,
+                nonce,
+                name: region.name.clone(),
+            }),
             region,
             tag_base,
-            key,
-            nonce,
-            lines: HashMap::new(),
-            lru: VecDeque::new(),
+            lines: LruMap::default(),
             capacity_lines,
+            plan: None,
             counters: HashMap::new(),
             merkle,
             stats: EngineSetStats::default(),
@@ -334,7 +349,6 @@ impl EngineSet {
     pub fn clear_poison(&mut self) {
         self.poisoned = false;
         self.lines.clear();
-        self.lru.clear();
     }
 
     /// Records a detected integrity violation and poisons the set:
@@ -436,13 +450,6 @@ impl EngineSet {
         }
     }
 
-    fn touch_lru(&mut self, idx: u32) {
-        if let Some(pos) = self.lru.iter().position(|&i| i == idx) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(idx);
-    }
-
     // -----------------------------------------------------------------
     // Batch datapath (replicated engine sets, §5.2.2/§6).
     //
@@ -513,7 +520,6 @@ impl EngineSet {
                 dirty,
             },
         );
-        self.touch_lru(idx);
         Ok(())
     }
 
@@ -529,12 +535,12 @@ impl EngineSet {
     ) -> Result<(), ShefError> {
         while self.lines.len() >= self.capacity_lines {
             let victim = self
-                .lru
-                .pop_front()
-                .expect("lines non-empty implies lru non-empty");
+                .lines
+                .oldest()
+                .expect("a full buffer has an oldest line");
             self.tele.evictions.inc();
             if plan.pending_open.contains_key(&victim) {
-                if self.lines.get(&victim).is_some_and(|l| l.dirty) {
+                if self.lines.get(victim).is_some_and(|l| l.dirty) {
                     // Hazard B: the line carries pending write bytes but
                     // its fill is still in flight.
                     self.batch_materialize_open(plan, victim)?;
@@ -544,16 +550,20 @@ impl EngineSet {
                     // caller's output buffer.
                     plan.pending_open.remove(&victim);
                     plan.install.remove(&victim);
-                    self.lines.remove(&victim);
+                    self.lines.remove(victim);
                     continue;
                 }
             }
-            if self.lines.get(&victim).is_some_and(|l| l.dirty) {
-                let data = self.lines[&victim].data.clone();
-                let epoch = self.advance_epoch(shell, dram, ledger, victim, mode)?;
-                plan.stage_seal(victim, epoch, data);
+            // A failed epoch advance leaves the victim resident.
+            let epoch = if self.lines.get(victim).is_some_and(|l| l.dirty) {
+                Some(self.advance_epoch(shell, dram, ledger, victim, mode)?)
+            } else {
+                None
+            };
+            let line = self.lines.remove(victim).expect("victim is resident");
+            if let Some(epoch) = epoch {
+                plan.stage_seal(victim, epoch, line.data);
             }
-            self.lines.remove(&victim);
         }
         Ok(())
     }
@@ -575,14 +585,13 @@ impl EngineSet {
         let Some(BatchJob::Seal { idx, epoch, data }) = plan.jobs[pos].take() else {
             unreachable!("pending_seal points at a staged seal job");
         };
-        let (ciphertext, tag) =
-            seal_chunk(&self.key, self.nonce, &self.region.name, idx, epoch, &data);
+        let (ciphertext, tag) = self.cipher.seal(idx, epoch, &data);
         ledger.add_busy(
             PORT_WRITE_LANE,
             Cycles(((ciphertext.len() + tag.len()) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
         );
-        shell.mem_write(dram, self.chunk_addr(idx), &ciphertext)?;
-        shell.mem_write(dram, self.tag_addr(idx), &tag)?;
+        shell.mem_write(dram, self.chunk_addr(idx), ciphertext)?;
+        shell.mem_write(dram, self.tag_addr(idx), &tag[..])?;
         self.stats.writebacks += 1;
         self.tele.writebacks.inc();
         Ok(())
@@ -604,26 +613,15 @@ impl EngineSet {
             unreachable!("pending_open points at a staged open job");
         };
         plan.install.remove(&idx);
-        let plaintext = match open_chunk(
-            &self.key,
-            self.nonce,
-            &self.region.name,
-            idx,
-            epoch,
-            &ciphertext,
-            &tag,
-        ) {
+        let plaintext = match self.cipher.open(idx, epoch, &ciphertext, &tag) {
             Ok(pt) => pt,
             Err(e) => {
                 self.note_integrity_failure();
-                self.lines.remove(&idx);
-                if let Some(p) = self.lru.iter().position(|&i| i == idx) {
-                    self.lru.remove(p);
-                }
+                self.lines.remove(idx);
                 return Err(e);
             }
         };
-        if let Some(line) = self.lines.get_mut(&idx) {
+        if let Some(line) = self.lines.get_mut(idx) {
             line.data = plaintext;
             if let Some((off, bytes)) = plan.apply.remove(&idx) {
                 line.data[off..off + bytes.len()].copy_from_slice(&bytes);
@@ -638,18 +636,18 @@ impl EngineSet {
     /// controller's own engines (the evicted plaintext exists only in
     /// the staged job, so it must never be lost), while opens report a
     /// contained [`crate::fault::ShieldFault::LanePanic`] in dispatch
-    /// order. Jobs travel as `Arc`s so the retry copies are refcount
-    /// bumps, not chunk memcpys.
-    fn run_crypto_jobs(&mut self, pool: &WorkerPool, jobs: Vec<BatchJob>) -> Vec<BatchJobResult> {
-        let key = self.key.clone();
-        let nonce = self.nonce;
-        let name = self.region.name.clone();
-        let jobs: Vec<std::sync::Arc<BatchJob>> =
-            jobs.into_iter().map(std::sync::Arc::new).collect();
+    /// order. Jobs and the cipher travel as `Arc`s so the closure and
+    /// the retry copies are refcount bumps, not memcpys.
+    fn run_crypto_jobs(
+        &mut self,
+        pool: &WorkerPool,
+        jobs: Vec<Arc<BatchJob>>,
+    ) -> Vec<BatchJobResult> {
+        let cipher = Arc::clone(&self.cipher);
         let fallback = jobs.clone();
         let outcome = pool.try_run(jobs, move |_, job| match &*job {
             BatchJob::Seal { idx, epoch, data } => {
-                let (ciphertext, tag) = seal_chunk(&key, nonce, &name, *idx, *epoch, data);
+                let (ciphertext, tag) = cipher.seal(*idx, *epoch, data);
                 BatchJobResult::Sealed {
                     idx: *idx,
                     ciphertext,
@@ -663,7 +661,7 @@ impl EngineSet {
                 tag,
             } => BatchJobResult::Opened {
                 idx: *idx,
-                plaintext: open_chunk(&key, nonce, &name, *idx, *epoch, ciphertext, tag),
+                plaintext: cipher.open(*idx, *epoch, ciphertext, tag),
             },
         });
         self.stats.lane_panics += outcome.lane_panics;
@@ -676,14 +674,7 @@ impl EngineSet {
                 Some(r) => results.push(r),
                 None => match &*fallback[i] {
                     BatchJob::Seal { idx, epoch, data } => {
-                        let (ciphertext, tag) = seal_chunk(
-                            &self.key,
-                            self.nonce,
-                            &self.region.name,
-                            *idx,
-                            *epoch,
-                            data,
-                        );
+                        let (ciphertext, tag) = self.cipher.seal(*idx, *epoch, data);
                         self.stats.drained_seals += 1;
                         self.tele.drained_seals.inc();
                         results.push(BatchJobResult::Sealed {
@@ -720,7 +711,9 @@ impl EngineSet {
         lanes: usize,
     ) {
         let lanes = lanes.max(1);
-        let batch = parallel_batch_cost(&self.region.engine_set, lens, lanes);
+        self.batch_cost
+            .recompute(&self.region.engine_set, lens, lanes);
+        let batch = &self.batch_cost;
         match mode {
             AccessMode::Streaming => {
                 if lanes == 1 {
@@ -750,8 +743,8 @@ impl EngineSet {
 
     /// Phase 2+3 of a batch operation: runs the staged crypto on the
     /// pool, lands victim write-backs, installs verified fills in
-    /// dispatch order, and settles the cost model. Returns opened
-    /// plaintexts by chunk for output assembly.
+    /// dispatch order, and settles the cost model. Opened plaintexts
+    /// land in `plan.opened` by chunk for output assembly.
     #[allow(clippy::too_many_arguments)]
     fn batch_execute(
         &mut self,
@@ -760,31 +753,21 @@ impl EngineSet {
         ledger: &mut CostLedger,
         mode: AccessMode,
         pool: &WorkerPool,
-        plan: BatchPlan,
+        plan: &mut BatchPlan,
         walk_error: Option<ShefError>,
-    ) -> Result<HashMap<u32, Vec<u8>>, ShefError> {
-        let BatchPlan {
-            jobs,
-            lens,
-            apply,
-            install,
-            ..
-        } = plan;
+    ) -> Result<(), ShefError> {
         let crypto_start = ledger.total_busy().0;
-        let live: Vec<BatchJob> = jobs.into_iter().flatten().collect();
+        let live: Vec<Arc<BatchJob>> = plan.jobs.drain(..).flatten().map(Arc::new).collect();
         let results = self.run_crypto_jobs(pool, live);
         // Charge the batch's crypto before the landing loop so the
         // crypto/landing span boundary falls between the two phases.
         // The ledger is purely additive, so charge order is irrelevant
         // to every total; only the logical clock's intermediate reading
         // moves.
-        self.charge_crypto_batch(ledger, &lens, mode, pool.lanes());
+        self.charge_crypto_batch(ledger, &plan.lens, mode, pool.lanes());
         let landing_start = ledger.total_busy().0;
-        self.tele
-            .registry
-            .trace("shield.engine.crypto", crypto_start, landing_start);
+        self.tele.crypto.record(crypto_start, landing_start);
         let mut first_err: Option<ShefError> = None;
-        let mut opened: HashMap<u32, Vec<u8>> = HashMap::new();
         for result in results {
             match result {
                 BatchJobResult::Sealed {
@@ -802,8 +785,8 @@ impl EngineSet {
                         ),
                     );
                     let landed = shell
-                        .mem_write(dram, self.chunk_addr(idx), &ciphertext)
-                        .and_then(|()| shell.mem_write(dram, self.tag_addr(idx), &tag));
+                        .mem_write(dram, self.chunk_addr(idx), ciphertext)
+                        .and_then(|()| shell.mem_write(dram, self.tag_addr(idx), &tag[..]));
                     match landed {
                         Ok(()) => {
                             self.stats.writebacks += 1;
@@ -822,15 +805,15 @@ impl EngineSet {
                         // would never have reached this chunk: skip the
                         // install.
                         if first_err.is_none() {
-                            if install.contains(&idx) {
-                                if let Some(line) = self.lines.get_mut(&idx) {
+                            if plan.install.contains(&idx) {
+                                if let Some(line) = self.lines.get_mut(idx) {
                                     line.data = pt.clone();
-                                    if let Some((off, bytes)) = apply.get(&idx) {
+                                    if let Some((off, bytes)) = plan.apply.get(&idx) {
                                         line.data[*off..off + bytes.len()].copy_from_slice(bytes);
                                     }
                                 }
                             }
-                            opened.insert(idx, pt);
+                            plan.opened.insert(idx, pt);
                         }
                     }
                     Err(e) => {
@@ -847,19 +830,14 @@ impl EngineSet {
                 },
             }
         }
-        self.tele.registry.trace(
-            "shield.engine.landing",
-            landing_start,
-            ledger.total_busy().0,
-        );
+        self.tele
+            .landing
+            .record(landing_start, ledger.total_busy().0);
         if first_err.is_some() || walk_error.is_some() {
             // Drop placeholder lines whose fill never installed.
-            for idx in install {
-                if !opened.contains_key(&idx) {
-                    self.lines.remove(&idx);
-                    if let Some(p) = self.lru.iter().position(|&i| i == idx) {
-                        self.lru.remove(p);
-                    }
+            for &idx in &plan.install {
+                if !plan.opened.contains_key(&idx) {
+                    self.lines.remove(idx);
                 }
             }
         }
@@ -869,7 +847,7 @@ impl EngineSet {
         if let Some(e) = walk_error {
             return Err(e);
         }
-        Ok(opened)
+        Ok(())
     }
 
     /// Reads `len` plaintext bytes at `addr` (must lie in the region),
@@ -892,17 +870,11 @@ impl EngineSet {
     ) -> Result<Vec<u8>, ShefError> {
         debug_assert!(self.region.range.contains_span(addr, len));
         self.check_operational()?;
-        enum Segment {
-            Ready(Vec<u8>),
-            Fill {
-                idx: u32,
-                offset: usize,
-                take: usize,
-            },
-        }
         let walk_start = ledger.total_busy().0;
-        let mut plan = BatchPlan::default();
-        let mut segments: Vec<Segment> = Vec::new();
+        let mut plan = self.plan.take().unwrap_or_default();
+        // Hits copy straight into `out`; fills reserve their bytes and
+        // are patched in once the batch has opened them.
+        let mut out = Vec::with_capacity(len);
         let mut walk_error = None;
         let mut cur = addr;
         let end = addr + len as u64;
@@ -911,19 +883,25 @@ impl EngineSet {
             let chunk_start = self.chunk_addr(idx);
             let offset = (cur - chunk_start) as usize;
             let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
-            let step = if self.lines.contains_key(&idx) {
+            let step = if let Some(line) = self.lines.touch(idx) {
+                out.extend_from_slice(&line.data[offset..offset + take]);
                 self.stats.hits += 1;
                 self.tele.hits.inc();
-                self.touch_lru(idx);
-                let line = &self.lines[&idx];
-                segments.push(Segment::Ready(line.data[offset..offset + take].to_vec()));
                 Ok(())
             } else {
                 self.batch_evict(shell, dram, ledger, mode, &mut plan)
                     .and_then(|()| {
                         self.batch_stage_fill(shell, dram, ledger, &mut plan, idx, mode, false)
                     })
-                    .map(|()| segments.push(Segment::Fill { idx, offset, take }))
+                    .map(|()| {
+                        plan.fills.push(Fill {
+                            at: out.len(),
+                            idx,
+                            offset,
+                            take,
+                        });
+                        out.resize(out.len() + take, 0);
+                    })
             };
             if let Err(e) = step {
                 walk_error = Some(e);
@@ -932,20 +910,21 @@ impl EngineSet {
             ledger.add_busy(ACCEL_PORT_READ_LANE, buffer_hit_cost(take));
             cur += take as u64;
         }
-        self.tele
-            .registry
-            .trace("shield.engine.walk", walk_start, ledger.total_busy().0);
-        let opened = self.batch_execute(shell, dram, ledger, mode, pool, plan, walk_error)?;
-        let mut out = Vec::with_capacity(len);
-        for seg in segments {
-            match seg {
-                Segment::Ready(bytes) => out.extend_from_slice(&bytes),
-                Segment::Fill { idx, offset, take } => {
-                    let pt = opened.get(&idx).expect("fill opened on success path");
-                    out.extend_from_slice(&pt[offset..offset + take]);
-                }
+        self.tele.walk.record(walk_start, ledger.total_busy().0);
+        let executed = self.batch_execute(shell, dram, ledger, mode, pool, &mut plan, walk_error);
+        if executed.is_ok() {
+            for fill in &plan.fills {
+                let pt = plan
+                    .opened
+                    .get(&fill.idx)
+                    .expect("fill opened on success path");
+                out[fill.at..fill.at + fill.take]
+                    .copy_from_slice(&pt[fill.offset..fill.offset + fill.take]);
             }
         }
+        plan.clear();
+        self.plan = Some(plan);
+        executed?;
         self.stats.bytes_read += len as u64;
         self.tele.bytes_read.add(len as u64);
         Ok(out)
@@ -973,7 +952,7 @@ impl EngineSet {
         debug_assert!(self.region.range.contains_span(addr, data.len()));
         self.check_operational()?;
         let walk_start = ledger.total_busy().0;
-        let mut plan = BatchPlan::default();
+        let mut plan = self.plan.take().unwrap_or_default();
         let mut walk_error = None;
         let mut cur = addr;
         let end = addr + data.len() as u64;
@@ -984,17 +963,13 @@ impl EngineSet {
             let offset = (cur - chunk_start) as usize;
             let take = ((end - cur) as usize).min(self.chunk_len(idx) - offset);
             let full_overwrite = offset == 0 && take == self.chunk_len(idx);
-            let zero_fill = !self.lines.contains_key(&idx)
-                && (full_overwrite || self.region.engine_set.zero_fill_writes);
-            let step = if self.lines.contains_key(&idx) {
-                self.stats.hits += 1;
-                self.tele.hits.inc();
-                self.touch_lru(idx);
-                let line = self.lines.get_mut(&idx).expect("resident");
+            let step = if let Some(line) = self.lines.touch(idx) {
                 line.data[offset..offset + take].copy_from_slice(&data[src..src + take]);
                 line.dirty = true;
+                self.stats.hits += 1;
+                self.tele.hits.inc();
                 Ok(())
-            } else if zero_fill {
+            } else if full_overwrite || self.region.engine_set.zero_fill_writes {
                 self.batch_evict(shell, dram, ledger, mode, &mut plan)
                     .map(|()| {
                         self.stats.zero_fills += 1;
@@ -1009,7 +984,6 @@ impl EngineSet {
                                 dirty: true,
                             },
                         );
-                        self.touch_lru(idx);
                     })
             } else {
                 self.batch_evict(shell, dram, ledger, mode, &mut plan)
@@ -1029,10 +1003,11 @@ impl EngineSet {
             cur += take as u64;
             src += take;
         }
-        self.tele
-            .registry
-            .trace("shield.engine.walk", walk_start, ledger.total_busy().0);
-        self.batch_execute(shell, dram, ledger, mode, pool, plan, walk_error)?;
+        self.tele.walk.record(walk_start, ledger.total_busy().0);
+        let executed = self.batch_execute(shell, dram, ledger, mode, pool, &mut plan, walk_error);
+        plan.clear();
+        self.plan = Some(plan);
+        executed?;
         self.stats.bytes_written += data.len() as u64;
         self.tele.bytes_written.add(data.len() as u64);
         Ok(())
@@ -1055,20 +1030,18 @@ impl EngineSet {
     ) -> Result<(), ShefError> {
         self.check_operational()?;
         let walk_start = ledger.total_busy().0;
-        let mut plan = BatchPlan::default();
+        let mut plan = self.plan.take().unwrap_or_default();
         let mut walk_error = None;
-        let indices: Vec<u32> = self.lru.iter().copied().collect();
+        let indices: Vec<u32> = self.lines.keys().collect();
         for idx in indices {
-            if !self.lines.get(&idx).is_some_and(|l| l.dirty) {
+            if !self.lines.get(idx).is_some_and(|l| l.dirty) {
                 continue;
             }
             match self.advance_epoch(shell, dram, ledger, idx, AccessMode::Streaming) {
                 Ok(epoch) => {
-                    let data = self.lines[&idx].data.clone();
-                    plan.stage_seal(idx, epoch, data);
-                    if let Some(l) = self.lines.get_mut(&idx) {
-                        l.dirty = false;
-                    }
+                    let line = self.lines.get_mut(idx).expect("dirty line is resident");
+                    line.dirty = false;
+                    plan.stage_seal(idx, epoch, line.data.clone());
                 }
                 Err(e) => {
                     walk_error = Some(e);
@@ -1076,21 +1049,48 @@ impl EngineSet {
                 }
             }
         }
-        self.tele
-            .registry
-            .trace("shield.engine.walk", walk_start, ledger.total_busy().0);
-        self.batch_execute(
+        self.tele.walk.record(walk_start, ledger.total_busy().0);
+        let executed = self.batch_execute(
             shell,
             dram,
             ledger,
             AccessMode::Streaming,
             pool,
-            plan,
+            &mut plan,
             walk_error,
-        )?;
+        );
+        plan.clear();
+        self.plan = Some(plan);
+        executed?;
         self.lines.clear();
-        self.lru.clear();
         Ok(())
+    }
+}
+
+/// A region's chunk cipher: its key, nonce and name. An engine set
+/// shares it with every batch's lane closure behind one `Arc`, so a
+/// batch captures a refcount instead of copying the key schedule.
+struct ChunkCipher {
+    key: AuthEncKey,
+    nonce: [u8; 8],
+    name: String,
+}
+
+impl ChunkCipher {
+    fn seal(&self, idx: u32, epoch: u64, plaintext: &[u8]) -> (Vec<u8>, [u8; CHUNK_TAG_LEN]) {
+        seal_chunk(&self.key, self.nonce, &self.name, idx, epoch, plaintext)
+    }
+
+    fn open(
+        &self,
+        idx: u32,
+        epoch: u64,
+        ciphertext: &[u8],
+        tag: &[u8; CHUNK_TAG_LEN],
+    ) -> Result<Vec<u8>, ShefError> {
+        open_chunk(
+            &self.key, self.nonce, &self.name, idx, epoch, ciphertext, tag,
+        )
     }
 }
 
@@ -1122,7 +1122,20 @@ enum BatchJobResult {
     },
 }
 
-/// Bookkeeping for one batch operation.
+/// A stretch of a read's output that a staged fill supplies.
+struct Fill {
+    /// Offset in the output buffer.
+    at: usize,
+    /// The chunk being filled.
+    idx: u32,
+    /// Offset within the chunk.
+    offset: usize,
+    /// Bytes taken from the chunk.
+    take: usize,
+}
+
+/// Bookkeeping for one batch operation. The engine set owns one plan
+/// and clears it after every operation, so its buffers are reused.
 #[derive(Default)]
 struct BatchPlan {
     /// Staged jobs in dispatch order; tombstoned (`None`) when a hazard
@@ -1139,6 +1152,10 @@ struct BatchPlan {
     apply: HashMap<u32, (usize, Vec<u8>)>,
     /// Chunks whose opened plaintext installs into the buffer.
     install: HashSet<u32>,
+    /// Read output stretches supplied by fills, in walk order.
+    fills: Vec<Fill>,
+    /// Plaintexts opened by the batch, by chunk.
+    opened: HashMap<u32, Vec<u8>>,
 }
 
 impl BatchPlan {
@@ -1146,6 +1163,18 @@ impl BatchPlan {
         self.pending_seal.insert(idx, self.jobs.len());
         self.lens.push(data.len());
         self.jobs.push(Some(BatchJob::Seal { idx, epoch, data }));
+    }
+
+    /// Empties every buffer, keeping its allocation for the next batch.
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.lens.clear();
+        self.pending_seal.clear();
+        self.pending_open.clear();
+        self.apply.clear();
+        self.install.clear();
+        self.fills.clear();
+        self.opened.clear();
     }
 }
 
@@ -1210,7 +1239,7 @@ mod tests {
         fn provision(&mut self, data: &[u8]) {
             let es = &self.es;
             for (i, pt) in data.chunks(es.chunk_size()).enumerate() {
-                let (ct, tag) = seal_chunk(&es.key, es.nonce, &es.region.name, i as u32, 0, pt);
+                let (ct, tag) = es.cipher.seal(i as u32, 0, pt);
                 self.dram.tamper_write(es.chunk_addr(i as u32), &ct);
                 self.dram.tamper_write(es.tag_addr(i as u32), &tag);
             }
@@ -1344,6 +1373,79 @@ mod tests {
         let walk = &r.spans[0];
         assert_eq!(walk.scope, "shield.engine.walk");
         assert!(walk.end_cycles > walk.start_cycles);
+    }
+
+    #[test]
+    fn hit_only_read_emits_a_full_batch() {
+        // A read served entirely from the buffer runs no crypto, but it
+        // is still one batch of the one datapath: it must charge and
+        // count exactly what a batch does, or reports would change.
+        let t = Telemetry::new();
+        let mut rig = Rig::new(region(64, 1024, true, false), 1);
+        rig.es.attach_telemetry(&t);
+        rig.pool.attach_telemetry(&t);
+        let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        rig.provision(&data);
+        assert_eq!(rig.read(0x1040, 64).unwrap(), &data[64..128]);
+        let before = t.report();
+        rig.ledger = CostLedger::new();
+
+        assert_eq!(rig.read(0x1040, 64).unwrap(), &data[64..128]);
+
+        // Ledger: the accelerator port, plus the set's own lane at zero
+        // cycles (the empty batch's crypto charge), and nothing else.
+        let lanes: Vec<(&str, Cycles)> = rig.ledger.lanes().collect();
+        assert_eq!(
+            lanes,
+            vec![
+                (ACCEL_PORT_READ_LANE, buffer_hit_cost(64)),
+                ("shield.test[0]", Cycles::ZERO),
+            ]
+        );
+        assert_eq!(rig.ledger.serial(), Cycles::ZERO);
+
+        let after = t.report();
+        let delta = |name: &str| after.counters[name] - before.counters[name];
+        assert_eq!(delta("shield.engine.hits"), 1);
+        assert_eq!(delta("shield.engine.misses"), 0);
+        assert_eq!(delta("shield.engine.parallel_batches"), 1);
+        assert_eq!(delta("shield.engine.parallel_jobs"), 0);
+        assert_eq!(delta("shield.pool.batches"), 1);
+        assert_eq!(delta("shield.pool.jobs"), 0);
+        let jobs = |r: &shef_telemetry::Report| r.histograms["shield.engine.batch_jobs"].clone();
+        assert_eq!(jobs(&after).count - jobs(&before).count, 1);
+        // Zero jobs land in the first bucket.
+        assert_eq!(jobs(&after).counts[0] - jobs(&before).counts[0], 1);
+
+        // Exactly one span per phase, in phase order, on the ledger's
+        // clock: the walk spans the port charge, crypto and landing are
+        // empty.
+        let spans = &after.spans[before.spans.len()..];
+        let names: Vec<&str> = spans.iter().map(|s| s.scope.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "shield.engine.walk",
+                "shield.engine.crypto",
+                "shield.engine.landing"
+            ]
+        );
+        assert_eq!(
+            (spans[0].start_cycles, spans[0].end_cycles),
+            (0, buffer_hit_cost(64).0)
+        );
+        assert!(spans[1..].iter().all(|s| s.duration() == 0));
+        for scope in [
+            "shield.engine.walk",
+            "shield.engine.crypto",
+            "shield.engine.landing",
+        ] {
+            assert_eq!(
+                after.scopes[scope].count - before.scopes[scope].count,
+                1,
+                "{scope}"
+            );
+        }
     }
 
     #[test]

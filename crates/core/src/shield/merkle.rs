@@ -290,7 +290,7 @@ impl MerkleTree {
                         }
                     }
                 }
-                shell.mem_write(dram, self.block_addr(level, index), &block)?;
+                shell.mem_write(dram, self.block_addr(level, index), &block[..])?;
                 digests.push(self.digest(level as u8, index, &block));
             }
             child_digests = digests;
@@ -463,7 +463,7 @@ impl MerkleTree {
         let mut level = 0usize;
         loop {
             let info = self.levels[level];
-            shell.mem_write(dram, self.block_addr(level, index), &block)?;
+            shell.mem_write(dram, self.block_addr(level, index), &block[..])?;
             self.stats.node_writes += 1;
             self.charge_write(ledger, info.block_bytes, mode);
             let digest = self.digest(level as u8, index, &block);

@@ -19,6 +19,7 @@ pub mod client;
 pub mod config;
 pub mod engine;
 pub mod keys;
+mod lru;
 pub mod merkle;
 pub mod pool;
 pub mod regif;
@@ -194,14 +195,20 @@ impl Shield {
         mode: AccessMode,
         pool: &WorkerPool,
     ) -> Result<Vec<u8>, ShefError> {
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::new();
         let mut cur = addr;
         let end = addr + len as u64;
         while cur < end {
             let set = self.set_for(cur)?;
             let span_end = set.region().range.end().min(end);
             let take = (span_end - cur) as usize;
-            out.extend(set.read(shell, dram, ledger, cur, take, mode, pool)?);
+            let part = set.read(shell, dram, ledger, cur, take, mode, pool)?;
+            if take == len {
+                // One region serves the whole span: hand its buffer on.
+                return Ok(part);
+            }
+            out.reserve(len - out.len());
+            out.extend_from_slice(&part);
             cur = span_end;
         }
         Ok(out)

@@ -349,6 +349,15 @@ impl WorkerPool {
         if let Some(tele) = self.tele.get() {
             tele.note_batch(n);
         }
+        if n == 0 {
+            // An all-hit batch: counted above, nothing to run.
+            return TryRunOutcome {
+                results: Vec::new(),
+                failed: Vec::new(),
+                lane_panics: 0,
+                recovered: 0,
+            };
+        }
         let retry_items = items.clone();
         let f = Arc::new(f);
         let mut outcome = TryRunOutcome {
@@ -397,9 +406,8 @@ impl WorkerPool {
         } else {
             for (i, item) in items.into_iter().enumerate() {
                 let s = self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(&self.shared);
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.maybe_injected_panic(s);
+                    self.shared.maybe_injected_panic(s);
                     f(i, item)
                 }));
                 match attempt {

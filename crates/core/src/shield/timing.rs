@@ -194,7 +194,7 @@ pub fn buffer_hit_cost(len: usize) -> Cycles {
 /// * **Blocking** — the consumer stalls on every chunk in order, so
 ///   replication buys nothing; charge [`BatchCost::serial_latency`] to
 ///   the ledger's serial term, the same at every lane count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchCost {
     /// Steady-state occupancy per lane, in round-robin assignment order.
     pub per_lane: Vec<Cycles>,
@@ -203,6 +203,21 @@ pub struct BatchCost {
 }
 
 impl BatchCost {
+    /// [`parallel_batch_cost`] in place, reusing the per-lane buffer: a
+    /// datapath that keeps one `BatchCost` costs batches without
+    /// allocating.
+    pub(crate) fn recompute(&mut self, cfg: &EngineSetConfig, chunk_lens: &[usize], lanes: usize) {
+        let lanes = lanes.max(1);
+        self.per_lane.clear();
+        self.per_lane.resize(lanes, Cycles::ZERO);
+        self.serial_latency = Cycles::ZERO;
+        for (i, len) in chunk_lens.iter().enumerate() {
+            let cost = chunk_crypto_cost(cfg, *len);
+            self.per_lane[i % lanes] += cost.lane;
+            self.serial_latency += cost.latency;
+        }
+    }
+
     /// The busiest lane's occupancy — what the batch costs when lanes
     /// truly overlap.
     #[must_use]
@@ -246,18 +261,9 @@ impl BatchCost {
 /// seal/open job, in dispatch order) across `lanes` engine groups.
 #[must_use]
 pub fn parallel_batch_cost(cfg: &EngineSetConfig, chunk_lens: &[usize], lanes: usize) -> BatchCost {
-    let lanes = lanes.max(1);
-    let mut per_lane = vec![Cycles::ZERO; lanes];
-    let mut serial_latency = Cycles::ZERO;
-    for (i, len) in chunk_lens.iter().enumerate() {
-        let cost = chunk_crypto_cost(cfg, *len);
-        per_lane[i % lanes] += cost.lane;
-        serial_latency += cost.latency;
-    }
-    BatchCost {
-        per_lane,
-        serial_latency,
-    }
+    let mut cost = BatchCost::default();
+    cost.recompute(cfg, chunk_lens, lanes);
+    cost
 }
 
 /// Cycles the multi-tenant service's shard arbiter charges for picking

@@ -97,6 +97,25 @@ pub fn split_bursts(addr: u64, len: usize) -> Vec<(u64, usize)> {
     out
 }
 
+/// Number of bursts [`split_bursts`] cuts `(addr, len)` into, computed
+/// without building them.
+///
+/// ```
+/// use shef_fpga::axi::{burst_count, split_bursts};
+///
+/// assert_eq!(burst_count(4000, 200), split_bursts(4000, 200).len() as u64);
+/// assert_eq!(burst_count(4096, 0), 0);
+/// ```
+#[must_use]
+pub fn burst_count(addr: u64, len: usize) -> u64 {
+    if len == 0 {
+        return 0;
+    }
+    let page = AXI4_MAX_BURST_BYTES as u64;
+    let last = addr + (len as u64 - 1);
+    last / page - addr / page + 1
+}
+
 /// Number of AXI4 data beats needed to move `len` bytes.
 #[must_use]
 pub fn beats_for_len(len: usize) -> u64 {
@@ -113,6 +132,20 @@ mod tests {
         assert_eq!(split_bursts(0, 5000), vec![(0, 4096), (4096, 904)]);
         assert_eq!(split_bursts(4095, 2), vec![(4095, 1), (4096, 1)]);
         assert_eq!(split_bursts(100, 0), Vec::<(u64, usize)>::new());
+    }
+
+    #[test]
+    fn burst_count_matches_split() {
+        for (addr, len) in [
+            (0, 4096),
+            (0, 5000),
+            (4095, 2),
+            (100, 0),
+            (4096, 1),
+            (12_345, 10_000),
+        ] {
+            assert_eq!(burst_count(addr, len), split_bursts(addr, len).len() as u64);
+        }
     }
 
     #[test]

@@ -124,6 +124,9 @@ impl Default for ClockDomain {
 pub struct CostLedger {
     lanes: BTreeMap<String, Cycles>,
     serial: Cycles,
+    /// Running `serial + Σ lanes`, kept so [`CostLedger::total_busy`] is
+    /// O(1): the Shield reads it several times per bus op.
+    total: Cycles,
 }
 
 impl CostLedger {
@@ -135,6 +138,7 @@ impl CostLedger {
 
     /// Adds busy cycles to a named lane.
     pub fn add_busy(&mut self, lane: &str, cycles: Cycles) {
+        self.total += cycles;
         // Look up before inserting: only a lane's first charge allocates
         // its name.
         match self.lanes.get_mut(lane) {
@@ -148,6 +152,7 @@ impl CostLedger {
     /// Adds strictly serial cycles (setup, drain, handshakes).
     pub fn add_serial(&mut self, cycles: Cycles) {
         self.serial += cycles;
+        self.total += cycles;
     }
 
     /// Busy cycles currently attributed to `lane`.
@@ -214,12 +219,12 @@ impl CostLedger {
     /// model-derived, and independent of real thread scheduling.
     #[must_use]
     pub fn total_busy(&self) -> Cycles {
-        self.serial + self.lanes.values().copied().sum::<Cycles>()
+        self.total
     }
 
     /// Merges another ledger into this one (lane-wise addition).
     pub fn merge(&mut self, other: &CostLedger) {
-        self.serial += other.serial;
+        self.add_serial(other.serial);
         for (lane, cycles) in &other.lanes {
             self.add_busy(lane, *cycles);
         }

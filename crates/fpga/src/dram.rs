@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use shef_telemetry::{Counter, Telemetry};
 
-use crate::axi::{split_bursts, Axi4Port};
+use crate::axi::{burst_count, Axi4Port};
 use crate::clock::{CostLedger, Cycles};
 use crate::FpgaError;
 
@@ -220,30 +220,30 @@ impl Dram {
 impl Axi4Port for Dram {
     fn read_burst(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, FpgaError> {
         self.check_range(addr, len)?;
-        let bursts = split_bursts(addr, len);
+        let bursts = burst_count(addr, len);
         let mut buf = vec![0u8; len];
         self.raw_read(addr, &mut buf);
         self.stats.bytes_read += len as u64;
-        self.stats.read_bursts += bursts.len() as u64;
+        self.stats.read_bursts += bursts;
         if let Some(tele) = &self.tele {
             tele.bytes_read.add(len as u64);
-            tele.read_bursts.add(bursts.len() as u64);
+            tele.read_bursts.add(bursts);
         }
-        self.charge(len, bursts.len() as u64);
+        self.charge(len, bursts);
         Ok(buf)
     }
 
     fn write_burst(&mut self, addr: u64, data: &[u8]) -> Result<(), FpgaError> {
         self.check_range(addr, data.len())?;
-        let bursts = split_bursts(addr, data.len());
+        let bursts = burst_count(addr, data.len());
         self.raw_write(addr, data);
         self.stats.bytes_written += data.len() as u64;
-        self.stats.write_bursts += bursts.len() as u64;
+        self.stats.write_bursts += bursts;
         if let Some(tele) = &self.tele {
             tele.bytes_written.add(data.len() as u64);
-            tele.write_bursts.add(bursts.len() as u64);
+            tele.write_bursts.add(bursts);
         }
-        self.charge(data.len(), bursts.len() as u64);
+        self.charge(data.len(), bursts);
         Ok(())
     }
 }

@@ -150,13 +150,19 @@ impl Shell {
         Ok(buf)
     }
 
-    /// Accelerator-side memory write, interposed.
+    /// Accelerator-side memory write, interposed. An owned buffer moves
+    /// through the interposer without a copy; a borrowed one is copied.
     ///
     /// # Errors
     ///
     /// Propagates DRAM range errors.
-    pub fn mem_write(&mut self, dram: &mut Dram, addr: u64, data: &[u8]) -> Result<(), FpgaError> {
-        let mut buf = data.to_vec();
+    pub fn mem_write(
+        &mut self,
+        dram: &mut Dram,
+        addr: u64,
+        data: impl Into<Vec<u8>>,
+    ) -> Result<(), FpgaError> {
+        let mut buf = data.into();
         self.interposer.on_mem_write(addr, &mut buf);
         dram.write_burst(addr, &buf)
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the platform substrate.
 
 use proptest::prelude::*;
-use shef_fpga::axi::{beats_for_len, split_bursts, Axi4Port, AXI4_MAX_BURST_BYTES};
+use shef_fpga::axi::{beats_for_len, burst_count, split_bursts, Axi4Port, AXI4_MAX_BURST_BYTES};
 use shef_fpga::clock::{CostLedger, Cycles};
 use shef_fpga::dram::Dram;
 use shef_fpga::keystore::{KeyProtection, KeyStore, Puf};
@@ -12,6 +12,8 @@ proptest! {
     #[test]
     fn burst_splitting_covers_exactly(addr in 0u64..1_000_000, len in 0usize..20_000) {
         let bursts = split_bursts(addr, len);
+        // The DRAM model counts bursts without building them.
+        prop_assert_eq!(burst_count(addr, len), bursts.len() as u64);
         // Total coverage, contiguity, and the 4 KB rule.
         let total: usize = bursts.iter().map(|(_, l)| l).sum();
         prop_assert_eq!(total, len);
@@ -115,5 +117,50 @@ proptest! {
             max = max.max(*v);
         }
         prop_assert_eq!(ledger.bottleneck(), Cycles(serial + max));
+    }
+
+    #[test]
+    fn ledger_running_total_is_serial_plus_lanes(
+        ops in proptest::collection::vec((0u8..3, 0usize..6, 0u64..1_000_000), 0..64),
+    ) {
+        // `total_busy` is a running sum: after any mix of charges and
+        // merges it must equal the serial term plus every lane, and the
+        // lanes must still list in name order, as a reference map does.
+        const NAMES: [&str; 6] = [
+            "shield.in[0].l1", "dram", "shield.in[0]", "accel", "port.accel.read", "pcie.out",
+        ];
+        let mut ledger = CostLedger::new();
+        let mut other = CostLedger::new();
+        let mut lanes = std::collections::BTreeMap::new();
+        let mut serial = 0u64;
+        for (op, lane, cycles) in &ops {
+            match op {
+                0 => {
+                    ledger.add_busy(NAMES[*lane], Cycles(*cycles));
+                    *lanes.entry(NAMES[*lane].to_string()).or_insert(0u64) += cycles;
+                }
+                1 => {
+                    ledger.add_serial(Cycles(*cycles));
+                    serial += cycles;
+                }
+                _ => {
+                    // Merge a second ledger that keeps growing, so merges
+                    // add lanes both new and already present.
+                    other.add_busy(NAMES[(lane + 1) % NAMES.len()], Cycles(*cycles));
+                    other.add_serial(Cycles(cycles / 2));
+                    ledger.merge(&other);
+                    for (name, busy) in other.lanes() {
+                        *lanes.entry(name.to_string()).or_insert(0) += busy.0;
+                    }
+                    serial += other.serial().0;
+                }
+            }
+            let lane_sum: u64 = ledger.lanes().map(|(_, c)| c.0).sum();
+            prop_assert_eq!(ledger.total_busy(), Cycles(ledger.serial().0 + lane_sum));
+            prop_assert_eq!(ledger.serial(), Cycles(serial));
+            let listed: Vec<(&str, u64)> = ledger.lanes().map(|(n, c)| (n, c.0)).collect();
+            let expected: Vec<(&str, u64)> = lanes.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+            prop_assert_eq!(listed, expected);
+        }
     }
 }

@@ -12,11 +12,12 @@
 //! from hot paths — every update is a single `AtomicU64` operation on a
 //! pre-resolved [`Counter`], [`Gauge`] or [`Histogram`] handle.
 //!
-//! The tracer records named scopes on a **deterministic logical
-//! clock**: timestamps are modelled cycles (snapshots of the ShEF cost
-//! ledger), never wall time. Only model-derived quantities belong in a
-//! registry; anything tied to real thread scheduling would break the
-//! byte-identical-report guarantee that CI relies on.
+//! The tracer records named scopes, through [`Scope`] handles resolved
+//! the same way, on a **deterministic logical clock**: timestamps are
+//! modelled cycles (snapshots of the ShEF cost ledger), never wall
+//! time. Only model-derived quantities belong in a registry; anything
+//! tied to real thread scheduling would break the byte-identical-report
+//! guarantee that CI relies on.
 //!
 //! ## Example
 //!
@@ -47,12 +48,12 @@ mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use report::{HistogramSnapshot, Report, REPORT_SCHEMA};
-pub use trace::{ScopeAgg, Span, SPAN_CAP};
+pub use trace::{Scope, ScopeAgg, Span, SPAN_CAP};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use trace::SpanBuffer;
+use trace::RawSpans;
 
 #[derive(Debug)]
 enum MetricSlot {
@@ -66,7 +67,9 @@ struct Inner {
     /// Registration is the cold path: a short mutex around the name
     /// table. Handles returned from it update lock-free.
     metrics: Mutex<BTreeMap<String, MetricSlot>>,
-    spans: Mutex<SpanBuffer>,
+    /// Span scopes by name; registration only, like `metrics`.
+    scopes: Mutex<BTreeMap<String, Scope>>,
+    spans: Arc<RawSpans>,
 }
 
 /// Shared handle to one telemetry registry.
@@ -151,12 +154,25 @@ impl Telemetry {
         }
     }
 
+    /// Get or create the span scope named `name`. A scope appears in
+    /// reports once it has recorded a span.
+    #[must_use]
+    pub fn scope(&self, name: &str) -> Scope {
+        let mut scopes = lock(&self.0.scopes);
+        if let Some(scope) = scopes.get(name) {
+            return scope.clone();
+        }
+        let scope = Scope::new(name, &self.0.spans);
+        scopes.insert(name.to_string(), scope.clone());
+        scope
+    }
+
     /// Record a span: scope `name` ran from `start_cycles` to
     /// `end_cycles` on the logical clock. Aggregates always update; the
     /// raw span list keeps the first [`SPAN_CAP`] spans and counts the
-    /// rest as dropped.
+    /// rest as dropped. Hot paths resolve a [`Scope`] once instead.
     pub fn trace(&self, name: &str, start_cycles: u64, end_cycles: u64) {
-        lock(&self.0.spans).record(name, start_cycles, end_cycles);
+        self.scope(name).record(start_cycles, end_cycles);
     }
 
     /// Snapshot the registry into an ordered, deterministic [`Report`].
@@ -187,10 +203,16 @@ impl Telemetry {
             }
         }
         drop(metrics);
-        let spans = lock(&self.0.spans);
-        report.scopes = spans.scopes.clone();
-        report.spans = spans.spans.clone();
-        report.spans_dropped = spans.dropped;
+        // Spans first: a record counts before it keeps, so every kept
+        // span is already in the counts read after.
+        report.spans = self.0.spans.snapshot();
+        let scopes = lock(&self.0.scopes);
+        report.scopes = scopes
+            .iter()
+            .filter_map(|(name, scope)| Some((name.clone(), scope.aggregate()?)))
+            .collect();
+        let recorded: u64 = scopes.values().map(Scope::count).sum();
+        report.spans_dropped = recorded.saturating_sub(report.spans.len() as u64);
         report
     }
 }
@@ -305,6 +327,33 @@ mod tests {
         assert_eq!(agg.max_cycles, 2);
         // First-N retention: span 0 is kept, the tail is dropped.
         assert_eq!(r.spans[0].start_cycles, 0);
+    }
+
+    #[test]
+    fn scope_handles_share_one_scope_and_stay_silent_until_used() {
+        let t = Telemetry::new();
+        let idle = t.scope("idle");
+        let walk = t.scope("walk");
+        let again = t.scope("walk");
+        // Spread the cap over two scopes so the dropped count has to
+        // come from both.
+        for i in 0..(SPAN_CAP as u64) {
+            walk.record(i, i + 3);
+            again.record(i, i + 1);
+        }
+        t.trace("walk", 0, 10);
+        let r = t.report();
+        assert!(!r.scopes.contains_key("idle"));
+        assert_eq!(r.scopes["walk"].count, 2 * SPAN_CAP as u64 + 1);
+        assert_eq!(r.scopes["walk"].max_cycles, 10);
+        assert_eq!(r.spans.len(), SPAN_CAP);
+        assert_eq!(r.spans_dropped, SPAN_CAP as u64 + 1);
+        assert_eq!(r.spans[1].duration(), 1);
+        // Recording after the cap still aggregates.
+        idle.record(5, 7);
+        let r = t.report();
+        assert_eq!(r.scopes["idle"].total_cycles, 2);
+        assert_eq!(r.spans_dropped, SPAN_CAP as u64 + 2);
     }
 
     #[test]

@@ -8,6 +8,22 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Adds `n` to `cell`, saturating at `u64::MAX` instead of wrapping.
+/// Adding zero touches nothing.
+pub(crate) fn saturating_add(cell: &AtomicU64, n: u64) {
+    if n == 0 {
+        return;
+    }
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let next = cur.saturating_add(n);
+        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(seen) => cur = seen,
+        }
+    }
+}
+
 /// Monotonically increasing counter.
 ///
 /// ```
@@ -33,17 +49,7 @@ impl Counter {
     /// Add `n`. Saturates at `u64::MAX` instead of wrapping so a
     /// long-running registry can never report a small value after overflow.
     pub fn add(&self, n: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(n);
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        saturating_add(&self.0, n);
     }
 
     /// Current value.
@@ -78,7 +84,10 @@ impl Gauge {
 
     /// Raise the gauge to `v` if `v` is larger than the current value.
     pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        // A plain load first: most samples do not raise the mark.
+        if v > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -140,17 +149,7 @@ impl Histogram {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         // Saturate rather than wrap: a wrapped sum would report a tiny
         // total after ~2^64 observed cycles, which reads as a regression.
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        saturating_add(&self.sum, v);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
