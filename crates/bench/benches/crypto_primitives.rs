@@ -2,12 +2,13 @@
 //! software analogues of the Shield's engines.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use shef_core::shield::chunk::seal_chunks;
 use shef_crypto::aes::Aes;
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm};
 use shef_crypto::ctr::{ctr_xor, ChunkIv};
 use shef_crypto::ed25519::SigningKey;
 use shef_crypto::field25519::FieldElement;
-use shef_crypto::hmac::hmac_sha256;
+use shef_crypto::hmac::{hmac_sha256, HmacSha256};
 use shef_crypto::pmac::pmac;
 use shef_crypto::sha2::Sha256;
 use shef_crypto::x25519;
@@ -53,6 +54,18 @@ fn bench_hashes(c: &mut Criterion) {
             b.iter(|| shef_crypto::ghash::ghash(&[0x25u8; 16], b"", d))
         });
     }
+    // Four equal-length messages from cached pads: one lockstep pass.
+    let key = HmacSha256::new(b"key");
+    for size in [64usize, 512] {
+        let data = vec![0xa5u8; size];
+        let messages = [[data.as_slice()]; 4];
+        group.throughput(Throughput::Bytes(4 * size as u64));
+        group.bench_with_input(
+            BenchmarkId::new("hmac_sha256_x4", size),
+            &messages,
+            |b, m| b.iter(|| key.mac_batch(m)),
+        );
+    }
     group.finish();
 }
 
@@ -70,6 +83,19 @@ fn bench_authenc(c: &mut Criterion) {
             b.iter(|| key.seal(&data, b"chunk"))
         });
     }
+    // A 4 KiB burst of 512 B HMAC chunks, as an engine set seals it:
+    // two lockstep groups of four.
+    let key = AuthEncKey::from_bytes([9u8; 32], MacAlgorithm::HmacSha256);
+    let data = vec![0x11u8; 4096];
+    let chunks: Vec<(u32, u64, &[u8])> = data
+        .chunks(512)
+        .zip(0..)
+        .map(|(pt, idx)| (idx, 0, pt))
+        .collect();
+    group.throughput(Throughput::Bytes(4096));
+    group.bench_function("hmac_seal_chunks_x8_512", |b| {
+        b.iter(|| seal_chunks(&key, [1; 8], "bench", &chunks))
+    });
     group.finish();
 }
 

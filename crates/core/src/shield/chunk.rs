@@ -79,12 +79,74 @@ pub fn open_chunk(
     let ad = chunk_ad(region_name, chunk_idx, epoch);
     let mut plaintext = ciphertext.to_vec();
     key.open_in_place(&iv.0, &ad, &mut plaintext, tag)
-        .map_err(|_| {
-            ShefError::IntegrityViolation(format!(
-                "chunk {chunk_idx} of region '{region_name}' failed authentication at epoch {epoch}"
-            ))
-        })?;
+        .map_err(|_| integrity_violation(region_name, chunk_idx, epoch))?;
     Ok(plaintext)
+}
+
+/// [`seal_chunk`] over many `(chunk_idx, epoch, plaintext)` chunks of
+/// one region, in input order. Equal-length chunks are MACed four per
+/// SHA-256 pass under HMAC ([`AuthEncKey::seal_batch`]).
+#[must_use]
+pub fn seal_chunks(
+    key: &AuthEncKey,
+    region_nonce: [u8; 8],
+    region_name: &str,
+    chunks: &[(u32, u64, &[u8])],
+) -> Vec<(Vec<u8>, [u8; CHUNK_TAG_LEN])> {
+    let ads: Vec<Vec<u8>> = chunks
+        .iter()
+        .map(|&(idx, epoch, _)| chunk_ad(region_name, idx, epoch))
+        .collect();
+    let messages: Vec<_> = chunks
+        .iter()
+        .zip(&ads)
+        .map(|(&(idx, epoch, plaintext), ad)| {
+            (plaintext, ad.as_slice(), chunk_iv(region_nonce, idx, epoch))
+        })
+        .collect();
+    key.seal_batch(&messages)
+        .into_iter()
+        .map(|sealed| (sealed.ciphertext, sealed.tag))
+        .collect()
+}
+
+/// [`open_chunk`] over many `(chunk_idx, epoch, ciphertext, tag)` chunks
+/// of one region, in input order. Every tag is verified before its chunk
+/// is decrypted, and each chunk gets its own result.
+#[must_use]
+pub fn open_chunks(
+    key: &AuthEncKey,
+    region_nonce: [u8; 8],
+    region_name: &str,
+    chunks: &[(u32, u64, &[u8], &[u8; CHUNK_TAG_LEN])],
+) -> Vec<Result<Vec<u8>, ShefError>> {
+    let ad_ivs: Vec<(Vec<u8>, ChunkIv)> = chunks
+        .iter()
+        .map(|&(idx, epoch, ..)| {
+            (
+                chunk_ad(region_name, idx, epoch),
+                chunk_iv(region_nonce, idx, epoch),
+            )
+        })
+        .collect();
+    let messages: Vec<_> = chunks
+        .iter()
+        .zip(&ad_ivs)
+        .map(|(&(_, _, ciphertext, tag), (ad, iv))| (ad.as_slice(), &iv.0, ciphertext, tag))
+        .collect();
+    key.open_batch(&messages)
+        .into_iter()
+        .zip(chunks)
+        .map(|(opened, &(idx, epoch, ..))| {
+            opened.map_err(|_| integrity_violation(region_name, idx, epoch))
+        })
+        .collect()
+}
+
+fn integrity_violation(region_name: &str, chunk_idx: u32, epoch: u64) -> ShefError {
+    ShefError::IntegrityViolation(format!(
+        "chunk {chunk_idx} of region '{region_name}' failed authentication at epoch {epoch}"
+    ))
 }
 
 #[cfg(test)]

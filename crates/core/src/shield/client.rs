@@ -7,7 +7,9 @@
 //! straight into place; and it can verify/decrypt region contents the
 //! accelerator produced.
 
-use super::chunk::{open_chunk, seal_chunk, CHUNK_TAG_LEN};
+use core::ops::Range;
+
+use super::chunk::{open_chunks, seal_chunks, CHUNK_TAG_LEN};
 use super::config::RegionConfig;
 use super::keys::DataEncryptionKey;
 use crate::ShefError;
@@ -42,6 +44,10 @@ pub fn encrypt_region(
 
 /// Like [`encrypt_region`], but for a window starting at chunk
 /// `first_chunk` (e.g. one file slot of a larger store region).
+///
+/// # Panics
+///
+/// Also panics if the window's chunks do not all lie inside the region.
 #[must_use]
 pub fn encrypt_region_at(
     dek: &DataEncryptionKey,
@@ -68,14 +74,22 @@ pub fn encrypt_region_at(
         region.name,
         region.engine_set.chunk_size
     );
+    let window = chunk_window(region, first_chunk, plaintext.len()).unwrap_or_else(|| {
+        panic!(
+            "chunks from {first_chunk} for {} bytes exceed region '{}'",
+            plaintext.len(),
+            region.name
+        )
+    });
     let key = dek.region_key(region);
     let nonce = dek.region_nonce(region);
-    let chunk = region.engine_set.chunk_size;
+    let chunks: Vec<_> = window
+        .zip(plaintext.chunks(region.engine_set.chunk_size))
+        .map(|(idx, pt)| (idx, epoch, pt))
+        .collect();
     let mut ciphertext = Vec::with_capacity(plaintext.len());
-    let mut tags = Vec::new();
-    for (i, pt) in plaintext.chunks(chunk).enumerate() {
-        let idx = first_chunk + i as u32;
-        let (ct, tag) = seal_chunk(&key, nonce, &region.name, idx, epoch, pt);
+    let mut tags = Vec::with_capacity(chunks.len() * CHUNK_TAG_LEN);
+    for (ct, tag) in seal_chunks(&key, nonce, &region.name, &chunks) {
         ciphertext.extend_from_slice(&ct);
         tags.extend_from_slice(&tag);
     }
@@ -106,7 +120,9 @@ pub fn decrypt_region(
 ///
 /// # Errors
 ///
-/// Same conditions as [`decrypt_region`].
+/// Same conditions as [`decrypt_region`], and
+/// [`ShefError::Malformed`] if the window's chunks do not all lie inside
+/// the region.
 pub fn decrypt_region_at(
     dek: &DataEncryptionKey,
     region: &RegionConfig,
@@ -115,10 +131,17 @@ pub fn decrypt_region_at(
     tags: &[u8],
     epochs: &dyn Fn(u32) -> u64,
 ) -> Result<Vec<u8>, ShefError> {
+    let Some(window) = chunk_window(region, first_chunk, ciphertext.len()) else {
+        return Err(ShefError::Malformed(format!(
+            "chunks from {first_chunk} for {} bytes exceed region '{}'",
+            ciphertext.len(),
+            region.name
+        )));
+    };
     let key = dek.region_key(region);
     let nonce = dek.region_nonce(region);
     let chunk = region.engine_set.chunk_size;
-    let n_chunks = ciphertext.len().div_ceil(chunk);
+    let n_chunks = window.len();
     if tags.len() < n_chunks * CHUNK_TAG_LEN {
         return Err(ShefError::Malformed(format!(
             "tag array too short: {} chunks need {} bytes, got {}",
@@ -127,16 +150,29 @@ pub fn decrypt_region_at(
             tags.len()
         )));
     }
+    let chunks: Vec<_> = window
+        .zip(ciphertext.chunks(chunk))
+        .zip(tags.chunks_exact(CHUNK_TAG_LEN))
+        .map(|((idx, ct), tag)| {
+            let tag: &[u8; CHUNK_TAG_LEN] = tag.try_into().expect("chunks_exact");
+            (idx, epochs(idx), ct, tag)
+        })
+        .collect();
     let mut plaintext = Vec::with_capacity(ciphertext.len());
-    for (i, ct) in ciphertext.chunks(chunk).enumerate() {
-        let idx = first_chunk + i as u32;
-        let tag: [u8; CHUNK_TAG_LEN] = tags[i * CHUNK_TAG_LEN..(i + 1) * CHUNK_TAG_LEN]
-            .try_into()
-            .expect("length checked above");
-        let pt = open_chunk(&key, nonce, &region.name, idx, epochs(idx), ct, &tag)?;
-        plaintext.extend_from_slice(&pt);
+    for pt in open_chunks(&key, nonce, &region.name, &chunks) {
+        plaintext.extend_from_slice(&pt?);
     }
     Ok(plaintext)
+}
+
+/// The chunk indices `first_chunk ..` covering `len` bytes, if they all
+/// lie inside `region`. The arithmetic is checked: a wrapped index would
+/// reuse another chunk's IV under the same key.
+fn chunk_window(region: &RegionConfig, first_chunk: u32, len: usize) -> Option<Range<u32>> {
+    let chunk = region.engine_set.chunk_size;
+    let n = u32::try_from(len.div_ceil(chunk)).ok()?;
+    let end = first_chunk.checked_add(n)?;
+    (u64::from(end) <= region.range.len.div_ceil(chunk as u64)).then_some(first_chunk..end)
 }
 
 /// Epoch function for regions whose chunks all share one epoch.
@@ -215,6 +251,32 @@ mod tests {
         let dek = DataEncryptionKey::from_bytes([8u8; 32]);
         let r = region();
         let _ = encrypt_region(&dek, &r, &vec![0u8; 10_000], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed region")]
+    fn encrypt_window_past_the_region_panics() {
+        // 8192 B of 512 B chunks is 16 chunks; chunks 14..17 overrun it.
+        let dek = DataEncryptionKey::from_bytes([8u8; 32]);
+        let r = region();
+        let _ = encrypt_region_at(&dek, &r, 14, &[0u8; 3 * 512], 0);
+    }
+
+    #[test]
+    fn decrypt_window_past_the_region_is_malformed() {
+        let dek = DataEncryptionKey::from_bytes([8u8; 32]);
+        let r = region();
+        let enc = encrypt_region_at(&dek, &r, 14, &[7u8; 1024], 0);
+        let uniform = uniform_epochs(0);
+        let decrypt =
+            |first| decrypt_region_at(&dek, &r, first, &enc.ciphertext, &enc.tags, &uniform);
+        assert_eq!(decrypt(14).unwrap(), vec![7u8; 1024]);
+        for first in [15, u32::MAX] {
+            assert!(
+                matches!(decrypt(first), Err(ShefError::Malformed(_))),
+                "window from chunk {first}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 
-use super::chunk::{open_chunk, seal_chunk, CHUNK_TAG_LEN};
+use super::chunk::{open_chunk, open_chunks, seal_chunk, seal_chunks, CHUNK_TAG_LEN};
 use super::config::RegionConfig;
 use super::keys::DataEncryptionKey;
 use super::lru::LruMap;
@@ -636,34 +636,11 @@ impl EngineSet {
     /// controller's own engines (the evicted plaintext exists only in
     /// the staged job, so it must never be lost), while opens report a
     /// contained [`crate::fault::ShieldFault::LanePanic`] in dispatch
-    /// order. Jobs and the cipher travel as `Arc`s so the closure and
-    /// the retry copies are refcount bumps, not memcpys.
-    fn run_crypto_jobs(
-        &mut self,
-        pool: &WorkerPool,
-        jobs: Vec<Arc<BatchJob>>,
-    ) -> Vec<BatchJobResult> {
+    /// order. The batch and the cipher travel as `Arc`s, so the lanes,
+    /// the retries and the drain all read the one staged copy.
+    fn run_crypto_jobs(&mut self, pool: &WorkerPool, jobs: Arc<[BatchJob]>) -> Vec<BatchJobResult> {
         let cipher = Arc::clone(&self.cipher);
-        let fallback = jobs.clone();
-        let outcome = pool.try_run(jobs, move |_, job| match &*job {
-            BatchJob::Seal { idx, epoch, data } => {
-                let (ciphertext, tag) = cipher.seal(*idx, *epoch, data);
-                BatchJobResult::Sealed {
-                    idx: *idx,
-                    ciphertext,
-                    tag,
-                }
-            }
-            BatchJob::Open {
-                idx,
-                epoch,
-                ciphertext,
-                tag,
-            } => BatchJobResult::Opened {
-                idx: *idx,
-                plaintext: cipher.open(*idx, *epoch, ciphertext, tag),
-            },
-        });
+        let outcome = pool.try_run(&jobs, move |slice| cipher.run(slice));
         self.stats.lane_panics += outcome.lane_panics;
         self.stats.recovered_retries += outcome.recovered;
         self.tele.lane_panics.add(outcome.lane_panics);
@@ -672,7 +649,7 @@ impl EngineSet {
         for (i, slot) in outcome.results.into_iter().enumerate() {
             match slot {
                 Some(r) => results.push(r),
-                None => match &*fallback[i] {
+                None => match &jobs[i] {
                     BatchJob::Seal { idx, epoch, data } => {
                         let (ciphertext, tag) = self.cipher.seal(*idx, *epoch, data);
                         self.stats.drained_seals += 1;
@@ -757,7 +734,14 @@ impl EngineSet {
         walk_error: Option<ShefError>,
     ) -> Result<(), ShefError> {
         let crypto_start = ledger.total_busy().0;
-        let live: Vec<Arc<BatchJob>> = plan.jobs.drain(..).flatten().map(Arc::new).collect();
+        // An all-hit batch stages no jobs: `Arc::default()` shares one
+        // static empty slice, where collecting would allocate.
+        let live: Arc<[BatchJob]> = if plan.jobs.iter().all(Option::is_none) {
+            plan.jobs.clear();
+            Arc::default()
+        } else {
+            plan.jobs.drain(..).flatten().collect()
+        };
         let results = self.run_crypto_jobs(pool, live);
         // Charge the batch's crypto before the landing loop so the
         // crypto/landing span boundary falls between the two phases.
@@ -1091,6 +1075,44 @@ impl ChunkCipher {
         open_chunk(
             &self.key, self.nonce, &self.name, idx, epoch, ciphertext, tag,
         )
+    }
+
+    /// Runs one lane's slice of a batch, in order. Its seals go through
+    /// one [`seal_chunks`] call and its opens through one
+    /// [`open_chunks`] call, so equal-length chunk MACs share SHA-256
+    /// passes.
+    fn run(&self, jobs: &[&BatchJob]) -> Vec<BatchJobResult> {
+        let mut seals = Vec::new();
+        let mut opens = Vec::new();
+        for job in jobs {
+            match job {
+                BatchJob::Seal { idx, epoch, data } => seals.push((*idx, *epoch, data.as_slice())),
+                BatchJob::Open {
+                    idx,
+                    epoch,
+                    ciphertext,
+                    tag,
+                } => opens.push((*idx, *epoch, ciphertext.as_slice(), tag)),
+            }
+        }
+        let mut sealed = seal_chunks(&self.key, self.nonce, &self.name, &seals).into_iter();
+        let mut opened = open_chunks(&self.key, self.nonce, &self.name, &opens).into_iter();
+        jobs.iter()
+            .map(|job| match job {
+                BatchJob::Seal { idx, .. } => {
+                    let (ciphertext, tag) = sealed.next().expect("one seal per seal job");
+                    BatchJobResult::Sealed {
+                        idx: *idx,
+                        ciphertext,
+                        tag,
+                    }
+                }
+                BatchJob::Open { idx, .. } => BatchJobResult::Opened {
+                    idx: *idx,
+                    plaintext: opened.next().expect("one open per open job"),
+                },
+            })
+            .collect()
     }
 }
 

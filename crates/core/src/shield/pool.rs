@@ -22,7 +22,11 @@ use std::thread;
 
 use shef_telemetry::{Counter, Telemetry};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Work handed to one lane: `jobs` pool jobs run by one closure.
+struct Job {
+    jobs: usize,
+    run: Box<dyn FnOnce() + Send + 'static>,
+}
 
 /// Pre-resolved telemetry handles for the pool.
 ///
@@ -124,7 +128,7 @@ pub struct PoolStats {
 }
 
 /// Outcome of a draining batch dispatch ([`WorkerPool::try_run`]).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TryRunOutcome<R> {
     /// Per-job results in submission order; `None` where the job
     /// panicked on both its lane attempt and the inline retry.
@@ -206,13 +210,14 @@ impl WorkerPool {
                         };
                         match job {
                             Ok(job) => {
-                                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                                // Count the job when the lane picks it
-                                // up: `job()` hands its result back to
+                                shared.queued.fetch_sub(job.jobs, Ordering::Relaxed);
+                                // Count the jobs when the lane picks them
+                                // up: `run` hands its results back to
                                 // the caller, which may read the stats
                                 // before this lane runs another line.
-                                shared.jobs_per_lane[lane].fetch_add(1, Ordering::Relaxed);
-                                job();
+                                shared.jobs_per_lane[lane]
+                                    .fetch_add(job.jobs as u64, Ordering::Relaxed);
+                                (job.run)();
                             }
                             // Channel closed: the pool is shutting down.
                             Err(_) => break,
@@ -303,10 +308,14 @@ impl WorkerPool {
                 .fetch_max(queued, Ordering::Relaxed);
             let f = Arc::clone(&f);
             let done_tx = done_tx.clone();
-            let job: Job = Box::new(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
-                let _ = done_tx.send((i, outcome));
-            });
+            let job = Job {
+                jobs: 1,
+                run: Box::new(move || {
+                    let outcome =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
+                    let _ = done_tx.send((i, outcome));
+                }),
+            };
             sender
                 .send(job)
                 .expect("pool lanes alive while handle held");
@@ -336,100 +345,93 @@ impl WorkerPool {
     /// uses: a dying lane must not abandon sibling jobs (victim seals
     /// in particular exist only in the staged batch).
     ///
-    /// Items are cloned up front so panicked jobs can be replayed;
-    /// callers on hot paths should make cloning cheap (e.g. `Arc`).
-    pub fn try_run<T, R, F>(&self, items: Vec<T>, f: F) -> TryRunOutcome<R>
+    /// Each lane runs one contiguous slice of the batch through a single
+    /// call of `f`, which returns one result per job it is given; at one
+    /// lane the slice is the whole batch. Lane `k` gets as many jobs as
+    /// the round-robin model dispatches to it. Armed faults are still
+    /// checked per job, by submission index, before its slice runs: a
+    /// job whose check fires is left out of the slice and retried alone.
+    /// If `f` itself panics on a slice, that slice's jobs run again one
+    /// by one, so a panic is pinned on the job that raised it. Every
+    /// outcome therefore equals one-job-per-call dispatch.
+    pub fn try_run<T, R, F>(&self, items: &Arc<[T]>, f: F) -> TryRunOutcome<R>
     where
-        T: Clone + Send + 'static,
+        T: Send + Sync + 'static,
         R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        F: Fn(&[&T]) -> Vec<R> + Send + Sync + 'static,
     {
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
         let n = items.len();
         if let Some(tele) = self.tele.get() {
             tele.note_batch(n);
         }
-        if n == 0 {
-            // An all-hit batch: counted above, nothing to run.
-            return TryRunOutcome {
-                results: Vec::new(),
-                failed: Vec::new(),
-                lane_panics: 0,
-                recovered: 0,
-            };
-        }
-        let retry_items = items.clone();
-        let f = Arc::new(f);
         let mut outcome = TryRunOutcome {
-            results: Vec::with_capacity(n),
+            results: Vec::new(),
             failed: Vec::new(),
             lane_panics: 0,
             recovered: 0,
         };
-        // (item index, submission index) of first-attempt panics.
-        let mut panicked: Vec<(usize, u64)> = Vec::new();
+        if n == 0 {
+            // An all-hit batch: counted above, nothing to run.
+            return outcome;
+        }
+        let first = self.shared.submitted.fetch_add(n as u64, Ordering::Relaxed);
+        let f = Arc::new(f);
         if let Some(sender) = self.sender.as_ref().filter(|_| n > 1) {
             let (done_tx, done_rx) = mpsc::channel();
-            for (i, item) in items.into_iter().enumerate() {
-                let queued = self.shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
+            let mut start = 0;
+            let mut slices = 0;
+            for k in 0..self.lanes {
+                let len = n / self.lanes + usize::from(k < n % self.lanes);
+                if len == 0 {
+                    continue;
+                }
+                let queued = self.shared.queued.fetch_add(len, Ordering::Relaxed) + len;
                 self.shared
                     .queue_high_water
                     .fetch_max(queued, Ordering::Relaxed);
-                let s = self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                let f = Arc::clone(&f);
-                let shared = Arc::clone(&self.shared);
+                let (items, f, shared) =
+                    (Arc::clone(items), Arc::clone(&f), Arc::clone(&self.shared));
                 let done_tx = done_tx.clone();
-                let job: Job = Box::new(move || {
-                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shared.maybe_injected_panic(s);
-                        f(i, item)
-                    }));
-                    let _ = done_tx.send((i, s, attempt));
-                });
+                let range = start..start + len;
+                let job = Job {
+                    jobs: len,
+                    run: Box::new(move || {
+                        let at = first + range.start as u64;
+                        let slots = run_slice(&shared, &items[range.clone()], at, &*f);
+                        let _ = done_tx.send((range.start, slots));
+                    }),
+                };
                 sender
                     .send(job)
                     .expect("pool lanes alive while handle held");
+                start += len;
+                slices += 1;
             }
             drop(done_tx);
-            let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                let (i, s, attempt) = done_rx.recv().expect("every job reports exactly once");
-                match attempt {
-                    Ok(r) => slots[i] = Some(r),
-                    Err(_) => {
-                        outcome.lane_panics += 1;
-                        panicked.push((i, s));
-                    }
+            outcome.results = (0..n).map(|_| None).collect();
+            for _ in 0..slices {
+                let (start, slots) = done_rx.recv().expect("every slice reports exactly once");
+                for (slot, result) in outcome.results[start..].iter_mut().zip(slots) {
+                    *slot = result;
                 }
             }
-            outcome.results = slots;
         } else {
-            for (i, item) in items.into_iter().enumerate() {
-                let s = self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.shared.maybe_injected_panic(s);
-                    f(i, item)
-                }));
-                match attempt {
-                    Ok(r) => outcome.results.push(Some(r)),
-                    Err(_) => {
-                        outcome.lane_panics += 1;
-                        outcome.results.push(None);
-                        panicked.push((i, s));
-                    }
-                }
-            }
+            outcome.results = run_slice(&self.shared, items, first, &*f);
         }
-        // Bounded retry: replay each panicked job once, inline on the
-        // caller thread (deterministic, no lane involved). Replaying
-        // the same submission index means a one-shot armed fault has
-        // already disarmed itself, while a sticky fault fires again.
-        panicked.sort_unstable();
-        for (i, s) in panicked {
-            let item = retry_items[i].clone();
+        // Bounded retry: replay each panicked job once, alone and inline
+        // on the caller thread (deterministic, no lane involved).
+        // Replaying the same submission index means a one-shot armed
+        // fault has already disarmed itself, while a sticky fault fires
+        // again.
+        for i in 0..n {
+            if outcome.results[i].is_some() {
+                continue;
+            }
+            outcome.lane_panics += 1;
             let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.shared.maybe_injected_panic(s);
-                f(i, item)
+                self.shared.maybe_injected_panic(first + i as u64);
+                run_one(&*f, &items[i])
             }));
             match retry {
                 Ok(r) => {
@@ -485,6 +487,50 @@ impl WorkerPool {
     }
 }
 
+/// One lane's slice of a [`WorkerPool::try_run`] batch, whose first
+/// job has submission index `first`: `None` marks a job that panicked.
+fn run_slice<T, R>(
+    shared: &PoolShared,
+    jobs: &[T],
+    first: u64,
+    f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized),
+) -> Vec<Option<R>> {
+    let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
+    let live: Vec<usize> = (0..jobs.len())
+        .filter(|&i| {
+            std::panic::catch_unwind(|| shared.maybe_injected_panic(first + i as u64)).is_ok()
+        })
+        .collect();
+    let refs: Vec<&T> = live.iter().map(|&i| &jobs[i]).collect();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_all(f, &refs))) {
+        Ok(results) => {
+            for (&i, r) in live.iter().zip(results) {
+                slots[i] = Some(r);
+            }
+        }
+        Err(_) => {
+            for &i in &live {
+                slots[i] =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(f, &jobs[i])))
+                        .ok();
+            }
+        }
+    }
+    slots
+}
+
+/// `f` over `jobs`, checked to return one result per job.
+fn run_all<T, R>(f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized), jobs: &[&T]) -> Vec<R> {
+    let results = f(jobs);
+    assert_eq!(results.len(), jobs.len(), "one result per job");
+    results
+}
+
+/// `f` over the single job `job`.
+fn run_one<T, R>(f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized), job: &T) -> R {
+    run_all(f, &[job]).pop().expect("one result")
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel wakes every lane out of `recv`.
@@ -498,6 +544,11 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `try_run` job function that applies `g` to each job.
+    fn each<R>(g: impl Fn(u64) -> R + Send + Sync) -> impl Fn(&[&u64]) -> Vec<R> + Send + Sync {
+        move |jobs| jobs.iter().map(|&&x| g(x)).collect()
+    }
 
     #[test]
     fn results_are_in_submission_order() {
@@ -566,7 +617,7 @@ mod tests {
     #[test]
     fn try_run_matches_run_on_clean_batches() {
         let pool = WorkerPool::new(4);
-        let out = pool.try_run((0..64u64).collect(), |_, x| x * 2);
+        let out = pool.try_run(&(0..64u64).collect(), each(|x| x * 2));
         assert_eq!(out.failed, Vec::<usize>::new());
         assert_eq!(out.lane_panics, 0);
         assert_eq!(out.recovered, 0);
@@ -579,13 +630,13 @@ mod tests {
         for lanes in [1usize, 4] {
             let pool = WorkerPool::new(lanes);
             pool.arm_lane_panic(3);
-            let out = pool.try_run((0..8u64).collect(), |_, x| x + 1);
+            let out = pool.try_run(&(0..8u64).collect(), each(|x| x + 1));
             assert_eq!(out.failed, Vec::<usize>::new(), "{lanes} lanes");
             assert_eq!(out.lane_panics, 1, "{lanes} lanes");
             assert_eq!(out.recovered, 1, "{lanes} lanes");
             assert!(out.results.iter().all(Option::is_some));
             // The pool is clean afterwards: no armed fault left behind.
-            let again = pool.try_run((0..8u64).collect(), |_, x| x + 1);
+            let again = pool.try_run(&(0..8u64).collect(), each(|x| x + 1));
             assert_eq!(again.lane_panics, 0, "{lanes} lanes");
         }
     }
@@ -595,7 +646,7 @@ mod tests {
         for lanes in [1usize, 4] {
             let pool = WorkerPool::new(lanes);
             pool.arm_lane_panic_sticky(2);
-            let out = pool.try_run((0..8u64).collect(), |_, x| x + 1);
+            let out = pool.try_run(&(0..8u64).collect(), each(|x| x + 1));
             assert_eq!(out.failed, vec![2], "{lanes} lanes");
             assert_eq!(out.lane_panics, 2, "attempt + retry, {lanes} lanes");
             assert_eq!(out.recovered, 0, "{lanes} lanes");
@@ -607,7 +658,7 @@ mod tests {
                 }
             }
             pool.disarm_lane_panic();
-            let again = pool.try_run((0..8u64).collect(), |_, x| x + 1);
+            let again = pool.try_run(&(0..8u64).collect(), each(|x| x + 1));
             assert_eq!(again.lane_panics, 0, "{lanes} lanes");
         }
     }
@@ -615,10 +666,13 @@ mod tests {
     #[test]
     fn real_panic_in_try_run_never_unwinds_into_caller() {
         let pool = WorkerPool::new(2);
-        let out = pool.try_run((0..8u64).collect(), |_, x| {
-            assert!(x != 5, "boom");
-            x
-        });
+        let out = pool.try_run(
+            &(0..8u64).collect(),
+            each(|x| {
+                assert!(x != 5, "boom");
+                x
+            }),
+        );
         // A genuine (non-injected) panic repeats on retry: same input,
         // same deterministic crash.
         assert_eq!(out.failed, vec![5]);
@@ -634,9 +688,9 @@ mod tests {
         let t = Telemetry::new();
         let pool = WorkerPool::new(4);
         pool.attach_telemetry(&t);
-        let _ = pool.try_run((0..10u64).collect(), |_, x| x);
+        let _ = pool.try_run(&(0..10u64).collect(), each(|x| x));
         pool.arm_lane_panic_sticky(2);
-        let _ = pool.try_run((0..3u64).collect(), |_, x| x);
+        let _ = pool.try_run(&(0..3u64).collect(), each(|x| x));
         let r = t.report();
         assert_eq!(r.counters["shield.pool.batches"], 2);
         assert_eq!(r.counters["shield.pool.jobs"], 13);

@@ -90,6 +90,10 @@ impl Sealed {
     }
 }
 
+/// A sealed message by reference, as [`AuthEncKey::open_batch`] takes
+/// it: `(associated_data, iv, ciphertext, tag)`.
+pub type SealedRef<'a> = (&'a [u8], &'a [u8; IV_LEN], &'a [u8], &'a [u8; TAG_LEN]);
+
 /// A symmetric authenticated-encryption key.
 ///
 /// Internally derives independent encryption and MAC subkeys from the
@@ -215,6 +219,83 @@ impl AuthEncKey {
         }
         ctr_xor(&self.enc, &ChunkIv(*iv), buf);
         Ok(())
+    }
+
+    /// Seals many `(plaintext, associated_data, iv)` messages at once, in
+    /// input order; each equals [`AuthEncKey::seal_with_iv`]'s result.
+    /// HMAC tags are computed four per SHA-256 pass
+    /// ([`HmacSha256::mac_batch`]).
+    #[must_use]
+    pub fn seal_batch(&self, messages: &[(&[u8], &[u8], ChunkIv)]) -> Vec<Sealed> {
+        let ciphertexts: Vec<Vec<u8>> = messages
+            .iter()
+            .map(|(plaintext, _, iv)| {
+                let mut ciphertext = plaintext.to_vec();
+                ctr_xor(&self.enc, iv, &mut ciphertext);
+                ciphertext
+            })
+            .collect();
+        let macced: Vec<_> = messages
+            .iter()
+            .zip(&ciphertexts)
+            .map(|((_, ad, iv), ct)| (*ad, &iv.0, ct.as_slice()))
+            .collect();
+        let tags = self.compute_tags(&macced);
+        messages
+            .iter()
+            .zip(ciphertexts)
+            .zip(tags)
+            .map(|(((_, _, iv), ciphertext), tag)| Sealed {
+                iv: iv.0,
+                ciphertext,
+                tag,
+            })
+            .collect()
+    }
+
+    /// Opens many messages at once, in input order; each result equals
+    /// [`AuthEncKey::open_in_place`]'s. Every tag is checked in constant
+    /// time before its message is decrypted, and a failed message does
+    /// not affect the others.
+    #[must_use]
+    pub fn open_batch(&self, messages: &[SealedRef<'_>]) -> Vec<Result<Vec<u8>, CryptoError>> {
+        let macced: Vec<_> = messages
+            .iter()
+            .map(|&(ad, iv, ciphertext, _)| (ad, iv, ciphertext))
+            .collect();
+        let expected = self.compute_tags(&macced);
+        messages
+            .iter()
+            .zip(expected)
+            .map(|(&(_, iv, ciphertext, tag), expected)| {
+                if !ct::eq(&expected, tag) {
+                    return Err(CryptoError::TagMismatch);
+                }
+                let mut plaintext = ciphertext.to_vec();
+                ctr_xor(&self.enc, &ChunkIv(*iv), &mut plaintext);
+                Ok(plaintext)
+            })
+            .collect()
+    }
+
+    /// [`AuthEncKey::compute_tag`] over many `(ad, iv, ciphertext)`
+    /// messages, in input order.
+    fn compute_tags(&self, messages: &[(&[u8], &[u8; IV_LEN], &[u8])]) -> Vec<[u8; TAG_LEN]> {
+        if self.algorithm != MacAlgorithm::HmacSha256 {
+            return messages
+                .iter()
+                .map(|&(ad, iv, ciphertext)| self.compute_tag(ad, iv, ciphertext))
+                .collect();
+        }
+        let parts: Vec<[&[u8]; 3]> = messages
+            .iter()
+            .map(|&(ad, iv, ciphertext)| [ad, &iv[..], ciphertext])
+            .collect();
+        self.hmac
+            .mac_batch(&parts)
+            .iter()
+            .map(|full| full[..TAG_LEN].try_into().expect("truncate to 16"))
+            .collect()
     }
 
     /// Computes the 16-byte tag over `ad || iv || ciphertext`.

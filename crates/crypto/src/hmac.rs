@@ -9,10 +9,13 @@
 //! model; this module provides the functional MAC.
 
 use crate::ct;
-use crate::sha2::{Sha256, Sha512, SHA256_BLOCK_LEN, SHA512_BLOCK_LEN};
+use crate::sha2::{compress4, Sha256, Sha512, SHA256_BLOCK_LEN, SHA512_BLOCK_LEN};
 
 /// Length in bytes of a full HMAC-SHA256 tag.
 pub const HMAC_SHA256_TAG_LEN: usize = 32;
+
+/// Messages [`HmacSha256::mac_batch`] hashes in lockstep.
+const LANES: usize = 4;
 
 /// Computes HMAC-SHA256 over `data`.
 ///
@@ -83,6 +86,124 @@ impl HmacSha256 {
         let mut outer = self.outer.clone();
         outer.update(&inner.finalize());
         outer.finalize()
+    }
+
+    /// The tags of many messages, each the concatenation of its `P`
+    /// parts, in input order; each equals [`HmacSha256::mac_multi`]'s.
+    ///
+    /// Messages whose inner hashes take the same number of SHA-256
+    /// compressions are tagged four at a time, in lockstep, from the
+    /// cached midstates; the leftovers of each such group go through
+    /// `mac_multi`. The grouping depends only on message lengths.
+    #[must_use]
+    pub fn mac_batch<const P: usize>(&self, messages: &[[&[u8]; P]]) -> Vec<[u8; 32]> {
+        if messages.len() < LANES {
+            return messages.iter().map(|m| self.mac_multi(m)).collect();
+        }
+        let blocks = |&i: &usize| Sha256::compressions_for_len(message_len(&messages[i]));
+        let mut order: Vec<usize> = (0..messages.len()).collect();
+        order.sort_by_key(blocks);
+        let mut tags = vec![[0u8; 32]; messages.len()];
+        for run in order.chunk_by(|a, b| blocks(a) == blocks(b)) {
+            let mut groups = run.chunks_exact(LANES);
+            for group in &mut groups {
+                let group: [usize; LANES] = group.try_into().expect("chunks_exact");
+                for (i, tag) in group
+                    .into_iter()
+                    .zip(self.mac4(group.map(|i| &messages[i])))
+                {
+                    tags[i] = tag;
+                }
+            }
+            for &i in groups.remainder() {
+                tags[i] = self.mac_multi(&messages[i]);
+            }
+        }
+        tags
+    }
+
+    /// Four tags in one pass: lane `l` hashes `messages[l]`. All four
+    /// inner hashes must take the same number of compressions.
+    fn mac4<const P: usize>(&self, messages: [&[&[u8]; P]; LANES]) -> [[u8; 32]; LANES] {
+        let (inner, prefix) = self.inner.midstate();
+        let lens = messages.map(|parts| message_len(parts));
+        let n_blocks = Sha256::compressions_for_len(lens[0]) as usize;
+        let mut readers = messages.map(|parts| Parts {
+            parts,
+            part: 0,
+            offset: 0,
+        });
+        let mut state = inner.map(|word| [word; LANES]);
+        let mut blocks = [[0u8; SHA256_BLOCK_LEN]; LANES];
+        for b in 0..n_blocks {
+            let start = b * SHA256_BLOCK_LEN;
+            for ((block, reader), &len) in blocks.iter_mut().zip(&mut readers).zip(&lens) {
+                // FIPS 180-4 padding, per lane: 0x80 after the message,
+                // then zeros, then the bit length ending the last block.
+                let filled = reader.fill(block);
+                block[filled..].fill(0);
+                if (start..start + SHA256_BLOCK_LEN).contains(&len) {
+                    block[len - start] = 0x80;
+                }
+                if b + 1 == n_blocks {
+                    let bits = (prefix + len as u64) * 8;
+                    block[SHA256_BLOCK_LEN - 8..].copy_from_slice(&bits.to_be_bytes());
+                }
+            }
+            compress4(&mut state, &blocks);
+        }
+        // The outer hash: one block of inner digest and padding per lane.
+        let (outer, prefix) = self.outer.midstate();
+        for (l, block) in blocks.iter_mut().enumerate() {
+            for (bytes, word) in block.chunks_exact_mut(4).zip(&state) {
+                bytes.copy_from_slice(&word[l].to_be_bytes());
+            }
+            block[32] = 0x80;
+            block[33..SHA256_BLOCK_LEN - 8].fill(0);
+            let bits = (prefix + 32) * 8;
+            block[SHA256_BLOCK_LEN - 8..].copy_from_slice(&bits.to_be_bytes());
+        }
+        let mut state = outer.map(|word| [word; LANES]);
+        compress4(&mut state, &blocks);
+        let mut tags = [[0u8; 32]; LANES];
+        for (l, tag) in tags.iter_mut().enumerate() {
+            for (bytes, word) in tag.chunks_exact_mut(4).zip(&state) {
+                bytes.copy_from_slice(&word[l].to_be_bytes());
+            }
+        }
+        tags
+    }
+}
+
+fn message_len(parts: &[&[u8]]) -> usize {
+    parts.iter().map(|part| part.len()).sum()
+}
+
+/// Reads the concatenation of a message's parts one block at a time.
+struct Parts<'a, const P: usize> {
+    parts: &'a [&'a [u8]; P],
+    part: usize,
+    offset: usize,
+}
+
+impl<const P: usize> Parts<'_, P> {
+    /// Copies the next (up to) 64 message bytes into `block`; returns
+    /// how many.
+    fn fill(&mut self, block: &mut [u8; SHA256_BLOCK_LEN]) -> usize {
+        let mut filled = 0;
+        while filled < SHA256_BLOCK_LEN && self.part < P {
+            let rest = &self.parts[self.part][self.offset..];
+            let take = rest.len().min(SHA256_BLOCK_LEN - filled);
+            block[filled..filled + take].copy_from_slice(&rest[..take]);
+            filled += take;
+            if take == rest.len() {
+                self.part += 1;
+                self.offset = 0;
+            } else {
+                self.offset += take;
+            }
+        }
+        filled
     }
 }
 
