@@ -20,10 +20,20 @@ fn bench_aes(c: &mut Criterion) {
     let block = [0x5au8; 16];
     group.bench_function("aes128_block", |b| b.iter(|| aes128.encrypt_block(&block)));
     group.bench_function("aes256_block", |b| b.iter(|| aes256.encrypt_block(&block)));
-    // One full bitsliced pass: the per-block cost CTR and PMAC pay.
-    let mut blocks = [block; 4];
+    // One four-block pass (the tail pass), one full 16-block pass, and
+    // the 256 blocks of a 4 KiB CTR chunk: the per-block cost CTR and
+    // PMAC pay.
+    let mut blocks4 = [block; 4];
     group.bench_function("aes128_blocks4", |b| {
-        b.iter(|| aes128.encrypt_blocks(&mut blocks))
+        b.iter(|| aes128.encrypt_blocks(&mut blocks4))
+    });
+    let mut blocks16 = [block; 16];
+    group.bench_function("aes128_blocks16", |b| {
+        b.iter(|| aes128.encrypt_blocks(&mut blocks16))
+    });
+    let mut blocks256 = [block; 256];
+    group.bench_function("aes128_blocks256", |b| {
+        b.iter(|| aes128.encrypt_blocks(&mut blocks256))
     });
     for size in [512usize, 4096] {
         let mut buf = vec![0u8; size];

@@ -23,10 +23,24 @@
 //! No lookup is indexed by key or data and nothing branches on them, so
 //! the running time depends only on the number of blocks.
 //!
-//! The cipher runs four blocks per pass, so [`Aes::encrypt_blocks`] is the
-//! fast path for CTR, PMAC and GCM; [`Aes::encrypt_block`] runs one pass
-//! with a single live block. Only the forward cipher exists: every mode in
-//! this crate (CTR, PMAC, GCM and the GHASH subkey) encrypts.
+//! The cipher runs sixteen blocks ([`AES_BATCH`]) per pass, the software
+//! counterpart of the paper's 16 AES engines per engine set (Table 2).
+//! The state is `[[u64; 4]; 8]`: `q[j][l]` is word `j` of lane `l`, and
+//! each lane is one four-block fixsliced state, so the four lanes of a
+//! word sit side by side in memory. Each round is one loop over the four
+//! lanes around the same circuit, and LLVM's loop vectoriser turns that
+//! loop into SSE2 code, two lanes per instruction. The loop must be per
+//! round: a lane loop around the whole ten-round pass stays scalar.
+//! Inside it no round key is indexed: a bounds check is an early exit,
+//! which the vectoriser refuses.
+//!
+//! A group of fewer than 13 blocks goes through four-block passes: the
+//! same code with one lane, which compiles to the scalar circuit. That
+//! covers [`Aes::encrypt_block`], 64 B chunks and PMAC's final block.
+//! [`Aes::encrypt_blocks`] is the fast path for CTR, PMAC and GCM. Which
+//! pass runs depends only on the number of blocks. Only the forward
+//! cipher exists: every mode in this crate (CTR, PMAC, GCM and the GHASH
+//! subkey) encrypts.
 //!
 //! # Example
 //!
@@ -41,12 +55,25 @@
 //! assert_eq!(aes.key_size(), AesKeySize::Aes128);
 //! ```
 
+// The lane loop and SubBytes must inline into every round's lane loop:
+// with plain inlining hints LLVM leaves calls in some of them (the
+// final round's, and the ortho pass around the rounds), and a lane loop
+// with a call is not vectorised.
+#![allow(clippy::inline_always)]
+
 /// Bytes in one AES block.
 pub const AES_BLOCK_LEN: usize = 16;
 
-/// Blocks encrypted by one pass of the bitsliced cipher. Callers with
-/// many blocks hand them to [`Aes::encrypt_blocks`] in groups of this size.
-pub const AES_BATCH: usize = 4;
+/// Blocks encrypted by one full pass of the bitsliced cipher. Callers
+/// with many blocks hand them to [`Aes::encrypt_blocks`] in groups of this
+/// size.
+pub const AES_BATCH: usize = LANES * LANE_BLOCKS;
+
+/// Blocks in one fixsliced [`State`], i.e. in one lane.
+const LANE_BLOCKS: usize = 4;
+
+/// Lanes of a full pass.
+const LANES: usize = 4;
 
 const MAX_ROUNDS: usize = 14;
 
@@ -144,12 +171,17 @@ impl core::fmt::Display for SBoxParallelism {
 /// Each 16-bit lane of a word is thus one row of all four blocks.
 type State = [u64; 8];
 
+/// `N` states side by side: `q[j][l]` is word `j` of lane `l`'s
+/// [`State`], so the lanes of a word are adjacent in memory.
+type Lanes<const N: usize> = [[u64; N]; 8];
+
 /// An AES cipher instance with an expanded key schedule.
 #[derive(Clone)]
 pub struct Aes {
-    /// Bitsliced round keys (the same key in all four block slots). Key
-    /// `r` for `0 < r < rounds` is stored shifted by ShiftRows^(−r) to
-    /// match the fixsliced state; keys 0 and `rounds` are unshifted.
+    /// Bitsliced round keys: one lane, the same key in all four block
+    /// slots, added to every lane. Key `r` for `0 < r < rounds` is stored
+    /// shifted by ShiftRows^(−r) to match the fixsliced state; keys 0 and
+    /// `rounds` are unshifted.
     round_keys: [State; MAX_ROUNDS + 1],
     key_size: AesKeySize,
 }
@@ -219,7 +251,8 @@ impl Aes {
             for (dst, word) in block.chunks_exact_mut(4).zip(&w[4 * r..4 * r + 4]) {
                 dst.copy_from_slice(word);
             }
-            *rk = load(&[block; AES_BATCH]);
+            *rk = interleave_in(&[block; LANE_BLOCKS]);
+            ortho(rk);
             if r < rounds {
                 // ShiftRows^(−r) = ShiftRows^(4 − r mod 4).
                 shift_rows(rk, (4 - r % 4) as u32);
@@ -240,37 +273,86 @@ impl Aes {
     }
 
     /// Encrypts `blocks` in place, [`AES_BATCH`] blocks per cipher pass.
+    ///
+    /// A group of 13 to 16 blocks takes one full pass with all four lanes;
+    /// a smaller group (only the last one can be) takes four-block
+    /// passes, because three of those cost about as much as one full
+    /// pass. The choice depends only on the number of blocks.
     pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
         for group in blocks.chunks_mut(AES_BATCH) {
-            let mut q = load(group);
-            self.encrypt_state(&mut q);
-            store(q, group);
+            if group.len() > AES_BATCH - LANE_BLOCKS {
+                self.pass::<LANES>(group);
+            } else {
+                for lane in group.chunks_mut(LANE_BLOCKS) {
+                    self.pass::<1>(lane);
+                }
+            }
         }
     }
 
-    fn encrypt_state(&self, q: &mut State) {
+    /// One cipher pass over up to `4·N` blocks in `N` lanes.
+    #[inline]
+    fn pass<const N: usize>(&self, blocks: &mut [[u8; 16]]) {
+        let mut q = [[0u64; N]; 8];
+        for (l, lane) in blocks.chunks(LANE_BLOCKS).enumerate() {
+            for (word, x) in q.iter_mut().zip(interleave_in(lane)) {
+                word[l] = x;
+            }
+        }
+        each_lane(&mut q, ortho);
+        self.encrypt_lanes(&mut q);
+        each_lane(&mut q, ortho);
+        for (l, lane) in blocks.chunks_mut(LANE_BLOCKS).enumerate() {
+            interleave_out(core::array::from_fn(|j| q[j][l]), lane);
+        }
+    }
+
+    fn encrypt_lanes<const N: usize>(&self, q: &mut Lanes<N>) {
         let rounds = self.key_size.rounds();
         debug_assert_eq!(
             rounds % 4,
             2,
             "the final ShiftRows² assumes rounds mod 4 = 2"
         );
+        // Each round key is bound before its lane loop: a bounds check
+        // inside the loop is an early exit, which the vectoriser refuses.
         let rk = &self.round_keys;
-        add_round_key(q, &rk[0]);
+        each_lane(q, |s| add_round_key(s, &rk[0]));
         let mut r = 1;
         loop {
-            round::<1>(q, &rk[r]);
+            let k1 = &rk[r];
+            each_lane(q, |s| round::<1>(s, k1));
             if r + 1 == rounds {
                 break;
             }
-            round::<2>(q, &rk[r + 1]);
-            round::<3>(q, &rk[r + 2]);
-            round::<0>(q, &rk[r + 3]);
+            let [k2, k3, k0] = [&rk[r + 1], &rk[r + 2], &rk[r + 3]];
+            each_lane(q, |s| round::<2>(s, k2));
+            each_lane(q, |s| round::<3>(s, k3));
+            each_lane(q, |s| round::<0>(s, k0));
             r += 4;
         }
-        sub_bytes(q);
-        shift_rows(q, 2);
-        add_round_key(q, &rk[rounds]);
+        // The last round has no MixColumns; ShiftRows² undoes the
+        // fixslicing.
+        let last = &rk[rounds];
+        each_lane(q, |s| {
+            sub_bytes(s);
+            shift_rows(s, 2);
+            add_round_key(s, last);
+        });
+    }
+}
+
+/// Applies `step` to every lane. Called once per round, so the lane loop
+/// is the innermost loop around one round's circuit, which LLVM's loop
+/// vectoriser turns into SSE2 code two lanes at a time.
+#[inline(always)]
+fn each_lane<const N: usize>(q: &mut Lanes<N>, step: impl Fn(&mut State)) {
+    for l in 0..N {
+        let mut s: State = core::array::from_fn(|j| q[j][l]);
+        step(&mut s);
+        for (word, x) in q.iter_mut().zip(s) {
+            word[l] = x;
+        }
     }
 }
 
@@ -362,7 +444,7 @@ fn mix_columns<const R: u32>(q: &mut State) {
 
 /// SubBytes on all 64 bytes at once: the Boyar–Peralta circuit (113
 /// gates). `x0`/`s0` are the most significant bit, i.e. `q[7]`.
-#[inline]
+#[inline(always)]
 fn sub_bytes(q: &mut State) {
     let [x7, x6, x5, x4, x3, x2, x1, x0] = *q;
 
@@ -492,11 +574,12 @@ fn sub_bytes(q: &mut State) {
     *q = [s7, s6, s5, s4, s3, s2, s1, s0];
 }
 
-/// Packs up to four blocks into the bitsliced state (missing blocks are
-/// zero): BearSSL's `interleave_in` per block, then [`ortho`].
+/// Packs up to four blocks into the eight words (missing blocks are
+/// zero): BearSSL's `interleave_in` per block. [`ortho`] then makes them
+/// a bitsliced [`State`].
 #[inline]
-fn load(blocks: &[[u8; 16]]) -> State {
-    debug_assert!(blocks.len() <= AES_BATCH);
+fn interleave_in(blocks: &[[u8; 16]]) -> State {
+    debug_assert!(blocks.len() <= LANE_BLOCKS);
     let mut q = [0u64; 8];
     for (b, block) in blocks.iter().enumerate() {
         let [x0, x1, x2, x3] = core::array::from_fn(|c| {
@@ -510,15 +593,13 @@ fn load(blocks: &[[u8; 16]]) -> State {
         q[b] = x0 | (x2 << 8);
         q[b + 4] = x1 | (x3 << 8);
     }
-    ortho(&mut q);
     q
 }
 
-/// Unpacks the bitsliced state into `blocks` (at most four): the inverse
-/// of [`load`].
+/// Unpacks the words into `blocks` (at most four): the inverse of
+/// [`interleave_in`], after [`ortho`] has undone the bitslicing.
 #[inline]
-fn store(mut q: State, blocks: &mut [[u8; 16]]) {
-    ortho(&mut q);
+fn interleave_out(q: State, blocks: &mut [[u8; 16]]) {
     let gather = |x: u64| {
         let x = x & 0x00ff_00ff_00ff_00ff;
         let x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
@@ -615,7 +696,7 @@ mod tests {
     #[test]
     fn encrypt_blocks_matches_encrypt_block_random() {
         // Deterministic pseudo-random coverage of both key sizes and of
-        // every position inside a four-block pass.
+        // every position inside a full pass and a 13-block tail pass.
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             x ^= x << 13;
@@ -628,7 +709,7 @@ mod tests {
             for chunk in key.chunks_exact_mut(8) {
                 chunk.copy_from_slice(&next().to_le_bytes());
             }
-            let mut blocks = [[0u8; 16]; 7];
+            let mut blocks = [[0u8; 16]; 2 * AES_BATCH + 13];
             for chunk in blocks.as_flattened_mut().chunks_exact_mut(8) {
                 chunk.copy_from_slice(&next().to_le_bytes());
             }

@@ -175,6 +175,24 @@ mod tests {
     }
 
     #[test]
+    fn counter_wraps_inside_a_full_pass() {
+        // Counters 2^32 − 6 ..= 2^32 − 1, then 0, 1, …: the wrap lands
+        // inside the first 16-block pass, and a 5-byte tail follows three
+        // full passes.
+        let aes = Aes::new_128(&[0x5c; 16]);
+        let iv = [0xa7; IV_LEN];
+        let first = u32::MAX - 5;
+        let mut keystream = vec![0u8; 3 * AES_BATCH * AES_BLOCK_LEN + 5];
+        ctr_xor_from(&aes, &iv, first, &mut keystream);
+        for (i, got) in keystream.chunks(AES_BLOCK_LEN).enumerate() {
+            let mut block = [0u8; AES_BLOCK_LEN];
+            block[..IV_LEN].copy_from_slice(&iv);
+            block[IV_LEN..].copy_from_slice(&first.wrapping_add(i as u32).to_be_bytes());
+            assert_eq!(got, &aes.encrypt_block(&block)[..got.len()], "block {i}");
+        }
+    }
+
+    #[test]
     fn block_count_model() {
         assert_eq!(blocks_for_len(0), 0);
         assert_eq!(blocks_for_len(1), 1);

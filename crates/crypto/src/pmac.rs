@@ -9,13 +9,15 @@
 //! takes SDP from 297 % overhead to 59 % (Table 2) and DNNWeaver from
 //! 3.20× to 2.31× (Fig. 6).
 //!
-//! The construction follows Black–Rogaway PMAC: blocks are XOR-masked
-//! with Gray-code multiples of L = E_K(0), encrypted, and XOR-accumulated;
-//! the final partial block is padded 10* and folded in; the tag is
-//! E_K(Σ ⊕ L·x^{-1}-ish finalization mask). We use a simplified
-//! finalization (distinct masks for full/partial last block) that keeps
-//! the parallel structure; it is a PRF under the same assumptions, and
-//! all security tests in this workspace treat it as an opaque MAC.
+//! The construction follows Black–Rogaway PMAC, with successive
+//! doublings in place of Gray-code multiples: with L = E_K(0), block `i`
+//! (from 1) of all but the last is XOR-masked with L·x^i (`dbl` applied
+//! `i` times), encrypted, and XOR-accumulated into Σ. The last block is
+//! folded into Σ unencrypted: a full one with mask L·x², a partial (or
+//! empty) one padded 10* and with mask L·x³; the tag is E_K of the
+//! result. This simplified finalization (distinct masks for a full and a
+//! partial last block) keeps the parallel structure; all security tests
+//! in this workspace treat it as an opaque MAC.
 //!
 //! # Example
 //!
@@ -169,8 +171,8 @@ mod tests {
 
     #[test]
     fn block_permutation_detected() {
-        // Swapping two 16-byte blocks must change the tag (the Gray-like
-        // mask schedule binds position).
+        // Swapping two 16-byte blocks must change the tag (each position
+        // has its own doubling of L as mask).
         let mut data = vec![0u8; 48];
         data[0..16].copy_from_slice(&[1u8; 16]);
         data[16..32].copy_from_slice(&[2u8; 16]);

@@ -154,29 +154,33 @@ fn bitsliced_sbox_matches_fips_table() {
     }
 }
 
-// Group sizes 1..=9 cover one and two full four-block passes plus every
-// partial remainder.
+/// Checks `encrypt_blocks` on every prefix of `data` (0..=40 blocks:
+/// full 16-block passes, wide 13..=15-block tails and four-block tails)
+/// against the reference, and `encrypt_block` on the first block.
+fn check_every_block_count(
+    aes: &Aes,
+    key: &[u8],
+    data: &[[u8; 16]; 40],
+) -> Result<(), TestCaseError> {
+    let expected: Vec<[u8; 16]> = data.iter().map(|b| reference_encrypt(key, b)).collect();
+    prop_assert_eq!(aes.encrypt_block(&data[0]), expected[0]);
+    for n in 0..=data.len() {
+        let mut blocks = data[..n].to_vec();
+        aes.encrypt_blocks(&mut blocks);
+        prop_assert!(blocks[..] == expected[..n], "{n} blocks");
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
-    fn aes128_matches_reference(key in any::<[u8; 16]>(), data in any::<[[u8; 16]; 9]>(),
-                                n in 1usize..10) {
-        let aes = Aes::new_128(&key);
-        let mut blocks = data[..n].to_vec();
-        let expected: Vec<[u8; 16]> = blocks.iter().map(|b| reference_encrypt(&key, b)).collect();
-        prop_assert_eq!(aes.encrypt_block(&blocks[0]), expected[0]);
-        aes.encrypt_blocks(&mut blocks);
-        prop_assert_eq!(blocks, expected);
+    fn aes128_matches_reference(key in any::<[u8; 16]>(), data in any::<[[u8; 16]; 40]>()) {
+        check_every_block_count(&Aes::new_128(&key), &key, &data)?;
     }
 
     #[test]
-    fn aes256_matches_reference(key in any::<[u8; 32]>(), data in any::<[[u8; 16]; 9]>(),
-                                n in 1usize..10) {
-        let aes = Aes::new_256(&key);
-        let mut blocks = data[..n].to_vec();
-        let expected: Vec<[u8; 16]> = blocks.iter().map(|b| reference_encrypt(&key, b)).collect();
-        prop_assert_eq!(aes.encrypt_block(&blocks[0]), expected[0]);
-        aes.encrypt_blocks(&mut blocks);
-        prop_assert_eq!(blocks, expected);
+    fn aes256_matches_reference(key in any::<[u8; 32]>(), data in any::<[[u8; 16]; 40]>()) {
+        check_every_block_count(&Aes::new_256(&key), &key, &data)?;
     }
 }
 
@@ -185,7 +189,7 @@ proptest! {
 
     #[test]
     fn ctr_matches_reference_at_every_length(key in any::<[u8; 16]>(), nonce in any::<[u8; 8]>(),
-                                             idx in any::<u32>(), data in any::<[u8; 200]>()) {
+                                             idx in any::<u32>(), data in any::<[u8; 700]>()) {
         let aes = Aes::new_128(&key);
         let iv = ChunkIv::for_chunk(nonce, idx);
         let mut expected = data;
@@ -196,20 +200,41 @@ proptest! {
             prop_assert!(buf[..] == expected[..len], "length {len}");
         }
     }
+}
+
+/// Checks `pmac` on `msg`, and `pmac_multi` on `msg` cut into three
+/// parts, against the reference.
+fn check_pmac(aes: &Aes, key: &[u8], msg: &[u8], cuts: (u16, u16)) -> Result<(), TestCaseError> {
+    let len = msg.len();
+    let expected = reference_pmac(key, msg);
+    prop_assert!(pmac(aes, msg) == expected, "length {len}");
+    let a = usize::from(cuts.0) % (len + 1);
+    let b = a + usize::from(cuts.1) % (len - a + 1);
+    let parts = pmac_multi(aes, &[&msg[..a], &msg[a..b], &msg[b..]]);
+    prop_assert!(parts == expected, "length {len} cut at {a}/{b}");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn pmac_matches_reference_at_every_length(key in any::<[u8; 16]>(), data in any::<[u8; 100]>(),
-                                              cuts in any::<(u8, u8)>()) {
+    fn pmac_matches_reference_at_every_length(key in any::<[u8; 16]>(), data in any::<[u8; 600]>(),
+                                              cuts in any::<(u16, u16)>()) {
         let aes = Aes::new_128(&key);
         for len in 0..=data.len() {
-            let msg = &data[..len];
-            let expected = reference_pmac(&key, msg);
-            prop_assert!(pmac(&aes, msg) == expected, "length {len}");
-            // The same message streamed as three parts.
-            let a = usize::from(cuts.0) % (len + 1);
-            let b = a + usize::from(cuts.1) % (len - a + 1);
-            let parts = pmac_multi(&aes, &[&msg[..a], &msg[a..b], &msg[b..]]);
-            prop_assert!(parts == expected, "length {len} cut at {a}/{b}");
+            check_pmac(&aes, &key, &data[..len], cuts)?;
+        }
+    }
+
+    #[test]
+    fn pmac_matches_reference_around_4096(key in any::<[u8; 16]>(), data in any::<[u8; 4097]>(),
+                                          cuts in any::<(u16, u16)>()) {
+        // A 4 KiB chunk queues 255 blocks: 15 full passes and a wide
+        // 15-block tail; one byte either side moves the last block.
+        let aes = Aes::new_128(&key);
+        for len in [4095, 4096, 4097] {
+            check_pmac(&aes, &key, &data[..len], cuts)?;
         }
     }
 }
