@@ -2,7 +2,7 @@
 //! software analogues of the Shield's engines.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use shef_core::shield::chunk::seal_chunks;
+use shef_core::shield::chunk::{ChunkCipher, CHUNK_TAG_LEN};
 use shef_crypto::aes::Aes;
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm};
 use shef_crypto::ctr::{ctr_xor, ChunkIv};
@@ -73,7 +73,13 @@ fn bench_hashes(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("hmac_sha256_x4", size),
             &messages,
-            |b, m| b.iter(|| key.mac_batch(m)),
+            |b, m| {
+                b.iter(|| {
+                    let mut tags = [[0u8; 32]; 4];
+                    key.mac_batch(m, |i, tag| tags[i] = tag);
+                    tags
+                })
+            },
         );
     }
     group.finish();
@@ -94,17 +100,24 @@ fn bench_authenc(c: &mut Criterion) {
         });
     }
     // A 4 KiB burst of 512 B HMAC chunks, as an engine set seals it:
-    // two lockstep groups of four.
-    let key = AuthEncKey::from_bytes([9u8; 32], MacAlgorithm::HmacSha256);
-    let data = vec![0x11u8; 4096];
-    let chunks: Vec<(u32, u64, &[u8])> = data
-        .chunks(512)
-        .zip(0..)
-        .map(|(pt, idx)| (idx, 0, pt))
-        .collect();
+    // two lockstep groups of four, sealed where they lie.
+    let cipher = ChunkCipher::new(
+        AuthEncKey::from_bytes([9u8; 32], MacAlgorithm::HmacSha256),
+        [1; 8],
+        "bench",
+    );
+    let mut data = vec![0x11u8; 4096];
+    let mut tags = [[0u8; CHUNK_TAG_LEN]; 8];
     group.throughput(Throughput::Bytes(4096));
     group.bench_function("hmac_seal_chunks_x8_512", |b| {
-        b.iter(|| seal_chunks(&key, [1; 8], "bench", &chunks))
+        b.iter(|| {
+            cipher.seal(
+                data.chunks_mut(512)
+                    .zip(&mut tags)
+                    .zip(0..)
+                    .map(|((buf, tag), idx)| (idx, 0, buf, tag)),
+            );
+        })
     });
     group.finish();
 }

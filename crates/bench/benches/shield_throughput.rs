@@ -1,7 +1,9 @@
 //! Criterion benchmarks of the Shield datapath itself: functional
 //! (wall-clock) throughput of engine-set reads/writes under different
 //! configurations and lane counts, the per-op cost of a 64 B buffer hit
-//! and miss, plus the end-to-end vecadd harness.
+//! and miss and of a zero-filled 768 B row write, the Data Owner's
+//! client-side sealing and opening of 64 B chunks, plus the end-to-end
+//! vecadd harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use shef_accel::harness::{run_baseline, run_shielded_parallel};
@@ -9,7 +11,8 @@ use shef_accel::vecadd::VectorAdd;
 use shef_accel::CryptoProfile;
 use shef_core::shield::client;
 use shef_core::shield::{
-    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig, WorkerPool,
+    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, RegionConfig, Shield, ShieldConfig,
+    WorkerPool,
 };
 use shef_crypto::authenc::MacAlgorithm;
 use shef_crypto::ecies::EciesKeyPair;
@@ -22,17 +25,17 @@ fn shielded_setup(
     mac: MacAlgorithm,
     buffer_bytes: usize,
 ) -> (Shield, Shell, Dram, DataEncryptionKey) {
+    shielded_setup_with(EngineSetConfig {
+        chunk_size: chunk,
+        mac,
+        buffer_bytes,
+        ..EngineSetConfig::default()
+    })
+}
+
+fn shielded_setup_with(engine_set: EngineSetConfig) -> (Shield, Shell, Dram, DataEncryptionKey) {
     let config = ShieldConfig::builder()
-        .region(
-            "bench",
-            MemRange::new(0, 1 << 20),
-            EngineSetConfig {
-                chunk_size: chunk,
-                mac,
-                buffer_bytes,
-                ..EngineSetConfig::default()
-            },
-        )
+        .region("bench", MemRange::new(0, 1 << 20), engine_set)
         .build()
         .unwrap();
     let mut shield = Shield::new(config, EciesKeyPair::from_seed(b"bench")).unwrap();
@@ -113,6 +116,80 @@ fn bench_shield_reads(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_shield_writes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shield_write");
+    group.sample_size(20);
+    // One 768 B row written to a zero-filling 4 KiB buffer of 64 B HMAC
+    // chunks, affine's output geometry: once the buffer is full, every
+    // row zero-fills 12 lines and evicts and seals 12 dirty ones.
+    let (mut shield, mut shell, mut dram, _) = shielded_setup_with(EngineSetConfig {
+        chunk_size: 64,
+        mac: MacAlgorithm::HmacSha256,
+        buffer_bytes: 4096,
+        zero_fill_writes: true,
+        ..EngineSetConfig::default()
+    });
+    let pool = WorkerPool::new(1);
+    let mut ledger = CostLedger::new();
+    let row = vec![0x5au8; 768];
+    let rows = (1u64 << 20) / 768;
+    let mut r = 0u64;
+    group.throughput(Throughput::Bytes(768));
+    group.bench_function("row_768b_zero_fill", |b| {
+        b.iter(|| {
+            r = (r + 1) % rows;
+            shield
+                .write(
+                    &mut shell,
+                    &mut dram,
+                    &mut ledger,
+                    r * 768,
+                    &row,
+                    AccessMode::Streaming,
+                    &pool,
+                )
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
+fn bench_client(c: &mut Criterion) {
+    let mut group = c.benchmark_group("client");
+    group.sample_size(20);
+    // 288 chunks of 64 B (18 KiB) under HMAC: the Data Owner's per-chunk
+    // cost at affine's chunk size.
+    let region = RegionConfig {
+        name: "bench".into(),
+        range: MemRange::new(0, 64 * 288),
+        engine_set: EngineSetConfig {
+            chunk_size: 64,
+            mac: MacAlgorithm::HmacSha256,
+            ..EngineSetConfig::default()
+        },
+    };
+    let dek = DataEncryptionKey::from_bytes([1u8; 32]);
+    let plaintext = vec![0x33u8; 64 * 288];
+    let enc = client::encrypt_region(&dek, &region, &plaintext, 0);
+    group.throughput(Throughput::Bytes(64 * 288));
+    group.bench_function("encrypt_64b_x288", |b| {
+        b.iter(|| client::encrypt_region(&dek, &region, &plaintext, 0))
+    });
+    group.bench_function("decrypt_64b_x288", |b| {
+        b.iter(|| {
+            client::decrypt_region(
+                &dek,
+                &region,
+                &enc.ciphertext,
+                &enc.tags,
+                &client::uniform_epochs(0),
+            )
+            .unwrap()
+        })
+    });
+    group.finish();
+}
+
 fn bench_vecadd_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("vecadd_harness");
     group.sample_size(10);
@@ -135,7 +212,6 @@ fn bench_vecadd_end_to_end(c: &mut Criterion) {
 fn bench_replay_defences(c: &mut Criterion) {
     use shef_core::shield::engine::EngineSet;
     use shef_core::shield::merkle::MerkleConfig;
-    use shef_core::shield::RegionConfig;
 
     let mut group = c.benchmark_group("replay_defence");
     group.sample_size(20);
@@ -226,6 +302,8 @@ fn bench_replay_defences(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_shield_reads,
+    bench_shield_writes,
+    bench_client,
     bench_vecadd_end_to_end,
     bench_replay_defences
 );

@@ -35,7 +35,7 @@ impl MemReadSpoofer {
 }
 
 impl Interposer for MemReadSpoofer {
-    fn on_mem_read(&mut self, _addr: u64, data: &mut Vec<u8>) {
+    fn on_mem_read(&mut self, _addr: u64, data: &mut [u8]) {
         if self.corrupted < self.corrupt_first_n {
             if let Some(b) = data.first_mut() {
                 *b ^= 0xFF;
@@ -74,10 +74,10 @@ impl Interposer for Snooper {
     fn on_dma_from_device(&mut self, _addr: u64, data: &mut Vec<u8>) {
         self.observed.extend_from_slice(data);
     }
-    fn on_mem_read(&mut self, _addr: u64, data: &mut Vec<u8>) {
+    fn on_mem_read(&mut self, _addr: u64, data: &mut [u8]) {
         self.observed.extend_from_slice(data);
     }
-    fn on_mem_write(&mut self, _addr: u64, data: &mut Vec<u8>) {
+    fn on_mem_write(&mut self, _addr: u64, data: &mut [u8]) {
         self.observed.extend_from_slice(data);
     }
 }

@@ -140,7 +140,9 @@ impl MemoryBus for PlainBus<'_> {
             PORT_READ_LANE,
             Cycles((len as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
         );
-        Ok(self.shell.mem_read(self.dram, addr, len)?)
+        let mut buf = vec![0u8; len];
+        self.shell.mem_read(self.dram, addr, &mut buf)?;
+        Ok(buf)
     }
 
     fn write(&mut self, addr: u64, data: &[u8], _mode: AccessMode) -> Result<(), ShefError> {
@@ -148,7 +150,7 @@ impl MemoryBus for PlainBus<'_> {
             PORT_WRITE_LANE,
             Cycles((data.len() as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
         );
-        Ok(self.shell.mem_write(self.dram, addr, data)?)
+        Ok(self.shell.mem_write(self.dram, addr, &mut data.to_vec())?)
     }
 
     fn flush(&mut self) -> Result<(), ShefError> {

@@ -9,7 +9,7 @@
 
 use core::ops::Range;
 
-use super::chunk::{open_chunks, seal_chunks, CHUNK_TAG_LEN};
+use super::chunk::{ChunkCipher, CHUNK_TAG_LEN};
 use super::config::RegionConfig;
 use super::keys::DataEncryptionKey;
 use crate::ShefError;
@@ -81,18 +81,17 @@ pub fn encrypt_region_at(
             region.name
         )
     });
-    let key = dek.region_key(region);
-    let nonce = dek.region_nonce(region);
-    let chunks: Vec<_> = window
-        .zip(plaintext.chunks(region.engine_set.chunk_size))
-        .map(|(idx, pt)| (idx, epoch, pt))
-        .collect();
-    let mut ciphertext = Vec::with_capacity(plaintext.len());
-    let mut tags = Vec::with_capacity(chunks.len() * CHUNK_TAG_LEN);
-    for (ct, tag) in seal_chunks(&key, nonce, &region.name, &chunks) {
-        ciphertext.extend_from_slice(&ct);
-        tags.extend_from_slice(&tag);
-    }
+    // One copy of the plaintext becomes the ciphertext image, sealed
+    // where it lies; the tags land straight in the tag array.
+    let mut ciphertext = plaintext.to_vec();
+    let mut tags = vec![0u8; window.len() * CHUNK_TAG_LEN];
+    let (tag_slots, _) = tags.as_chunks_mut::<CHUNK_TAG_LEN>();
+    ChunkCipher::for_region(dek, region).seal(
+        window
+            .zip(ciphertext.chunks_mut(region.engine_set.chunk_size))
+            .zip(tag_slots)
+            .map(|((idx, buf), tag)| (idx, epoch, buf, tag)),
+    );
     EncryptedRegion { ciphertext, tags }
 }
 
@@ -138,8 +137,6 @@ pub fn decrypt_region_at(
             region.name
         )));
     };
-    let key = dek.region_key(region);
-    let nonce = dek.region_nonce(region);
     let chunk = region.engine_set.chunk_size;
     let n_chunks = window.len();
     if tags.len() < n_chunks * CHUNK_TAG_LEN {
@@ -150,19 +147,20 @@ pub fn decrypt_region_at(
             tags.len()
         )));
     }
-    let chunks: Vec<_> = window
-        .zip(ciphertext.chunks(chunk))
-        .zip(tags.chunks_exact(CHUNK_TAG_LEN))
-        .map(|((idx, ct), tag)| {
-            let tag: &[u8; CHUNK_TAG_LEN] = tag.try_into().expect("chunks_exact");
-            (idx, epochs(idx), ct, tag)
-        })
-        .collect();
-    let mut plaintext = Vec::with_capacity(ciphertext.len());
-    for pt in open_chunks(&key, nonce, &region.name, &chunks) {
-        plaintext.extend_from_slice(&pt?);
+    let cipher = ChunkCipher::for_region(dek, region);
+    let (tags, _) = tags.as_chunks::<CHUNK_TAG_LEN>();
+    let mut plaintext = ciphertext.to_vec();
+    let verdicts = cipher.open(
+        window
+            .clone()
+            .zip(plaintext.chunks_mut(chunk))
+            .zip(tags)
+            .map(|((idx, buf), tag)| (idx, epochs(idx), buf, tag)),
+    );
+    match window.zip(verdicts).find(|(_, verdict)| verdict.is_err()) {
+        Some((idx, _)) => Err(cipher.integrity_violation(idx, epochs(idx))),
+        None => Ok(plaintext),
     }
-    Ok(plaintext)
 }
 
 /// The chunk indices `first_chunk ..` covering `len` bytes, if they all
@@ -284,14 +282,16 @@ mod tests {
         let dek = DataEncryptionKey::from_bytes([8u8; 32]);
         let r = region();
         // Chunk 0 at epoch 2, chunk 1 at epoch 5.
-        let key = dek.region_key(&r);
-        let nonce = dek.region_nonce(&r);
-        let (c0, t0) = super::super::chunk::seal_chunk(&key, nonce, &r.name, 0, 2, &[1u8; 512]);
-        let (c1, t1) = super::super::chunk::seal_chunk(&key, nonce, &r.name, 1, 5, &[2u8; 512]);
-        let mut ct = c0;
-        ct.extend_from_slice(&c1);
-        let mut tags = t0.to_vec();
-        tags.extend_from_slice(&t1);
+        let cipher = ChunkCipher::for_region(&dek, &r);
+        let mut ct: Vec<u8> = [[1u8; 512], [2u8; 512]].concat();
+        let mut tags = vec![0u8; 2 * CHUNK_TAG_LEN];
+        let (tag_slots, _) = tags.as_chunks_mut::<CHUNK_TAG_LEN>();
+        cipher.seal(
+            ct.chunks_mut(512)
+                .zip(tag_slots)
+                .zip([(0, 2), (1, 5)])
+                .map(|((buf, tag), (idx, epoch))| (idx, epoch, buf, tag)),
+        );
         let epochs = |i: u32| if i == 0 { 2 } else { 5 };
         let out = decrypt_region(&dek, &r, &ct, &tags, &epochs).unwrap();
         assert_eq!(&out[..512], &[1u8; 512][..]);

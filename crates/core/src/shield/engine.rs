@@ -10,12 +10,11 @@ use std::sync::Arc;
 
 use shef_telemetry::{Counter, Gauge, Histogram, Scope, Telemetry};
 
-use shef_crypto::authenc::AuthEncKey;
 use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 
-use super::chunk::{open_chunk, open_chunks, seal_chunk, seal_chunks, CHUNK_TAG_LEN};
+use super::chunk::{ChunkCipher, CHUNK_TAG_LEN};
 use super::config::RegionConfig;
 use super::keys::DataEncryptionKey;
 use super::lru::LruMap;
@@ -201,6 +200,8 @@ struct Line {
 pub struct EngineSet {
     region: RegionConfig,
     tag_base: u64,
+    /// Shared with every batch's lane closure behind one `Arc`, so a
+    /// batch captures a refcount instead of copying the key schedule.
     cipher: Arc<ChunkCipher>,
     lane: String,
     /// The last batch's crypto cost, recomputed in place per batch.
@@ -243,8 +244,6 @@ impl EngineSet {
         merkle_base: u64,
         dek: &DataEncryptionKey,
     ) -> Self {
-        let key = dek.region_key(&region);
-        let nonce = dek.region_nonce(&region);
         let chunk = region.engine_set.chunk_size;
         let capacity_lines = if region.engine_set.buffer_bytes == 0 {
             // No buffer: a single in-flight chunk register.
@@ -266,11 +265,7 @@ impl EngineSet {
         EngineSet {
             lane,
             batch_cost: BatchCost::default(),
-            cipher: Arc::new(ChunkCipher {
-                key,
-                nonce,
-                name: region.name.clone(),
-            }),
+            cipher: Arc::new(ChunkCipher::for_region(dek, &region)),
             region,
             tag_base,
             lines: LruMap::default(),
@@ -498,11 +493,10 @@ impl EngineSet {
             PORT_READ_LANE,
             Cycles(((len + CHUNK_TAG_LEN) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
         );
-        let ciphertext = shell.mem_read(dram, self.chunk_addr(idx), len)?;
-        let tag_bytes = shell.mem_read(dram, self.tag_addr(idx), CHUNK_TAG_LEN)?;
-        let tag: [u8; CHUNK_TAG_LEN] = tag_bytes
-            .try_into()
-            .expect("tag read returns requested length");
+        let mut ciphertext = vec![0u8; len];
+        shell.mem_read(dram, self.chunk_addr(idx), &mut ciphertext)?;
+        let mut tag = [0u8; CHUNK_TAG_LEN];
+        shell.mem_read(dram, self.tag_addr(idx), &mut tag)?;
         let epoch = self.current_epoch(shell, dram, ledger, idx, mode)?;
         plan.pending_open.insert(idx, plan.jobs.len());
         plan.lens.push(len);
@@ -585,13 +579,18 @@ impl EngineSet {
         let Some(BatchJob::Seal { idx, epoch, data }) = plan.jobs[pos].take() else {
             unreachable!("pending_seal points at a staged seal job");
         };
-        let (ciphertext, tag) = self.cipher.seal(idx, epoch, &data);
+        // Inline, nothing retries this seal: the staged plaintext is
+        // sealed where it lies.
+        let mut ciphertext = data;
+        let mut tag = [0u8; CHUNK_TAG_LEN];
+        self.cipher
+            .seal([(idx, epoch, ciphertext.as_mut_slice(), &mut tag)]);
         ledger.add_busy(
             PORT_WRITE_LANE,
             Cycles(((ciphertext.len() + tag.len()) as u64).div_ceil(SHELL_PORT_BYTES_PER_CYCLE)),
         );
-        shell.mem_write(dram, self.chunk_addr(idx), ciphertext)?;
-        shell.mem_write(dram, self.tag_addr(idx), &tag[..])?;
+        shell.mem_write(dram, self.chunk_addr(idx), &mut ciphertext)?;
+        shell.mem_write(dram, self.tag_addr(idx), &mut tag)?;
         self.stats.writebacks += 1;
         self.tele.writebacks.inc();
         Ok(())
@@ -606,21 +605,24 @@ impl EngineSet {
         let Some(BatchJob::Open {
             idx,
             epoch,
-            ciphertext,
+            ciphertext: mut plaintext,
             tag,
         }) = plan.jobs[pos].take()
         else {
             unreachable!("pending_open points at a staged open job");
         };
         plan.install.remove(&idx);
-        let plaintext = match self.cipher.open(idx, epoch, &ciphertext, &tag) {
-            Ok(pt) => pt,
-            Err(e) => {
-                self.note_integrity_failure();
-                self.lines.remove(idx);
-                return Err(e);
-            }
-        };
+        // Inline, nothing retries this open: the staged ciphertext is
+        // opened where it lies.
+        if self
+            .cipher
+            .open([(idx, epoch, plaintext.as_mut_slice(), &tag)])[0]
+            .is_err()
+        {
+            self.note_integrity_failure();
+            self.lines.remove(idx);
+            return Err(self.cipher.integrity_violation(idx, epoch));
+        }
         if let Some(line) = self.lines.get_mut(idx) {
             line.data = plaintext;
             if let Some((off, bytes)) = plan.apply.remove(&idx) {
@@ -637,39 +639,36 @@ impl EngineSet {
     /// the staged job, so it must never be lost), while opens report a
     /// contained [`crate::fault::ShieldFault::LanePanic`] in dispatch
     /// order. The batch and the cipher travel as `Arc`s, so the lanes,
-    /// the retries and the drain all read the one staged copy.
-    fn run_crypto_jobs(&mut self, pool: &WorkerPool, jobs: Arc<[BatchJob]>) -> Vec<BatchJobResult> {
+    /// the retries and the drain all read the one staged copy. Returns
+    /// one result per job, in dispatch order.
+    fn run_crypto_jobs(
+        &mut self,
+        pool: &WorkerPool,
+        jobs: &Arc<[BatchJob]>,
+    ) -> Vec<Option<BatchJobResult>> {
         let cipher = Arc::clone(&self.cipher);
-        let outcome = pool.try_run(&jobs, move |slice| cipher.run(slice));
+        let mut outcome = pool.try_run(jobs, move |slice| run_jobs(&cipher, slice));
         self.stats.lane_panics += outcome.lane_panics;
         self.stats.recovered_retries += outcome.recovered;
         self.tele.lane_panics.add(outcome.lane_panics);
         self.tele.recovered_retries.add(outcome.recovered);
-        let mut results = Vec::with_capacity(outcome.results.len());
-        for (i, slot) in outcome.results.into_iter().enumerate() {
-            match slot {
-                Some(r) => results.push(r),
-                None => match &jobs[i] {
-                    BatchJob::Seal { idx, epoch, data } => {
-                        let (ciphertext, tag) = self.cipher.seal(*idx, *epoch, data);
-                        self.stats.drained_seals += 1;
-                        self.tele.drained_seals.inc();
-                        results.push(BatchJobResult::Sealed {
-                            idx: *idx,
-                            ciphertext,
-                            tag,
-                        });
-                    }
-                    BatchJob::Open { idx, .. } => results.push(BatchJobResult::Opened {
-                        idx: *idx,
-                        plaintext: Err(ShefError::Fault(crate::fault::ShieldFault::LanePanic {
-                            job: i,
-                        })),
-                    }),
-                },
-            }
+        for &i in &outcome.failed {
+            outcome.results[i] = Some(match &jobs[i] {
+                BatchJob::Seal { idx, epoch, data } => {
+                    let mut ciphertext = data.clone();
+                    let mut tag = [0u8; CHUNK_TAG_LEN];
+                    self.cipher
+                        .seal([(*idx, *epoch, ciphertext.as_mut_slice(), &mut tag)]);
+                    self.stats.drained_seals += 1;
+                    self.tele.drained_seals.inc();
+                    BatchJobResult::Sealed { ciphertext, tag }
+                }
+                BatchJob::Open { .. } => BatchJobResult::Opened(Err(ShefError::Fault(
+                    crate::fault::ShieldFault::LanePanic { job: i },
+                ))),
+            });
         }
-        results
+        outcome.results
     }
 
     /// Charges one batch's crypto to the ledger under the deterministic
@@ -720,8 +719,9 @@ impl EngineSet {
 
     /// Phase 2+3 of a batch operation: runs the staged crypto on the
     /// pool, lands victim write-backs, installs verified fills in
-    /// dispatch order, and settles the cost model. Opened plaintexts
-    /// land in `plan.opened` by chunk for output assembly.
+    /// dispatch order, and settles the cost model. An opened chunk moves
+    /// into its line, and a read's fill copies its slice into `out`
+    /// (empty for writes and flushes).
     #[allow(clippy::too_many_arguments)]
     fn batch_execute(
         &mut self,
@@ -731,18 +731,23 @@ impl EngineSet {
         mode: AccessMode,
         pool: &WorkerPool,
         plan: &mut BatchPlan,
+        out: &mut [u8],
         walk_error: Option<ShefError>,
     ) -> Result<(), ShefError> {
         let crypto_start = ledger.total_busy().0;
-        // An all-hit batch stages no jobs: `Arc::default()` shares one
-        // static empty slice, where collecting would allocate.
-        let live: Arc<[BatchJob]> = if plan.jobs.iter().all(Option::is_none) {
-            plan.jobs.clear();
+        // Materialized jobs are gone from the batch. An all-hit batch
+        // stages no jobs: `Arc::default()` shares one static empty
+        // slice, where collecting would allocate.
+        plan.jobs.retain(Option::is_some);
+        let jobs: Arc<[BatchJob]> = if plan.jobs.is_empty() {
             Arc::default()
         } else {
-            plan.jobs.drain(..).flatten().collect()
+            plan.jobs
+                .drain(..)
+                .map(|job| job.expect("retained"))
+                .collect()
         };
-        let results = self.run_crypto_jobs(pool, live);
+        let results = self.run_crypto_jobs(pool, &jobs);
         // Charge the batch's crypto before the landing loop so the
         // crypto/landing span boundary falls between the two phases.
         // The ledger is purely additive, so charge order is irrelevant
@@ -752,12 +757,14 @@ impl EngineSet {
         let landing_start = ledger.total_busy().0;
         self.tele.crypto.record(crypto_start, landing_start);
         let mut first_err: Option<ShefError> = None;
-        for result in results {
-            match result {
+        // A read stages one open per fill, in walk order.
+        let mut fills = plan.fills.iter().peekable();
+        for (job, result) in jobs.iter().zip(results) {
+            let idx = job.idx();
+            match result.expect("every job has a result or was drained") {
                 BatchJobResult::Sealed {
-                    idx,
-                    ciphertext,
-                    tag,
+                    mut ciphertext,
+                    mut tag,
                 } => {
                     // Victim write-backs always land, even when the batch
                     // fails: the evicted plaintext exists only here.
@@ -769,8 +776,8 @@ impl EngineSet {
                         ),
                     );
                     let landed = shell
-                        .mem_write(dram, self.chunk_addr(idx), ciphertext)
-                        .and_then(|()| shell.mem_write(dram, self.tag_addr(idx), &tag[..]));
+                        .mem_write(dram, self.chunk_addr(idx), &mut ciphertext)
+                        .and_then(|()| shell.mem_write(dram, self.tag_addr(idx), &mut tag));
                     match landed {
                         Ok(()) => {
                             self.stats.writebacks += 1;
@@ -783,46 +790,47 @@ impl EngineSet {
                         }
                     }
                 }
-                BatchJobResult::Opened { idx, plaintext } => match plaintext {
-                    Ok(pt) => {
-                        // Past the first failure a chunk-by-chunk walk
-                        // would never have reached this chunk: skip the
-                        // install.
-                        if first_err.is_none() {
-                            if plan.install.contains(&idx) {
-                                if let Some(line) = self.lines.get_mut(idx) {
-                                    line.data = pt.clone();
-                                    if let Some((off, bytes)) = plan.apply.get(&idx) {
-                                        line.data[*off..off + bytes.len()].copy_from_slice(bytes);
-                                    }
-                                }
+                // Past the first failure a chunk-by-chunk walk would
+                // never have reached this chunk: skip the install.
+                BatchJobResult::Opened(Ok(plaintext)) if first_err.is_none() => {
+                    if let Some(fill) = fills.next_if(|fill| fill.idx == idx) {
+                        out[fill.at..fill.at + fill.take]
+                            .copy_from_slice(&plaintext[fill.offset..fill.offset + fill.take]);
+                    }
+                    if plan.install.remove(&idx) {
+                        if let Some(line) = self.lines.get_mut(idx) {
+                            line.data = plaintext;
+                            if let Some((off, bytes)) = plan.apply.get(&idx) {
+                                line.data[*off..off + bytes.len()].copy_from_slice(bytes);
                             }
-                            plan.opened.insert(idx, pt);
                         }
                     }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            // A contained lane fault is an infrastructure
-                            // failure, not evidence of tampering: it
-                            // surfaces but does not poison the set.
-                            if !matches!(e, ShefError::Fault(_)) {
-                                self.note_integrity_failure();
-                            }
-                            first_err = Some(e);
+                }
+                BatchJobResult::Opened(Ok(_)) => {}
+                BatchJobResult::Opened(Err(e)) => {
+                    if first_err.is_none() {
+                        // A contained lane fault is an infrastructure
+                        // failure, not evidence of tampering: it
+                        // surfaces but does not poison the set.
+                        if !matches!(e, ShefError::Fault(_)) {
+                            self.note_integrity_failure();
                         }
+                        first_err = Some(e);
                     }
-                },
+                }
             }
         }
+        debug_assert!(
+            first_err.is_some() || fills.next().is_none(),
+            "every fill lands from its open"
+        );
         self.tele
             .landing
             .record(landing_start, ledger.total_busy().0);
         if first_err.is_some() || walk_error.is_some() {
             // Drop placeholder lines whose fill never installed.
             for &idx in &plan.install {
-                if !plan.opened.contains_key(&idx) {
-                    self.lines.remove(idx);
-                }
+                self.lines.remove(idx);
             }
         }
         if let Some(e) = first_err {
@@ -895,17 +903,9 @@ impl EngineSet {
             cur += take as u64;
         }
         self.tele.walk.record(walk_start, ledger.total_busy().0);
-        let executed = self.batch_execute(shell, dram, ledger, mode, pool, &mut plan, walk_error);
-        if executed.is_ok() {
-            for fill in &plan.fills {
-                let pt = plan
-                    .opened
-                    .get(&fill.idx)
-                    .expect("fill opened on success path");
-                out[fill.at..fill.at + fill.take]
-                    .copy_from_slice(&pt[fill.offset..fill.offset + fill.take]);
-            }
-        }
+        let executed = self.batch_execute(
+            shell, dram, ledger, mode, pool, &mut plan, &mut out, walk_error,
+        );
         plan.clear();
         self.plan = Some(plan);
         executed?;
@@ -988,7 +988,16 @@ impl EngineSet {
             src += take;
         }
         self.tele.walk.record(walk_start, ledger.total_busy().0);
-        let executed = self.batch_execute(shell, dram, ledger, mode, pool, &mut plan, walk_error);
+        let executed = self.batch_execute(
+            shell,
+            dram,
+            ledger,
+            mode,
+            pool,
+            &mut plan,
+            &mut [],
+            walk_error,
+        );
         plan.clear();
         self.plan = Some(plan);
         executed?;
@@ -1041,6 +1050,7 @@ impl EngineSet {
             AccessMode::Streaming,
             pool,
             &mut plan,
+            &mut [],
             walk_error,
         );
         plan.clear();
@@ -1051,69 +1061,48 @@ impl EngineSet {
     }
 }
 
-/// A region's chunk cipher: its key, nonce and name. An engine set
-/// shares it with every batch's lane closure behind one `Arc`, so a
-/// batch captures a refcount instead of copying the key schedule.
-struct ChunkCipher {
-    key: AuthEncKey,
-    nonce: [u8; 8],
-    name: String,
-}
-
-impl ChunkCipher {
-    fn seal(&self, idx: u32, epoch: u64, plaintext: &[u8]) -> (Vec<u8>, [u8; CHUNK_TAG_LEN]) {
-        seal_chunk(&self.key, self.nonce, &self.name, idx, epoch, plaintext)
-    }
-
-    fn open(
-        &self,
-        idx: u32,
-        epoch: u64,
-        ciphertext: &[u8],
-        tag: &[u8; CHUNK_TAG_LEN],
-    ) -> Result<Vec<u8>, ShefError> {
-        open_chunk(
-            &self.key, self.nonce, &self.name, idx, epoch, ciphertext, tag,
-        )
-    }
-
-    /// Runs one lane's slice of a batch, in order. Its seals go through
-    /// one [`seal_chunks`] call and its opens through one
-    /// [`open_chunks`] call, so equal-length chunk MACs share SHA-256
-    /// passes.
-    fn run(&self, jobs: &[&BatchJob]) -> Vec<BatchJobResult> {
-        let mut seals = Vec::new();
-        let mut opens = Vec::new();
-        for job in jobs {
-            match job {
-                BatchJob::Seal { idx, epoch, data } => seals.push((*idx, *epoch, data.as_slice())),
-                BatchJob::Open {
-                    idx,
-                    epoch,
-                    ciphertext,
-                    tag,
-                } => opens.push((*idx, *epoch, ciphertext.as_slice(), tag)),
+/// Runs one lane's slice of a batch, in order. Each job gets one
+/// lane-owned copy of its bytes — a seal's staged plaintext or an open's
+/// ciphertext — which is sealed or opened where it lies: the seals in
+/// one [`ChunkCipher::seal`] batch and the opens in one
+/// [`ChunkCipher::open`] batch, so equal-length chunk MACs share SHA-256
+/// passes. The staged job itself stays intact for the retry and the
+/// drain.
+fn run_jobs(cipher: &ChunkCipher, jobs: &[BatchJob]) -> Vec<BatchJobResult> {
+    let mut results: Vec<BatchJobResult> = jobs
+        .iter()
+        .map(|job| match job {
+            BatchJob::Seal { data, .. } => BatchJobResult::Sealed {
+                ciphertext: data.clone(),
+                tag: [0; CHUNK_TAG_LEN],
+            },
+            BatchJob::Open { ciphertext, .. } => BatchJobResult::Opened(Ok(ciphertext.clone())),
+        })
+        .collect();
+    cipher.seal(jobs.iter().zip(&mut results).filter_map(|pair| match pair {
+        (BatchJob::Seal { idx, epoch, .. }, BatchJobResult::Sealed { ciphertext, tag }) => {
+            Some((*idx, *epoch, ciphertext.as_mut_slice(), tag))
+        }
+        _ => None,
+    }));
+    let verdicts = cipher.open(jobs.iter().zip(&mut results).filter_map(|pair| match pair {
+        (
+            BatchJob::Open {
+                idx, epoch, tag, ..
+            },
+            BatchJobResult::Opened(Ok(buf)),
+        ) => Some((*idx, *epoch, buf.as_mut_slice(), tag)),
+        _ => None,
+    }));
+    let mut verdicts = verdicts.into_iter();
+    for (job, result) in jobs.iter().zip(&mut results) {
+        if let BatchJob::Open { idx, epoch, .. } = job {
+            if verdicts.next().expect("one verdict per open").is_err() {
+                *result = BatchJobResult::Opened(Err(cipher.integrity_violation(*idx, *epoch)));
             }
         }
-        let mut sealed = seal_chunks(&self.key, self.nonce, &self.name, &seals).into_iter();
-        let mut opened = open_chunks(&self.key, self.nonce, &self.name, &opens).into_iter();
-        jobs.iter()
-            .map(|job| match job {
-                BatchJob::Seal { idx, .. } => {
-                    let (ciphertext, tag) = sealed.next().expect("one seal per seal job");
-                    BatchJobResult::Sealed {
-                        idx: *idx,
-                        ciphertext,
-                        tag,
-                    }
-                }
-                BatchJob::Open { idx, .. } => BatchJobResult::Opened {
-                    idx: *idx,
-                    plaintext: opened.next().expect("one open per open job"),
-                },
-            })
-            .collect()
     }
+    results
 }
 
 /// A chunk-crypto job staged by a batch walk for pool execution.
@@ -1131,17 +1120,23 @@ enum BatchJob {
     },
 }
 
+impl BatchJob {
+    fn idx(&self) -> u32 {
+        match self {
+            BatchJob::Seal { idx, .. } | BatchJob::Open { idx, .. } => *idx,
+        }
+    }
+}
+
 /// What came back from a lane for one staged job.
 enum BatchJobResult {
+    /// A seal's ciphertext and tag, ready to land.
     Sealed {
-        idx: u32,
         ciphertext: Vec<u8>,
         tag: [u8; CHUNK_TAG_LEN],
     },
-    Opened {
-        idx: u32,
-        plaintext: Result<Vec<u8>, ShefError>,
-    },
+    /// An open's plaintext, or why it failed.
+    Opened(Result<Vec<u8>, ShefError>),
 }
 
 /// A stretch of a read's output that a staged fill supplies.
@@ -1176,8 +1171,6 @@ struct BatchPlan {
     install: HashSet<u32>,
     /// Read output stretches supplied by fills, in walk order.
     fills: Vec<Fill>,
-    /// Plaintexts opened by the batch, by chunk.
-    opened: HashMap<u32, Vec<u8>>,
 }
 
 impl BatchPlan {
@@ -1196,7 +1189,6 @@ impl BatchPlan {
         self.apply.clear();
         self.install.clear();
         self.fills.clear();
-        self.opened.clear();
     }
 }
 
@@ -1261,7 +1253,9 @@ mod tests {
         fn provision(&mut self, data: &[u8]) {
             let es = &self.es;
             for (i, pt) in data.chunks(es.chunk_size()).enumerate() {
-                let (ct, tag) = es.cipher.seal(i as u32, 0, pt);
+                let mut ct = pt.to_vec();
+                let mut tag = [0u8; CHUNK_TAG_LEN];
+                es.cipher.seal([(i as u32, 0, ct.as_mut_slice(), &mut tag)]);
                 self.dram.tamper_write(es.chunk_addr(i as u32), &ct);
                 self.dram.tamper_write(es.tag_addr(i as u32), &tag);
             }

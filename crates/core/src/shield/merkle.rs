@@ -290,7 +290,9 @@ impl MerkleTree {
                         }
                     }
                 }
-                shell.mem_write(dram, self.block_addr(level, index), &block[..])?;
+                // The Shell may rewrite what it stores; the digest is over
+                // the block the tree meant to write.
+                shell.mem_write(dram, self.block_addr(level, index), &mut block.clone())?;
                 digests.push(self.digest(level as u8, index, &block));
             }
             child_digests = digests;
@@ -361,7 +363,8 @@ impl MerkleTree {
             return Ok(block.clone());
         }
         let info = self.levels[level];
-        let block = shell.mem_read(dram, self.block_addr(level, index), info.block_bytes)?;
+        let mut block = vec![0u8; info.block_bytes];
+        shell.mem_read(dram, self.block_addr(level, index), &mut block)?;
         self.stats.node_reads += 1;
         self.charge_read(ledger, info.block_bytes, mode);
         let digest = self.digest(level as u8, index, &block);
@@ -463,7 +466,8 @@ impl MerkleTree {
         let mut level = 0usize;
         loop {
             let info = self.levels[level];
-            shell.mem_write(dram, self.block_addr(level, index), &block[..])?;
+            // As at initialisation: digest and cache what was meant.
+            shell.mem_write(dram, self.block_addr(level, index), &mut block.clone())?;
             self.stats.node_writes += 1;
             self.charge_write(ledger, info.block_bytes, mode);
             let digest = self.digest(level as u8, index, &block);

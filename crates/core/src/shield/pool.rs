@@ -350,15 +350,16 @@ impl WorkerPool {
     /// lane the slice is the whole batch. Lane `k` gets as many jobs as
     /// the round-robin model dispatches to it. Armed faults are still
     /// checked per job, by submission index, before its slice runs: a
-    /// job whose check fires is left out of the slice and retried alone.
-    /// If `f` itself panics on a slice, that slice's jobs run again one
-    /// by one, so a panic is pinned on the job that raised it. Every
-    /// outcome therefore equals one-job-per-call dispatch.
+    /// job whose check fires is left out, the jobs on either side of it
+    /// run as two calls, and it is retried alone. If `f` itself panics
+    /// on a call, that call's jobs run again one by one, so a panic is
+    /// pinned on the job that raised it. Every outcome therefore equals
+    /// one-job-per-call dispatch.
     pub fn try_run<T, R, F>(&self, items: &Arc<[T]>, f: F) -> TryRunOutcome<R>
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
-        F: Fn(&[&T]) -> Vec<R> + Send + Sync + 'static,
+        F: Fn(&[T]) -> Vec<R> + Send + Sync + 'static,
     {
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
         let n = items.len();
@@ -376,66 +377,100 @@ impl WorkerPool {
             return outcome;
         }
         let first = self.shared.submitted.fetch_add(n as u64, Ordering::Relaxed);
-        let f = Arc::new(f);
         if let Some(sender) = self.sender.as_ref().filter(|_| n > 1) {
-            let (done_tx, done_rx) = mpsc::channel();
-            let mut start = 0;
-            let mut slices = 0;
-            for k in 0..self.lanes {
-                let len = n / self.lanes + usize::from(k < n % self.lanes);
-                if len == 0 {
-                    continue;
-                }
-                let queued = self.shared.queued.fetch_add(len, Ordering::Relaxed) + len;
-                self.shared
-                    .queue_high_water
-                    .fetch_max(queued, Ordering::Relaxed);
-                let (items, f, shared) =
-                    (Arc::clone(items), Arc::clone(&f), Arc::clone(&self.shared));
-                let done_tx = done_tx.clone();
-                let range = start..start + len;
-                let job = Job {
-                    jobs: len,
-                    run: Box::new(move || {
-                        let at = first + range.start as u64;
-                        let slots = run_slice(&shared, &items[range.clone()], at, &*f);
-                        let _ = done_tx.send((range.start, slots));
-                    }),
-                };
-                sender
-                    .send(job)
-                    .expect("pool lanes alive while handle held");
-                start += len;
-                slices += 1;
-            }
-            drop(done_tx);
-            outcome.results = (0..n).map(|_| None).collect();
-            for _ in 0..slices {
-                let (start, slots) = done_rx.recv().expect("every slice reports exactly once");
-                for (slot, result) in outcome.results[start..].iter_mut().zip(slots) {
-                    *slot = result;
-                }
-            }
+            let f = Arc::new(f);
+            outcome.results = self.fan_out(sender, items, first, &f);
+            self.retry_panicked(items, first, &*f, &mut outcome);
         } else {
-            outcome.results = run_slice(&self.shared, items, first, &*f);
+            outcome.results = run_slice(&self.shared, items, first, &f);
+            self.retry_panicked(items, first, &f, &mut outcome);
         }
-        // Bounded retry: replay each panicked job once, alone and inline
-        // on the caller thread (deterministic, no lane involved).
-        // Replaying the same submission index means a one-shot armed
-        // fault has already disarmed itself, while a sticky fault fires
-        // again.
-        for i in 0..n {
-            if outcome.results[i].is_some() {
+        if let Some(tele) = self.tele.get() {
+            tele.lane_panics.add(outcome.lane_panics);
+            tele.recovered_retries.add(outcome.recovered);
+            tele.failed_jobs.add(outcome.failed.len() as u64);
+        }
+        outcome
+    }
+
+    /// Sends each lane its round-robin share of `items` as one slice and
+    /// gathers the slots in submission order.
+    fn fan_out<T, R, F>(
+        &self,
+        sender: &mpsc::Sender<Job>,
+        items: &Arc<[T]>,
+        first: u64,
+        f: &Arc<F>,
+    ) -> Vec<Option<R>>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&[T]) -> Vec<R> + Send + Sync + 'static,
+    {
+        let n = items.len();
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut start = 0;
+        let mut slices = 0;
+        for k in 0..self.lanes {
+            let len = n / self.lanes + usize::from(k < n % self.lanes);
+            if len == 0 {
+                continue;
+            }
+            let queued = self.shared.queued.fetch_add(len, Ordering::Relaxed) + len;
+            self.shared
+                .queue_high_water
+                .fetch_max(queued, Ordering::Relaxed);
+            let (items, f, shared) = (Arc::clone(items), Arc::clone(f), Arc::clone(&self.shared));
+            let done_tx = done_tx.clone();
+            let range = start..start + len;
+            let job = Job {
+                jobs: len,
+                run: Box::new(move || {
+                    let at = first + range.start as u64;
+                    let slots = run_slice(&shared, &items[range.clone()], at, &*f);
+                    let _ = done_tx.send((range.start, slots));
+                }),
+            };
+            sender
+                .send(job)
+                .expect("pool lanes alive while handle held");
+            start += len;
+            slices += 1;
+        }
+        drop(done_tx);
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for _ in 0..slices {
+            let (start, slots) = done_rx.recv().expect("every slice reports exactly once");
+            for (slot, result) in results[start..].iter_mut().zip(slots) {
+                *slot = result;
+            }
+        }
+        results
+    }
+
+    /// Bounded retry: replays each panicked job once, alone and inline on
+    /// the caller thread (deterministic, no lane involved). Replaying the
+    /// same submission index means a one-shot armed fault has already
+    /// disarmed itself, while a sticky fault fires again.
+    fn retry_panicked<T, R>(
+        &self,
+        items: &[T],
+        first: u64,
+        f: &impl Fn(&[T]) -> Vec<R>,
+        outcome: &mut TryRunOutcome<R>,
+    ) {
+        for (i, slot) in outcome.results.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
             outcome.lane_panics += 1;
             let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.shared.maybe_injected_panic(first + i as u64);
-                run_one(&*f, &items[i])
+                run_one(f, &items[i])
             }));
             match retry {
                 Ok(r) => {
-                    outcome.results[i] = Some(r);
+                    *slot = Some(r);
                     outcome.recovered += 1;
                 }
                 Err(_) => {
@@ -444,12 +479,6 @@ impl WorkerPool {
                 }
             }
         }
-        if let Some(tele) = self.tele.get() {
-            tele.lane_panics.add(outcome.lane_panics);
-            tele.recovered_retries.add(outcome.recovered);
-            tele.failed_jobs.add(outcome.failed.len() as u64);
-        }
-        outcome
     }
 
     /// Arms a one-shot injected lane fault: the `nth` job (0-based)
@@ -489,46 +518,60 @@ impl WorkerPool {
 
 /// One lane's slice of a [`WorkerPool::try_run`] batch, whose first
 /// job has submission index `first`: `None` marks a job that panicked.
+/// An armed fault fires on its own job; the jobs before and after it
+/// run as two calls of `f`.
 fn run_slice<T, R>(
     shared: &PoolShared,
     jobs: &[T],
     first: u64,
-    f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized),
+    f: &(impl Fn(&[T]) -> Vec<R> + ?Sized),
 ) -> Vec<Option<R>> {
-    let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    let live: Vec<usize> = (0..jobs.len())
-        .filter(|&i| {
-            std::panic::catch_unwind(|| shared.maybe_injected_panic(first + i as u64)).is_ok()
-        })
-        .collect();
-    let refs: Vec<&T> = live.iter().map(|&i| &jobs[i]).collect();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_all(f, &refs))) {
-        Ok(results) => {
-            for (&i, r) in live.iter().zip(results) {
-                slots[i] = Some(r);
-            }
-        }
-        Err(_) => {
-            for &i in &live {
-                slots[i] =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(f, &jobs[i])))
-                        .ok();
-            }
-        }
-    }
+    let armed = shared
+        .panic_at
+        .load(Ordering::Relaxed)
+        .checked_sub(first)
+        .filter(|&k| k < jobs.len() as u64);
+    let Some(k) = armed.map(|k| k as usize) else {
+        return run_part(f, jobs);
+    };
+    // The armed job panics here (a one-shot fault disarms as it fires)
+    // and is left for the retry.
+    let _ = std::panic::catch_unwind(|| shared.maybe_injected_panic(first + k as u64));
+    let mut slots = run_part(f, &jobs[..k]);
+    slots.push(None);
+    slots.extend(run_part(f, &jobs[k + 1..]));
     slots
 }
 
+/// `f` over `jobs`, one slot per job. If `f` panics, the jobs run again
+/// one by one, so the panic is pinned on the job that raised it.
+fn run_part<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), jobs: &[T]) -> Vec<Option<R>> {
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_all(f, jobs))) {
+        Ok(results) => results.into_iter().map(Some).collect(),
+        Err(_) => jobs
+            .iter()
+            .map(|job| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(f, job))).ok()
+            })
+            .collect(),
+    }
+}
+
 /// `f` over `jobs`, checked to return one result per job.
-fn run_all<T, R>(f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized), jobs: &[&T]) -> Vec<R> {
+fn run_all<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), jobs: &[T]) -> Vec<R> {
     let results = f(jobs);
     assert_eq!(results.len(), jobs.len(), "one result per job");
     results
 }
 
 /// `f` over the single job `job`.
-fn run_one<T, R>(f: &(impl Fn(&[&T]) -> Vec<R> + ?Sized), job: &T) -> R {
-    run_all(f, &[job]).pop().expect("one result")
+fn run_one<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), job: &T) -> R {
+    run_all(f, std::slice::from_ref(job))
+        .pop()
+        .expect("one result")
 }
 
 impl Drop for WorkerPool {
@@ -546,8 +589,8 @@ mod tests {
     use super::*;
 
     /// A `try_run` job function that applies `g` to each job.
-    fn each<R>(g: impl Fn(u64) -> R + Send + Sync) -> impl Fn(&[&u64]) -> Vec<R> + Send + Sync {
-        move |jobs| jobs.iter().map(|&&x| g(x)).collect()
+    fn each<R>(g: impl Fn(u64) -> R + Send + Sync) -> impl Fn(&[u64]) -> Vec<R> + Send + Sync {
+        move |jobs| jobs.iter().map(|&x| g(x)).collect()
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Batched chunk crypto against the one-chunk functions, and the
-//! slice-dispatching worker pool against one-job-per-call dispatch.
+//! Batched in-place chunk crypto against the one-message reference, and
+//! the slice-dispatching worker pool against one-job-per-call dispatch.
 //!
-//! `seal_chunks`/`open_chunks` MAC equal-length chunks four per SHA-256
-//! pass; their output must be byte-identical to `seal_chunk`/`open_chunk`,
-//! and a bad chunk must fail alone. `WorkerPool::try_run` hands each lane
-//! a slice of the batch; for every batch size, lane count and injected
-//! fault its outcome must be the one a per-job dispatch gives. CI runs
-//! these under the release profile too, where the lockstep kernel is
-//! vectorised.
+//! `ChunkCipher::{seal,open}` build a batch's associated data in one
+//! buffer and MAC equal-length chunks four per SHA-256 pass; every
+//! ciphertext and tag must be byte-identical to `AuthEncKey`'s
+//! one-message seal under `chunk_ad`/`chunk_iv`, and a bad chunk must
+//! fail alone and keep its ciphertext. `WorkerPool::try_run` hands each
+//! lane a slice of the batch; for every batch size, lane count and
+//! injected fault its outcome must be the one a per-job dispatch gives.
+//! CI runs these under the release profile too, where the lockstep
+//! kernel is vectorised.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use shef_core::shield::chunk::{open_chunk, open_chunks, seal_chunk, seal_chunks};
+use shef_core::shield::chunk::{chunk_ad, chunk_iv, ChunkCipher, CHUNK_TAG_LEN};
 use shef_core::shield::{TryRunOutcome, WorkerPool};
-use shef_core::ShefError;
 use shef_crypto::authenc::{AuthEncKey, MacAlgorithm};
+use shef_crypto::CryptoError;
 
 const NONCE: [u8; 8] = [9; 8];
 
@@ -31,46 +33,78 @@ fn batched_chunks_are_byte_identical_to_single_chunks() {
         MacAlgorithm::AesGcm,
     ] {
         let key = AuthEncKey::from_bytes([3; 32], alg);
-        // Nine 512 B chunks (two lockstep groups and a leftover), a short
-        // tail chunk and mixed epochs, so IVs and ADs differ per chunk.
-        let plaintexts: Vec<Vec<u8>> = (0..10)
-            .map(|m| payload(m, if m < 9 { 512 } else { 100 }))
-            .collect();
-        let chunks: Vec<(u32, u64, &[u8])> = plaintexts
-            .iter()
-            .enumerate()
-            .map(|(m, pt)| (40 + m as u32, (m % 3) as u64, pt.as_slice()))
-            .collect();
-        let sealed = seal_chunks(&key, NONCE, "batch", &chunks);
-        for (&(idx, epoch, pt), got) in chunks.iter().zip(&sealed) {
-            assert_eq!(
-                *got,
-                seal_chunk(&key, NONCE, "batch", idx, epoch, pt),
-                "{alg}"
-            );
-        }
-
-        // Tamper with chunk 5, in the middle of the second group.
-        let mut tags: Vec<_> = sealed.iter().map(|(_, tag)| *tag).collect();
-        tags[5][3] ^= 0x40;
-        let to_open: Vec<(u32, u64, &[u8], &[u8; 16])> = chunks
-            .iter()
-            .zip(&sealed)
-            .zip(&tags)
-            .map(|((&(idx, epoch, _), (ct, _)), tag)| (idx, epoch, ct.as_slice(), tag))
-            .collect();
-        let opened = open_chunks(&key, NONCE, "batch", &to_open);
-        assert_eq!(opened.len(), chunks.len());
-        for (m, (got, &(idx, epoch, ct, tag))) in opened.iter().zip(&to_open).enumerate() {
-            let single = open_chunk(&key, NONCE, "batch", idx, epoch, ct, tag);
-            match (got, &single) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{alg}, chunk {m}"),
-                (Err(ShefError::IntegrityViolation(a)), Err(ShefError::IntegrityViolation(b))) => {
-                    assert_eq!(a, b, "{alg}, chunk {m}");
+        let cipher = ChunkCipher::new(key.clone(), NONCE, "batch");
+        // Groups of one to nine chunks (no, one and two lockstep groups);
+        // the ninth chunk is a short tail, and epochs differ per chunk, so
+        // IVs and ADs do too. HMAC, whose lockstep grouping depends on
+        // the length, runs every length through 600 B; PMAC and GCM run
+        // the lengths around their 16-byte blocks.
+        let lens: Vec<usize> = match alg {
+            MacAlgorithm::HmacSha256 => (0..=600).collect(),
+            _ => vec![
+                0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 511, 512, 513, 600,
+            ],
+        };
+        let id = |m: usize| (40 + m as u32, (m % 3) as u64);
+        for len in lens {
+            let all: Vec<Vec<u8>> = (0..9)
+                .map(|m| payload(m + len, if m == 8 { len / 3 } else { len }))
+                .collect();
+            let reference: Vec<_> = all
+                .iter()
+                .enumerate()
+                .map(|(m, pt)| {
+                    let (idx, epoch) = id(m);
+                    key.seal_with_iv(
+                        pt,
+                        &chunk_ad("batch", idx, epoch),
+                        chunk_iv(NONCE, idx, epoch),
+                    )
+                })
+                .collect();
+            for group in 1..=9 {
+                let plaintexts = &all[..group];
+                let mut bufs = plaintexts.to_vec();
+                let mut tags = vec![[0u8; CHUNK_TAG_LEN]; group];
+                cipher.seal(
+                    bufs.iter_mut()
+                        .zip(&mut tags)
+                        .enumerate()
+                        .map(|(m, (buf, tag))| (id(m).0, id(m).1, buf.as_mut_slice(), tag)),
+                );
+                for m in 0..group {
+                    assert_eq!(
+                        bufs[m], reference[m].ciphertext,
+                        "{alg}, {group} x {len} B, #{m}"
+                    );
+                    assert_eq!(tags[m], reference[m].tag, "{alg}, {group} x {len} B, #{m}");
                 }
-                _ => panic!("{alg}, chunk {m}: batch {got:?} vs single {single:?}"),
+
+                // Tamper with the middle chunk: it alone fails and keeps
+                // its ciphertext.
+                let bad = group / 2;
+                tags[bad][3] ^= 0x40;
+                let ciphertexts = bufs.clone();
+                let verdicts = cipher.open(
+                    bufs.iter_mut()
+                        .zip(&tags)
+                        .enumerate()
+                        .map(|(m, (buf, tag))| (id(m).0, id(m).1, buf.as_mut_slice(), tag)),
+                );
+                assert_eq!(verdicts.len(), group);
+                for m in 0..group {
+                    if m == bad {
+                        assert_eq!(verdicts[m], Err(CryptoError::TagMismatch), "{alg}");
+                        assert_eq!(
+                            bufs[m], ciphertexts[m],
+                            "{alg}: failed chunk keeps ciphertext"
+                        );
+                    } else {
+                        assert_eq!(verdicts[m], Ok(()), "{alg}, {group} x {len} B, #{m}");
+                        assert_eq!(bufs[m], plaintexts[m], "{alg}, {group} x {len} B, #{m}");
+                    }
+                }
             }
-            assert_eq!(got.is_err(), m == 5, "{alg}: only the tampered chunk fails");
         }
     }
 }
@@ -115,9 +149,9 @@ fn sliced_dispatch_matches_per_job_dispatch_under_every_fault() {
                         Fault::Genuine => pool.disarm_lane_panic(),
                     }
                     let bad = matches!(fault, Fault::Genuine).then_some(at as u64);
-                    let out = pool.try_run(&(0..n as u64).collect(), move |jobs: &[&u64]| {
+                    let out = pool.try_run(&(0..n as u64).collect(), move |jobs: &[u64]| {
                         jobs.iter()
-                            .map(|&&x| {
+                            .map(|&x| {
                                 assert!(Some(x) != bad, "genuine fault");
                                 x * 3 + 1
                             })
@@ -142,9 +176,9 @@ fn each_lane_gets_one_slice() {
         for n in 1..=9usize {
             let calls = Arc::new(AtomicUsize::new(0));
             let seen = Arc::clone(&calls);
-            let out = pool.try_run(&(0..n as u64).collect(), move |jobs: &[&u64]| {
+            let out = pool.try_run(&(0..n as u64).collect(), move |jobs: &[u64]| {
                 seen.fetch_add(1, Ordering::Relaxed);
-                jobs.iter().map(|&&x| x).collect()
+                jobs.to_vec()
             });
             assert!(out.failed.is_empty());
             let expected_calls = if lanes == 1 { 1 } else { n.min(lanes) };
@@ -164,13 +198,9 @@ fn armed_faults_count_submissions_across_sliced_batches() {
     for lanes in 1..=3 {
         let pool = WorkerPool::new(lanes);
         pool.arm_lane_panic_sticky(5);
-        let first = pool.try_run(&(0..3u64).collect(), |jobs: &[&u64]| {
-            jobs.iter().map(|&&x| x).collect::<Vec<_>>()
-        });
+        let first = pool.try_run(&(0..3u64).collect(), |jobs: &[u64]| jobs.to_vec());
         assert!(first.failed.is_empty(), "{lanes} lanes");
-        let second = pool.try_run(&(0..3u64).collect(), |jobs: &[&u64]| {
-            jobs.iter().map(|&&x| x).collect::<Vec<_>>()
-        });
+        let second = pool.try_run(&(0..3u64).collect(), |jobs: &[u64]| jobs.to_vec());
         assert_eq!(second.failed, vec![2], "{lanes} lanes");
     }
 }

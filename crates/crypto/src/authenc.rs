@@ -90,9 +90,30 @@ impl Sealed {
     }
 }
 
-/// A sealed message by reference, as [`AuthEncKey::open_batch`] takes
-/// it: `(associated_data, iv, ciphertext, tag)`.
-pub type SealedRef<'a> = (&'a [u8], &'a [u8; IV_LEN], &'a [u8], &'a [u8; TAG_LEN]);
+/// One message of an [`AuthEncKey::seal_batch`], sealed where it lies.
+pub struct SealInPlace<'a> {
+    /// The associated data the tag binds.
+    pub ad: &'a [u8],
+    /// The message's IV.
+    pub iv: ChunkIv,
+    /// Plaintext going in, ciphertext coming out.
+    pub buf: &'a mut [u8],
+    /// Where the tag is written.
+    pub tag: &'a mut [u8; TAG_LEN],
+}
+
+/// One message of an [`AuthEncKey::open_batch`], opened where it lies.
+pub struct OpenInPlace<'a> {
+    /// The associated data the tag binds.
+    pub ad: &'a [u8],
+    /// The message's IV.
+    pub iv: ChunkIv,
+    /// Ciphertext going in; plaintext coming out if the tag verifies,
+    /// the untouched ciphertext if it does not.
+    pub buf: &'a mut [u8],
+    /// The tag to verify.
+    pub tag: &'a [u8; TAG_LEN],
+}
 
 /// A symmetric authenticated-encryption key.
 ///
@@ -221,81 +242,59 @@ impl AuthEncKey {
         Ok(())
     }
 
-    /// Seals many `(plaintext, associated_data, iv)` messages at once, in
-    /// input order; each equals [`AuthEncKey::seal_with_iv`]'s result.
-    /// HMAC tags are computed four per SHA-256 pass
-    /// ([`HmacSha256::mac_batch`]).
-    #[must_use]
-    pub fn seal_batch(&self, messages: &[(&[u8], &[u8], ChunkIv)]) -> Vec<Sealed> {
-        let ciphertexts: Vec<Vec<u8>> = messages
-            .iter()
-            .map(|(plaintext, _, iv)| {
-                let mut ciphertext = plaintext.to_vec();
-                ctr_xor(&self.enc, iv, &mut ciphertext);
-                ciphertext
-            })
-            .collect();
-        let macced: Vec<_> = messages
-            .iter()
-            .zip(&ciphertexts)
-            .map(|((_, ad, iv), ct)| (*ad, &iv.0, ct.as_slice()))
-            .collect();
-        let tags = self.compute_tags(&macced);
-        messages
-            .iter()
-            .zip(ciphertexts)
-            .zip(tags)
-            .map(|(((_, _, iv), ciphertext), tag)| Sealed {
-                iv: iv.0,
-                ciphertext,
-                tag,
-            })
-            .collect()
-    }
-
-    /// Opens many messages at once, in input order; each result equals
-    /// [`AuthEncKey::open_in_place`]'s. Every tag is checked in constant
-    /// time before its message is decrypted, and a failed message does
-    /// not affect the others.
-    #[must_use]
-    pub fn open_batch(&self, messages: &[SealedRef<'_>]) -> Vec<Result<Vec<u8>, CryptoError>> {
-        let macced: Vec<_> = messages
-            .iter()
-            .map(|&(ad, iv, ciphertext, _)| (ad, iv, ciphertext))
-            .collect();
-        let expected = self.compute_tags(&macced);
-        messages
-            .iter()
-            .zip(expected)
-            .map(|(&(_, iv, ciphertext, tag), expected)| {
-                if !ct::eq(&expected, tag) {
-                    return Err(CryptoError::TagMismatch);
-                }
-                let mut plaintext = ciphertext.to_vec();
-                ctr_xor(&self.enc, &ChunkIv(*iv), &mut plaintext);
-                Ok(plaintext)
-            })
-            .collect()
-    }
-
-    /// [`AuthEncKey::compute_tag`] over many `(ad, iv, ciphertext)`
-    /// messages, in input order.
-    fn compute_tags(&self, messages: &[(&[u8], &[u8; IV_LEN], &[u8])]) -> Vec<[u8; TAG_LEN]> {
-        if self.algorithm != MacAlgorithm::HmacSha256 {
-            return messages
-                .iter()
-                .map(|&(ad, iv, ciphertext)| self.compute_tag(ad, iv, ciphertext))
-                .collect();
+    /// Seals many messages where they lie: encrypts each buffer and
+    /// writes its tag. Each result equals [`AuthEncKey::seal_with_iv`]'s
+    /// for the same message. HMAC tags are computed four per SHA-256
+    /// pass ([`HmacSha256::mac_batch`]).
+    pub fn seal_batch(&self, messages: &mut [SealInPlace<'_>]) {
+        for m in messages.iter_mut() {
+            ctr_xor(&self.enc, &m.iv, m.buf);
         }
+        let (parts, mut tags): (Vec<[&[u8]; 3]>, Vec<&mut [u8; TAG_LEN]>) = messages
+            .iter_mut()
+            .map(|m| ([m.ad, &m.iv.0[..], &*m.buf], &mut *m.tag))
+            .unzip();
+        self.tags_of(&parts, |i, tag| *tags[i] = tag);
+    }
+
+    /// Opens many messages where they lie, returning one verdict per
+    /// message in input order; each equals
+    /// [`AuthEncKey::open_in_place`]'s. Every tag is checked in constant
+    /// time before its buffer is decrypted, and a failed message keeps its
+    /// ciphertext and does not affect the others.
+    #[must_use]
+    pub fn open_batch(&self, messages: &mut [OpenInPlace<'_>]) -> Vec<Result<(), CryptoError>> {
+        let mut verdicts = vec![Ok(()); messages.len()];
         let parts: Vec<[&[u8]; 3]> = messages
             .iter()
-            .map(|&(ad, iv, ciphertext)| [ad, &iv[..], ciphertext])
+            .map(|m| [m.ad, &m.iv.0[..], &*m.buf])
             .collect();
-        self.hmac
-            .mac_batch(&parts)
-            .iter()
-            .map(|full| full[..TAG_LEN].try_into().expect("truncate to 16"))
-            .collect()
+        self.tags_of(&parts, |i, expected| {
+            if !ct::eq(&expected, messages[i].tag) {
+                verdicts[i] = Err(CryptoError::TagMismatch);
+            }
+        });
+        for (m, verdict) in messages.iter_mut().zip(&verdicts) {
+            if verdict.is_ok() {
+                ctr_xor(&self.enc, &m.iv, m.buf);
+            }
+        }
+        verdicts
+    }
+
+    /// Calls `emit(i, tag)` with [`AuthEncKey::compute_tag`] over each
+    /// `[ad, iv, ciphertext]` message.
+    fn tags_of(&self, messages: &[[&[u8]; 3]], mut emit: impl FnMut(usize, [u8; TAG_LEN])) {
+        if self.algorithm == MacAlgorithm::HmacSha256 {
+            self.hmac.mac_batch(messages, |i, full| {
+                emit(i, full[..TAG_LEN].try_into().expect("truncate to 16"));
+            });
+            return;
+        }
+        for (i, &[ad, iv, ciphertext]) in messages.iter().enumerate() {
+            let iv: &[u8; IV_LEN] = iv.try_into().expect("IV_LEN-byte iv");
+            emit(i, self.compute_tag(ad, iv, ciphertext));
+        }
     }
 
     /// Computes the 16-byte tag over `ad || iv || ciphertext`.

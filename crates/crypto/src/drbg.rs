@@ -17,12 +17,17 @@
 //! assert_ne!(key_a, key_b);
 //! ```
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// A deterministic random bit generator (HMAC-DRBG, SHA-256).
+///
+/// The generator keeps the HMAC of its current key `K` with both pads
+/// absorbed; `K` changes only in `update`, so each 32 output bytes cost
+/// two SHA-256 compressions instead of four.
 #[derive(Clone)]
 pub struct HmacDrbg {
-    key: [u8; 32],
+    /// HMAC under the current `K`.
+    mac: HmacSha256,
     value: [u8; 32],
     reseed_counter: u64,
 }
@@ -40,7 +45,7 @@ impl HmacDrbg {
     #[must_use]
     pub fn from_seed(seed: &[u8]) -> Self {
         let mut drbg = HmacDrbg {
-            key: [0u8; 32],
+            mac: HmacSha256::new(&[0u8; 32]),
             value: [1u8; 32],
             reseed_counter: 1,
         };
@@ -58,7 +63,7 @@ impl HmacDrbg {
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut offset = 0;
         while offset < out.len() {
-            self.value = hmac_sha256(&self.key, &self.value);
+            self.value = self.mac.mac_multi(&[&self.value]);
             let take = (out.len() - offset).min(32);
             out[offset..offset + take].copy_from_slice(&self.value[..take]);
             offset += take;
@@ -82,22 +87,18 @@ impl HmacDrbg {
     }
 
     fn update(&mut self, data: Option<&[u8]>) {
-        let mut input = Vec::with_capacity(33 + data.map_or(0, <[u8]>::len));
-        input.extend_from_slice(&self.value);
-        input.push(0x00);
+        self.rekey(0x00, data.unwrap_or_default());
         if let Some(d) = data {
-            input.extend_from_slice(d);
+            self.rekey(0x01, d);
         }
-        self.key = hmac_sha256(&self.key, &input);
-        self.value = hmac_sha256(&self.key, &self.value);
-        if let Some(d) = data {
-            let mut input = Vec::with_capacity(33 + d.len());
-            input.extend_from_slice(&self.value);
-            input.push(0x01);
-            input.extend_from_slice(d);
-            self.key = hmac_sha256(&self.key, &input);
-            self.value = hmac_sha256(&self.key, &self.value);
-        }
+    }
+
+    /// One SP 800-90A update step: `K = HMAC(K, V || round || data)`,
+    /// then `V = HMAC(K, V)`.
+    fn rekey(&mut self, round: u8, data: &[u8]) {
+        let key = self.mac.mac_multi(&[&self.value, &[round], data]);
+        self.mac = HmacSha256::new(&key);
+        self.value = self.mac.mac_multi(&[&self.value]);
     }
 }
 

@@ -89,21 +89,28 @@ impl HmacSha256 {
     }
 
     /// The tags of many messages, each the concatenation of its `P`
-    /// parts, in input order; each equals [`HmacSha256::mac_multi`]'s.
+    /// parts: calls `emit(i, tag)` once per message `i`, with the tag
+    /// [`HmacSha256::mac_multi`] gives for it.
     ///
     /// Messages whose inner hashes take the same number of SHA-256
     /// compressions are tagged four at a time, in lockstep, from the
     /// cached midstates; the leftovers of each such group go through
-    /// `mac_multi`. The grouping depends only on message lengths.
-    #[must_use]
-    pub fn mac_batch<const P: usize>(&self, messages: &[[&[u8]; P]]) -> Vec<[u8; 32]> {
+    /// `mac_multi`. The grouping depends only on message lengths. Fewer
+    /// than four messages allocate nothing.
+    pub fn mac_batch<const P: usize>(
+        &self,
+        messages: &[[&[u8]; P]],
+        mut emit: impl FnMut(usize, [u8; 32]),
+    ) {
         if messages.len() < LANES {
-            return messages.iter().map(|m| self.mac_multi(m)).collect();
+            for (i, m) in messages.iter().enumerate() {
+                emit(i, self.mac_multi(m));
+            }
+            return;
         }
         let blocks = |&i: &usize| Sha256::compressions_for_len(message_len(&messages[i]));
         let mut order: Vec<usize> = (0..messages.len()).collect();
         order.sort_by_key(blocks);
-        let mut tags = vec![[0u8; 32]; messages.len()];
         for run in order.chunk_by(|a, b| blocks(a) == blocks(b)) {
             let mut groups = run.chunks_exact(LANES);
             for group in &mut groups {
@@ -112,14 +119,13 @@ impl HmacSha256 {
                     .into_iter()
                     .zip(self.mac4(group.map(|i| &messages[i])))
                 {
-                    tags[i] = tag;
+                    emit(i, tag);
                 }
             }
             for &i in groups.remainder() {
-                tags[i] = self.mac_multi(&messages[i]);
+                emit(i, self.mac_multi(&messages[i]));
             }
         }
-        tags
     }
 
     /// Four tags in one pass: lane `l` hashes `messages[l]`. All four

@@ -18,9 +18,9 @@
 //! ```
 
 // The SHA-256 word operations, schedule step and round must inline into
-// the compression loops: with plain inlining hints LLVM leaves calls in
-// them and the 4-lane kernel is no longer vectorised (1.4x slower per
-// block on an x86-64 Xeon VM).
+// the compression: with plain inlining hints LLVM leaves calls in them,
+// and a call inside `compress4`'s lane loop keeps it from being
+// vectorised.
 #![allow(clippy::inline_always)]
 
 /// Number of bytes in a SHA-256 digest.
@@ -236,148 +236,74 @@ impl Sha256 {
 ///
 /// `state[j][l]` is word `j` of lane `l`'s chaining state, and lane `l`
 /// absorbs `blocks[l]`: the multi-buffer layout of Gueron & Krasnov
-/// (2012), in which every operation is lane-wise on `[u32; 4]` and LLVM
-/// lowers it to SSE2 vector instructions (see [`Word::sigma`]).
+/// (2012). The body is one loop over the lanes around the scalar
+/// [`compress_words`]. The message words are transposed first, so every
+/// load and store in that loop is lane-adjacent, and LLVM's loop
+/// vectoriser runs the four iterations as one pass of SSE2 instructions
+/// (`paddd`, and each rotate as `psrld`/`pslld`/`por`). Under the fat-LTO
+/// release profile the vectoriser runs at link time, so the object code
+/// to inspect is the linked binary's, not the crate's `--emit asm`.
 pub(crate) fn compress4(state: &mut [[u32; 4]; 8], blocks: &[[u8; SHA256_BLOCK_LEN]; 4]) {
-    let mut w = [[0u32; 4]; 16];
-    for (j, word) in w.iter_mut().enumerate() {
+    let mut w4 = [[0u32; 4]; 16];
+    for (j, word) in w4.iter_mut().enumerate() {
         for (lane, block) in word.iter_mut().zip(blocks) {
             *lane = u32::from_be_bytes(block[4 * j..4 * j + 4].try_into().expect("4 bytes"));
         }
     }
-    // A rolled loop, one round per turn: unrolled, the rounds' long
-    // dependency chains defeat LLVM's SLP vectoriser.
-    let mut s = *state;
-    for i in 0..64 {
-        if i >= 16 {
-            schedule(&mut w, i);
+    for l in 0..4 {
+        let mut s = [0u32; 8];
+        for j in 0..8 {
+            s[j] = state[j][l];
         }
-        let (t1, t2) = round(&s, K256[i], w[i & 15]);
-        let [a, b, c, d, e, f, g, _] = s;
-        s = [t1.add(t2), a, b, c, d.add(t1), e, f, g];
-    }
-    for (word, v) in state.iter_mut().zip(s) {
-        *word = word.add(v);
-    }
-}
-
-/// A SHA-256 working word: one `u32`, or the same word of four
-/// independent messages. The schedule step and the round are written
-/// once over it.
-trait Word: Copy {
-    fn splat(x: u32) -> Self;
-    fn add(self, other: Self) -> Self;
-    fn xor(self, other: Self) -> Self;
-    fn and(self, other: Self) -> Self;
-    fn or(self, other: Self) -> Self;
-    /// FIPS 180-4's Σ and σ: `ROTR^r0 ^ ROTR^r1 ^ ROTR^r2`, with `SHR^r2`
-    /// as the last term when `shift_last`.
-    fn sigma(self, r0: u32, r1: u32, r2: u32, shift_last: bool) -> Self;
-}
-
-impl Word for u32 {
-    #[inline(always)]
-    fn splat(x: u32) -> Self {
-        x
-    }
-    #[inline(always)]
-    fn add(self, other: Self) -> Self {
-        self.wrapping_add(other)
-    }
-    #[inline(always)]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-    #[inline(always)]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    #[inline(always)]
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-    #[inline(always)]
-    fn sigma(self, r0: u32, r1: u32, r2: u32, shift_last: bool) -> Self {
-        let last = if shift_last {
-            self >> r2
-        } else {
-            self.rotate_right(r2)
-        };
-        self.rotate_right(r0) ^ self.rotate_right(r1) ^ last
-    }
-}
-
-/// Applies `op` lane by lane.
-#[inline(always)]
-fn lanes(a: [u32; 4], b: [u32; 4], op: impl Fn(u32, u32) -> u32) -> [u32; 4] {
-    [
-        op(a[0], b[0]),
-        op(a[1], b[1]),
-        op(a[2], b[2]),
-        op(a[3], b[3]),
-    ]
-}
-
-impl Word for [u32; 4] {
-    #[inline(always)]
-    fn splat(x: u32) -> Self {
-        [x; 4]
-    }
-    #[inline(always)]
-    fn add(self, other: Self) -> Self {
-        lanes(self, other, u32::wrapping_add)
-    }
-    #[inline(always)]
-    fn xor(self, other: Self) -> Self {
-        lanes(self, other, |a, b| a ^ b)
-    }
-    #[inline(always)]
-    fn and(self, other: Self) -> Self {
-        lanes(self, other, |a, b| a & b)
-    }
-    #[inline(always)]
-    fn or(self, other: Self) -> Self {
-        lanes(self, other, |a, b| a | b)
-    }
-    /// Spelled as shifts, not rotates: SSE2 has no vector rotate, and
-    /// LLVM keeps lane-wise rotates scalar, while it vectorises shifts.
-    #[inline(always)]
-    fn sigma(self, r0: u32, r1: u32, r2: u32, shift_last: bool) -> Self {
-        lanes(self, self, |x, _| {
-            let right = (x >> r0) ^ (x >> r1) ^ (x >> r2);
-            let left = (x << (32 - r0)) ^ (x << (32 - r1));
-            if shift_last {
-                right ^ left
-            } else {
-                right ^ left ^ (x << (32 - r2))
-            }
-        })
+        let mut w = [0u32; 16];
+        for j in 0..16 {
+            w[j] = w4[j][l];
+        }
+        compress_words(&mut s, &mut w);
+        for j in 0..8 {
+            state[j][l] = s[j];
+        }
     }
 }
 
 /// Computes `W[i]` into `w[i & 15]`, which holds `W[i - 16]` until then:
 /// the message schedule rolls through 16 words in place.
 #[inline(always)]
-fn schedule<W: Word>(w: &mut [W; 16], i: usize) {
-    let s0 = w[(i + 1) & 15].sigma(7, 18, 3, true);
-    let s1 = w[(i + 14) & 15].sigma(17, 19, 10, true);
-    w[i & 15] = w[i & 15].add(s0).add(w[(i + 9) & 15]).add(s1);
+fn schedule(w: &mut [u32; 16], i: usize) {
+    let s0 = sigma(w[(i + 1) & 15], 7, 18, 3, true);
+    let s1 = sigma(w[(i + 14) & 15], 17, 19, 10, true);
+    w[i & 15] = w[i & 15]
+        .wrapping_add(s0)
+        .wrapping_add(w[(i + 9) & 15])
+        .wrapping_add(s1);
+}
+
+/// FIPS 180-4's Σ and σ: `ROTR^r0 ^ ROTR^r1 ^ ROTR^r2`, with `SHR^r2` as
+/// the last term when `shift_last`.
+#[inline(always)]
+fn sigma(x: u32, r0: u32, r1: u32, r2: u32, shift_last: bool) -> u32 {
+    let last = if shift_last {
+        x >> r2
+    } else {
+        x.rotate_right(r2)
+    };
+    x.rotate_right(r0) ^ x.rotate_right(r1) ^ last
 }
 
 /// The `(T1, T2)` of one round on the working registers `s`, with round
 /// constant `k` and message word `w`: the new `a` is `T1 + T2` and the
 /// new `e` is `d + T1`.
 #[inline(always)]
-fn round<W: Word>(s: &[W; 8], k: u32, w: W) -> (W, W) {
+fn round(s: &[u32; 8], k: u32, w: u32) -> (u32, u32) {
     let [a, b, c, _, e, f, g, h] = *s;
-    let ch = g.xor(e.and(f.xor(g)));
+    let ch = g ^ (e & (f ^ g));
     let t1 = h
-        .add(e.sigma(6, 11, 25, false))
-        .add(ch)
-        .add(W::splat(k))
-        .add(w);
-    let maj = a.and(b).or(c.and(a.or(b)));
-    (t1, a.sigma(2, 13, 22, false).add(maj))
+        .wrapping_add(sigma(e, 6, 11, 25, false))
+        .wrapping_add(ch)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    let maj = (a & b) | (c & (a | b));
+    (t1, sigma(a, 2, 13, 22, false).wrapping_add(maj))
 }
 
 /// The 64 rounds of one scalar block, fully unrolled: each round renames

@@ -1,14 +1,15 @@
 //! Differential tests for the lockstep (multi-buffer) HMAC-SHA256 path.
 //!
 //! `HmacSha256::mac_batch` hashes groups of four messages in lockstep and
-//! sends leftovers through `mac_multi`; every tag it returns must equal
-//! `mac_multi`'s for the same message, whatever the lengths, the group
+//! sends leftovers through `mac_multi`; it must emit every message's tag
+//! exactly once, equal to `mac_multi`'s, whatever the lengths, the group
 //! sizes, the mix of lengths and the way a message is split into parts.
-//! The batch seal and open of `AuthEncKey` must equal the one-message
-//! forms under every MAC algorithm. The release profile is where LLVM
+//! The in-place batch seal and open of `AuthEncKey` must equal the
+//! one-message forms under every MAC algorithm, and a message that fails
+//! to open must keep its ciphertext. The release profile is where LLVM
 //! vectorises the lockstep kernel, so CI runs these under both profiles.
 
-use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, TAG_LEN};
+use shef_crypto::authenc::{AuthEncKey, MacAlgorithm, OpenInPlace, SealInPlace, TAG_LEN};
 use shef_crypto::ctr::ChunkIv;
 use shef_crypto::hmac::HmacSha256;
 use shef_crypto::CryptoError;
@@ -31,6 +32,18 @@ fn reference(key: &HmacSha256, messages: &[[&[u8]; 3]]) -> Vec<[u8; 32]> {
     messages.iter().map(|m| key.mac_multi(m)).collect()
 }
 
+/// `mac_batch`'s tags in input order, checking each is emitted once.
+fn batch<const P: usize>(key: &HmacSha256, messages: &[[&[u8]; P]]) -> Vec<[u8; 32]> {
+    let mut tags = vec![None; messages.len()];
+    key.mac_batch(messages, |i, tag| {
+        assert!(tags[i].replace(tag).is_none(), "message {i} emitted twice");
+    });
+    tags.into_iter()
+        .enumerate()
+        .map(|(i, tag)| tag.unwrap_or_else(|| panic!("message {i} never emitted")))
+        .collect()
+}
+
 #[test]
 fn lockstep_matches_mac_multi_at_every_length_and_group_size() {
     let key = HmacSha256::new(b"lockstep key");
@@ -43,7 +56,7 @@ fn lockstep_matches_mac_multi_at_every_length_and_group_size() {
                 .map(|(m, d)| split3(d, m + len))
                 .collect();
             assert_eq!(
-                key.mac_batch(&messages),
+                batch(&key, &messages),
                 reference(&key, &messages),
                 "{group} messages of {len} bytes"
             );
@@ -69,7 +82,7 @@ fn lockstep_matches_mac_multi_on_mixed_lengths() {
             .map(|(m, d)| split3(d, m))
             .collect();
         assert_eq!(
-            key.mac_batch(&messages),
+            batch(&key, &messages),
             reference(&key, &messages),
             "first {n} messages"
         );
@@ -86,8 +99,8 @@ fn lockstep_accepts_any_part_count() {
         .map(|d| [&d[..0], &d[..10], &d[10..200], &d[200..], &d[..0]])
         .collect();
     let expected: Vec<[u8; 32]> = data.iter().map(|d| key.mac_multi(&[d])).collect();
-    assert_eq!(key.mac_batch(&one), expected);
-    assert_eq!(key.mac_batch(&five), expected);
+    assert_eq!(batch(&key, &one), expected);
+    assert_eq!(batch(&key, &five), expected);
 }
 
 #[test]
@@ -98,43 +111,54 @@ fn batch_seal_and_open_match_single_message_forms() {
         MacAlgorithm::AesGcm,
     ] {
         let key = AuthEncKey::from_bytes([0x5a; 32], alg);
-        // Two HMAC groups of four, plus a leftover.
-        let plaintexts: Vec<Vec<u8>> = (0..9)
-            .map(|m| bytes(m, if m < 8 { 512 } else { 64 }))
-            .collect();
-        let ads: Vec<Vec<u8>> = (0..9).map(|m| bytes(m + 100, 40)).collect();
-        let messages: Vec<(&[u8], &[u8], ChunkIv)> = plaintexts
-            .iter()
-            .zip(&ads)
-            .enumerate()
-            .map(|(m, (pt, ad))| (pt.as_slice(), ad.as_slice(), ChunkIv([m as u8; 12])))
-            .collect();
-        let sealed = key.seal_batch(&messages);
-        for (s, &(pt, ad, iv)) in sealed.iter().zip(&messages) {
-            assert_eq!(*s, key.seal_with_iv(pt, ad, iv), "{alg}");
-        }
+        // Lengths on either side of the SHA-256 padding boundary and the
+        // AES block, in groups that form zero, one and two lockstep groups.
+        for len in [0usize, 1, 15, 16, 17, 55, 56, 64, 100, 512, 600] {
+            for group in 1..=9 {
+                let plaintexts: Vec<Vec<u8>> = (0..group)
+                    .map(|m| bytes(m + len, if m == 8 { 64 } else { len }))
+                    .collect();
+                let ads: Vec<Vec<u8>> = (0..group).map(|m| bytes(m + 100, 40)).collect();
+                let ivs: Vec<ChunkIv> = (0..group).map(|m| ChunkIv([m as u8; 12])).collect();
+                let mut bufs = plaintexts.clone();
+                let mut tags = vec![[0u8; TAG_LEN]; group];
+                let mut seals: Vec<SealInPlace<'_>> = bufs
+                    .iter_mut()
+                    .zip(&mut tags)
+                    .zip(ads.iter().zip(&ivs))
+                    .map(|((buf, tag), (ad, &iv))| SealInPlace { ad, iv, buf, tag })
+                    .collect();
+                key.seal_batch(&mut seals);
+                for m in 0..group {
+                    let single = key.seal_with_iv(&plaintexts[m], &ads[m], ivs[m]);
+                    assert_eq!(bufs[m], single.ciphertext, "{alg}, {group} x {len} B, #{m}");
+                    assert_eq!(tags[m], single.tag, "{alg}, {group} x {len} B, #{m}");
+                }
 
-        // Tamper with one message in the middle of an HMAC group: it alone
-        // fails, and its neighbours still open.
-        let mut tags: Vec<[u8; TAG_LEN]> = sealed.iter().map(|s| s.tag).collect();
-        tags[5][0] ^= 1;
-        let opened = key.open_batch(
-            &sealed
-                .iter()
-                .zip(&ads)
-                .zip(&tags)
-                .map(|((s, ad), tag)| (ad.as_slice(), &s.iv, s.ciphertext.as_slice(), tag))
-                .collect::<Vec<_>>(),
-        );
-        for (m, result) in opened.into_iter().enumerate() {
-            if m == 5 {
-                assert_eq!(result, Err(CryptoError::TagMismatch), "{alg}");
-            } else {
-                assert_eq!(
-                    result.as_deref(),
-                    Ok(&plaintexts[m][..]),
-                    "{alg}, message {m}"
-                );
+                // Tamper with the middle message: it alone fails, keeps
+                // its ciphertext, and its neighbours still open.
+                let bad = group / 2;
+                tags[bad][0] ^= 1;
+                let ciphertexts = bufs.clone();
+                let mut opens: Vec<OpenInPlace<'_>> = bufs
+                    .iter_mut()
+                    .zip(&tags)
+                    .zip(ads.iter().zip(&ivs))
+                    .map(|((buf, tag), (ad, &iv))| OpenInPlace { ad, iv, buf, tag })
+                    .collect();
+                let verdicts = key.open_batch(&mut opens);
+                for m in 0..group {
+                    if m == bad {
+                        assert_eq!(verdicts[m], Err(CryptoError::TagMismatch), "{alg}");
+                        assert_eq!(
+                            bufs[m], ciphertexts[m],
+                            "{alg}: failed open keeps ciphertext"
+                        );
+                    } else {
+                        assert_eq!(verdicts[m], Ok(()), "{alg}, {group} x {len} B, #{m}");
+                        assert_eq!(bufs[m], plaintexts[m], "{alg}, {group} x {len} B, #{m}");
+                    }
+                }
             }
         }
     }

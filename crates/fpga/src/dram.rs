@@ -210,6 +210,27 @@ impl Dram {
         buf
     }
 
+    /// [`Axi4Port::read_burst`] into the caller's buffer: reads
+    /// `buf.len()` bytes at `addr`, with the same checks and charges.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::Axi`] for out-of-range addresses.
+    pub fn read_burst_into(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), FpgaError> {
+        let len = buf.len();
+        self.check_range(addr, len)?;
+        let bursts = burst_count(addr, len);
+        self.raw_read(addr, buf);
+        self.stats.bytes_read += len as u64;
+        self.stats.read_bursts += bursts;
+        if let Some(tele) = &self.tele {
+            tele.bytes_read.add(len as u64);
+            tele.read_bursts.add(bursts);
+        }
+        self.charge(len, bursts);
+        Ok(())
+    }
+
     /// Adversarial write: modifies memory contents directly, modelling a
     /// physical attack on the DDR bus or a malicious Shell.
     pub fn tamper_write(&mut self, addr: u64, data: &[u8]) {
@@ -219,17 +240,8 @@ impl Dram {
 
 impl Axi4Port for Dram {
     fn read_burst(&mut self, addr: u64, len: usize) -> Result<Vec<u8>, FpgaError> {
-        self.check_range(addr, len)?;
-        let bursts = burst_count(addr, len);
         let mut buf = vec![0u8; len];
-        self.raw_read(addr, &mut buf);
-        self.stats.bytes_read += len as u64;
-        self.stats.read_bursts += bursts;
-        if let Some(tele) = &self.tele {
-            tele.bytes_read.add(len as u64);
-            tele.read_bursts.add(bursts);
-        }
-        self.charge(len, bursts);
+        self.read_burst_into(addr, &mut buf)?;
         Ok(buf)
     }
 

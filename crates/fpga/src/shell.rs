@@ -30,10 +30,10 @@ pub trait Interposer {
     /// Called on host register reads from the design.
     fn on_reg_read(&mut self, _addr: u64, _value: &mut u32) {}
     /// Called on accelerator-side DRAM reads (the Shell proxies the AXI4
-    /// memory port too).
-    fn on_mem_read(&mut self, _addr: u64, _data: &mut Vec<u8>) {}
-    /// Called on accelerator-side DRAM writes.
-    fn on_mem_write(&mut self, _addr: u64, _data: &mut Vec<u8>) {}
+    /// memory port too), on the reader's buffer.
+    fn on_mem_read(&mut self, _addr: u64, _data: &mut [u8]) {}
+    /// Called on accelerator-side DRAM writes, on the writer's buffer.
+    fn on_mem_write(&mut self, _addr: u64, _data: &mut [u8]) {}
 }
 
 /// A no-op interposer (honest Shell).
@@ -133,8 +133,9 @@ impl Shell {
         Ok(buf)
     }
 
-    /// Accelerator-side memory read, interposed. The design's AXI4 master
-    /// reaches DRAM only through the Shell.
+    /// Accelerator-side memory read into `buf`, interposed. The design's
+    /// AXI4 master reaches DRAM only through the Shell; reading into the
+    /// caller's buffer lets a 16-byte tag land in an array, not a `Vec`.
     ///
     /// # Errors
     ///
@@ -143,15 +144,17 @@ impl Shell {
         &mut self,
         dram: &mut Dram,
         addr: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, FpgaError> {
-        let mut buf = dram.read_burst(addr, len)?;
-        self.interposer.on_mem_read(addr, &mut buf);
-        Ok(buf)
+        buf: &mut [u8],
+    ) -> Result<(), FpgaError> {
+        dram.read_burst_into(addr, buf)?;
+        self.interposer.on_mem_read(addr, buf);
+        Ok(())
     }
 
-    /// Accelerator-side memory write, interposed. An owned buffer moves
-    /// through the interposer without a copy; a borrowed one is copied.
+    /// Accelerator-side memory write, interposed. The interposer rewrites
+    /// `data` in place before it reaches DRAM, so the caller's buffer
+    /// ends up holding what was stored; pass a copy to keep the
+    /// original.
     ///
     /// # Errors
     ///
@@ -160,11 +163,10 @@ impl Shell {
         &mut self,
         dram: &mut Dram,
         addr: u64,
-        data: impl Into<Vec<u8>>,
+        data: &mut [u8],
     ) -> Result<(), FpgaError> {
-        let mut buf = data.into();
-        self.interposer.on_mem_write(addr, &mut buf);
-        dram.write_burst(addr, &buf)
+        self.interposer.on_mem_write(addr, data);
+        dram.write_burst(addr, data)
     }
 
     /// Forwards a host register write to the design's AXI4-Lite port,
@@ -215,7 +217,7 @@ mod tests {
                 *b ^= 0xff;
             }
         }
-        fn on_mem_read(&mut self, _addr: u64, data: &mut Vec<u8>) {
+        fn on_mem_read(&mut self, _addr: u64, data: &mut [u8]) {
             if let Some(b) = data.first_mut() {
                 *b ^= 0xff;
             }
@@ -261,9 +263,12 @@ mod tests {
         let mut dram = Dram::new(1 << 20);
         dram.tamper_write(0, &[0xaa, 0xbb]);
         shell.set_interposer(Box::new(FlipFirstByte));
-        assert_eq!(shell.mem_read(&mut dram, 0, 2).unwrap(), vec![0x55, 0xbb]);
+        let mut buf = [0u8; 2];
+        shell.mem_read(&mut dram, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0x55, 0xbb]);
         shell.clear_interposer();
-        assert_eq!(shell.mem_read(&mut dram, 0, 2).unwrap(), vec![0xaa, 0xbb]);
+        shell.mem_read(&mut dram, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0xaa, 0xbb]);
     }
 
     #[test]

@@ -94,7 +94,9 @@ proptest! {
         let mut dram = Dram::new(1 << 20);
         shell.dma_to_device(&mut dram, addr, &data).unwrap();
         prop_assert_eq!(shell.dma_from_device(&mut dram, addr, data.len()).unwrap(), data.clone());
-        prop_assert_eq!(shell.mem_read(&mut dram, addr, data.len()).unwrap(), data);
+        let mut read = vec![0u8; data.len()];
+        shell.mem_read(&mut dram, addr, &mut read).unwrap();
+        prop_assert_eq!(read, data);
     }
 
     #[test]
