@@ -218,7 +218,7 @@ impl Accelerator for AffineTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -228,7 +228,7 @@ mod tests {
         assert!(run_baseline(&mut a).unwrap().outputs_verified);
         let mut a = AffineTransform::new(64, 3);
         assert!(
-            run_shielded_parallel(&mut a, &CryptoProfile::AES128_16X, 9, &pool)
+            run_shielded(&mut a, &CryptoProfile::AES128_16X, 9, &pool, None)
                 .unwrap()
                 .outputs_verified
         );

@@ -175,7 +175,7 @@ impl Accelerator for Bitcoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -185,7 +185,7 @@ mod tests {
         assert!(run_baseline(&mut b).unwrap().outputs_verified);
         let mut b = Bitcoin::new(10, 3);
         assert!(
-            run_shielded_parallel(&mut b, &CryptoProfile::AES128_16X, 4, &pool)
+            run_shielded(&mut b, &CryptoProfile::AES128_16X, 4, &pool, None)
                 .unwrap()
                 .outputs_verified
         );
@@ -198,7 +198,7 @@ mod tests {
         let mut b = Bitcoin::new(12, 3);
         let base = run_baseline(&mut b).unwrap();
         let mut b = Bitcoin::new(12, 3);
-        let shielded = run_shielded_parallel(&mut b, &CryptoProfile::AES256_4X, 4, &pool).unwrap();
+        let shielded = run_shielded(&mut b, &CryptoProfile::AES256_4X, 4, &pool, None).unwrap();
         let ratio = shielded.cycles.0 as f64 / base.cycles.0 as f64;
         assert!(ratio < 1.05, "bitcoin overhead should be ~1.0, got {ratio}");
     }

@@ -297,7 +297,7 @@ impl Accelerator for Convolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -307,7 +307,7 @@ mod tests {
         assert!(run_baseline(&mut c).unwrap().outputs_verified);
         let mut c = Convolution::new(ConvDims::small(), 4);
         assert!(
-            run_shielded_parallel(&mut c, &CryptoProfile::AES128_16X, 3, &pool)
+            run_shielded(&mut c, &CryptoProfile::AES128_16X, 3, &pool, None)
                 .unwrap()
                 .outputs_verified
         );

@@ -191,7 +191,7 @@ impl Accelerator for DigitRecognition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         assert!(run_baseline(&mut d).unwrap().outputs_verified);
         let mut d = DigitRecognition::new(32, 50, 7);
         assert!(
-            run_shielded_parallel(&mut d, &CryptoProfile::AES256_16X, 5, &pool)
+            run_shielded(&mut d, &CryptoProfile::AES256_16X, 5, &pool, None)
                 .unwrap()
                 .outputs_verified
         );

@@ -401,7 +401,7 @@ impl Accelerator for DnnWeaver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
         assert!(run_baseline(&mut d).unwrap().outputs_verified);
         let mut d = DnnWeaver::new(1, 5);
         assert!(
-            run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool)
+            run_shielded(&mut d, &CryptoProfile::AES128_16X, 8, &pool, None)
                 .unwrap()
                 .outputs_verified
         );
@@ -433,10 +433,10 @@ mod tests {
         // the blocking-stall overhead.
         let mut hmac = DnnWeaver::new(2, 5);
         let hmac_report =
-            run_shielded_parallel(&mut hmac, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
+            run_shielded(&mut hmac, &CryptoProfile::AES128_16X, 8, &pool, None).unwrap();
         let mut pmac = DnnWeaver::new(2, 5).with_pmac_weights();
         let pmac_report =
-            run_shielded_parallel(&mut pmac, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
+            run_shielded(&mut pmac, &CryptoProfile::AES128_16X, 8, &pool, None).unwrap();
         assert!(
             pmac_report.cycles < hmac_report.cycles,
             "PMAC {} must beat HMAC {}",
@@ -459,11 +459,11 @@ mod tests {
         // walks the on-chip counters avoid.
         let mut counters = DnnWeaver::new(1, 5);
         let counters_report =
-            run_shielded_parallel(&mut counters, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
+            run_shielded(&mut counters, &CryptoProfile::AES128_16X, 8, &pool, None).unwrap();
         assert!(counters_report.outputs_verified);
         let mut merkle = DnnWeaver::new(1, 5).with_merkle_fmap();
         let merkle_report =
-            run_shielded_parallel(&mut merkle, &CryptoProfile::AES128_16X, 8, &pool).unwrap();
+            run_shielded(&mut merkle, &CryptoProfile::AES128_16X, 8, &pool, None).unwrap();
         assert!(merkle_report.outputs_verified);
         assert!(
             merkle_report.cycles > counters_report.cycles,

@@ -13,8 +13,8 @@
 use shef_core::shield::bus::{MemoryBus, PlainBus, ShieldedBus, ACCEL_LANE};
 use shef_core::shield::engine::AccessMode;
 use shef_core::shield::{
-    client, DataEncryptionKey, EngineSetStats, RegisterInterface, ServiceConfig, ServiceRequest,
-    Shield, ShieldService, TenantId, WorkerPool,
+    client, DataEncryptionKey, EngineSetStats, RegionConfig, RegisterInterface, ServiceConfig,
+    ServiceRequest, Shield, ShieldService, TenantId, WorkerPool,
 };
 use shef_core::ShefError;
 use shef_crypto::ecies::EciesKeyPair;
@@ -24,7 +24,7 @@ use shef_fpga::host::HostCpu;
 use shef_fpga::shell::Shell;
 use shef_telemetry::{Report, Telemetry};
 
-use crate::{Accelerator, CryptoProfile};
+use crate::{Accelerator, CryptoProfile, RegionData};
 
 /// Result of one measured run.
 #[derive(Debug)]
@@ -103,37 +103,15 @@ impl RunReport {
 /// separately in §6.1). Outputs do not depend on the lane count; only
 /// the cost model (and hence the modelled cycles) sees the fan-out.
 ///
-/// # Errors
-///
-/// Propagates configuration, integrity and bus errors.
-pub fn run_shielded_parallel(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-    pool: &WorkerPool,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, pool, None)
-}
-
-/// [`run_shielded_parallel`], recording into a caller-supplied telemetry
-/// registry so several runs (e.g. a profile sweep) accumulate into one
-/// report. The per-run snapshot in [`RunReport::telemetry`] still
-/// reflects the shared registry at the end of this run.
+/// With `Some(telemetry)` the run records into that caller-supplied
+/// registry, so several runs (e.g. a profile sweep) accumulate into one
+/// report; [`RunReport::telemetry`] is then a snapshot of the shared
+/// registry at the end of this run.
 ///
 /// # Errors
 ///
 /// Propagates configuration, integrity and bus errors.
-pub fn run_shielded_parallel_with_telemetry(
-    accel: &mut dyn Accelerator,
-    profile: &CryptoProfile,
-    seed: u64,
-    pool: &WorkerPool,
-    telemetry: &Telemetry,
-) -> Result<RunReport, ShefError> {
-    run_shielded_impl(accel, profile, seed, pool, Some(telemetry))
-}
-
-fn run_shielded_impl(
+pub fn run_shielded(
     accel: &mut dyn Accelerator,
     profile: &CryptoProfile,
     seed: u64,
@@ -164,36 +142,9 @@ fn run_shielded_impl(
     dram.attach_telemetry(&run_telemetry);
     let mut host = HostCpu::new();
     let mut ledger = CostLedger::new();
+    let datapath = (&mut shield, &mut shell, &mut dram, &mut ledger);
+    stage_inputs(accel, &dek, &mut host, datapath)?;
 
-    // Data Owner stages encrypted inputs; host DMAs ciphertext + tags.
-    for input in accel.inputs() {
-        let (index, region) = find_region(&shield, &input.region)?;
-        let chunk = region.engine_set.chunk_size as u64;
-        debug_assert_eq!(input.offset % chunk, 0, "offsets must be chunk-aligned");
-        let first_chunk = (input.offset / chunk) as u32;
-        let enc = client::encrypt_region_at(&dek, &region, first_chunk, &input.data, 0);
-        host.dma_to_device(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            region.range.start + input.offset,
-            &enc.ciphertext,
-        )?;
-        let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
-        // Tags ride the same DMA batch as the data (chained descriptor).
-        host.dma_to_device_chained(&mut shell, &mut dram, &mut ledger, tag_base, &enc.tags)?;
-    }
-
-    // Sealed register writes (commands / small data).
-    let mut reg_key = dek.register_key();
-    for (index, value) in accel.host_pre() {
-        let sealed = RegisterInterface::client_seal_value(&mut reg_key, index, value)?;
-        shield.host_reg_write(index, &sealed)?;
-        // One AXI-Lite crossing per 4-byte beat of the sealed packet.
-        ledger.add_serial(Cycles(4 + sealed.to_bytes().len() as u64 / 4));
-    }
-
-    // Kernel execution.
     let mut bus = ShieldedBus {
         shield: &mut shield,
         shell: &mut shell,
@@ -204,55 +155,128 @@ fn run_shielded_impl(
     accel.run(&mut bus)?;
     bus.flush()?;
 
-    // Output readback + verification.
-    let mut verified = true;
-    for expected in accel.expected_outputs() {
-        let (index, region) = find_region(&shield, &expected.region)?;
-        let chunk = region.engine_set.chunk_size as u64;
-        debug_assert_eq!(expected.offset % chunk, 0, "offsets must be chunk-aligned");
-        let first_chunk = (expected.offset / chunk) as u32;
-        let len = expected.data.len();
-        let ct = host.dma_from_device(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            region.range.start + expected.offset,
-            len,
-        )?;
-        let tag_len = client::tag_bytes_for(len, region.engine_set.chunk_size);
-        let tags = host.dma_from_device_chained(
-            &mut shell,
-            &mut dram,
-            &mut ledger,
-            shield.config().tag_base(index) + u64::from(first_chunk) * 16,
-            tag_len,
-        )?;
-        let plain = client::decrypt_region_at(
-            &dek,
-            &region,
-            first_chunk,
-            &ct,
-            &tags,
-            &client::uniform_epochs(0),
-        )?;
-        if plain != expected.data {
-            verified = false;
-        }
-    }
-
-    // Result registers.
-    let mut read_reg = |index: usize| -> Result<u64, ShefError> {
-        let sealed = shield.host_reg_read(index)?;
-        RegisterInterface::client_open_value(&dek.register_key(), index, &sealed)
-    };
-    if !accel.host_post(&mut read_reg)? {
-        verified = false;
-    }
-
+    let datapath = (&mut shield, &mut shell, &mut dram, &mut ledger);
+    let verified = verify_outputs(accel, &dek, &mut host, datapath)?;
     let stats = shield.engine_stats();
     let snapshot = shield.telemetry().report();
     ledger.merge(dram.ledger());
     Ok(RunReport::from_ledger(ledger, verified, stats, snapshot))
+}
+
+/// [`run_shielded`] without a caller-supplied telemetry registry.
+/// Kept with this signature because the frozen `perfbench/` workloads
+/// call it.
+///
+/// # Errors
+///
+/// Propagates configuration, integrity and bus errors.
+pub fn run_shielded_parallel(
+    accel: &mut dyn Accelerator,
+    profile: &CryptoProfile,
+    seed: u64,
+    pool: &WorkerPool,
+) -> Result<RunReport, ShefError> {
+    run_shielded(accel, profile, seed, pool, None)
+}
+
+/// One Data Owner's borrowed view of a deployed Shield: the Shield, the
+/// Shell, the device DRAM and the ledger host DMA charges — what
+/// [`ShieldService::tenant_datapath`] returns for one tenant.
+type Datapath<'a> = (
+    &'a mut Shield,
+    &'a mut Shell,
+    &'a mut Dram,
+    &'a mut CostLedger,
+);
+
+/// The Data Owner's inbound half: seals `accel`'s inputs under `dek`,
+/// DMAs ciphertext and tags into DRAM, and writes the sealed `host_pre`
+/// registers.
+fn stage_inputs(
+    accel: &dyn Accelerator,
+    dek: &DataEncryptionKey,
+    host: &mut HostCpu,
+    (shield, shell, dram, ledger): Datapath<'_>,
+) -> Result<(), ShefError> {
+    for input in accel.inputs() {
+        let (region, first_chunk, tag_addr) = locate(shield, &input)?;
+        let enc = client::encrypt_region_at(dek, region, first_chunk, &input.data, 0);
+        let addr = region.range.start + input.offset;
+        host.dma_to_device(shell, dram, ledger, addr, &enc.ciphertext)?;
+        // Tags ride the same DMA batch as the data (chained descriptor).
+        host.dma_to_device_chained(shell, dram, ledger, tag_addr, &enc.tags)?;
+    }
+    let mut reg_key = dek.register_key();
+    for (index, value) in accel.host_pre() {
+        let sealed = RegisterInterface::client_seal_value(&mut reg_key, index, value)?;
+        shield.host_reg_write(index, &sealed)?;
+        // One AXI-Lite crossing per 4-byte beat of the sealed packet.
+        ledger.add_serial(Cycles(4 + sealed.to_bytes().len() as u64 / 4));
+    }
+    Ok(())
+}
+
+/// The Data Owner's outbound half: DMAs every expected output and its
+/// tags back, opens and compares them, then runs `host_post` over the
+/// sealed result registers. Returns whether everything verified.
+fn verify_outputs(
+    accel: &dyn Accelerator,
+    dek: &DataEncryptionKey,
+    host: &mut HostCpu,
+    (shield, shell, dram, ledger): Datapath<'_>,
+) -> Result<bool, ShefError> {
+    let mut verified = true;
+    for expected in accel.expected_outputs() {
+        let (region, first_chunk, tag_addr) = locate(shield, &expected)?;
+        let len = expected.data.len();
+        let addr = region.range.start + expected.offset;
+        let ct = host.dma_from_device(shell, dram, ledger, addr, len)?;
+        let tag_len = client::tag_bytes_for(len, region.engine_set.chunk_size);
+        let tags = host.dma_from_device_chained(shell, dram, ledger, tag_addr, tag_len)?;
+        let epochs = client::uniform_epochs(0);
+        let plain = client::decrypt_region_at(dek, region, first_chunk, &ct, &tags, &epochs)?;
+        verified &= plain == expected.data;
+    }
+    let reg_key = dek.register_key();
+    let mut read_reg = |index: usize| -> Result<u64, ShefError> {
+        let sealed = shield.host_reg_read(index)?;
+        RegisterInterface::client_open_value(&reg_key, index, &sealed)
+    };
+    Ok(accel.host_post(&mut read_reg)? && verified)
+}
+
+/// Where `data` lives behind `shield`: its region, the index of its
+/// first chunk, and the address of that chunk's tag.
+///
+/// # Errors
+///
+/// [`ShefError::Malformed`] for an unknown region, and
+/// [`ShefError::InvalidConfig`] for an offset that is not chunk-aligned
+/// (sealing it would silently truncate the chunk index).
+fn locate<'s>(
+    shield: &'s Shield,
+    data: &RegionData,
+) -> Result<(&'s RegionConfig, u32, u64), ShefError> {
+    let config = shield.config();
+    let (index, region) = config
+        .regions
+        .iter()
+        .enumerate()
+        .find(|(_, r)| r.name == data.region)
+        .ok_or_else(|| ShefError::Malformed(format!("unknown region {}", data.region)))?;
+    let chunk = region.engine_set.chunk_size as u64;
+    if !data.offset.is_multiple_of(chunk) {
+        return Err(ShefError::InvalidConfig(format!(
+            "offset {} into region {} is not aligned to its {chunk} B chunks",
+            data.offset, data.region
+        )));
+    }
+    let first_chunk = data.offset / chunk;
+    Ok((
+        region,
+        first_chunk as u32,
+        config.tag_base(index) + first_chunk * 16,
+    ))
 }
 
 /// Runs `accel` with no Shield: plaintext DMA and direct Shell/DRAM
@@ -286,9 +310,7 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
         )?;
     }
     for (index, value) in accel.host_pre() {
-        if let Some(slot) = regs.get_mut(index) {
-            *slot = value;
-        }
+        *baseline_reg(&mut regs, index)? = value;
         ledger.add_serial(Cycles(4));
     }
 
@@ -321,8 +343,7 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
             verified = false;
         }
     }
-    let mut read_reg =
-        |index: usize| -> Result<u64, ShefError> { Ok(regs.get(index).copied().unwrap_or(0)) };
+    let mut read_reg = |index: usize| baseline_reg(&mut regs, index).map(|r| *r);
     if !accel.host_post(&mut read_reg)? {
         verified = false;
     }
@@ -336,38 +357,26 @@ pub fn run_baseline(accel: &mut dyn Accelerator) -> Result<RunReport, ShefError>
     ))
 }
 
+/// The baseline's plaintext register `index`, rejected out of range
+/// exactly as the Shield's register interface rejects it.
+fn baseline_reg(regs: &mut [u64], index: usize) -> Result<&mut u64, ShefError> {
+    let len = regs.len();
+    regs.get_mut(index).ok_or_else(|| {
+        ShefError::Malformed(format!(
+            "register index {index} out of range (file has {len})"
+        ))
+    })
+}
+
 /// Measures the shielded/baseline ratio for one profile, with the
 /// shielded run fanned across `lanes` worker lanes (1 = the serial
-/// Shield).
+/// Shield). `telemetry` is passed to [`run_shielded`], so a lane-scaling
+/// sweep can accumulate every configuration into one exported report.
 ///
 /// # Errors
 ///
 /// Propagates run errors from either side.
 pub fn overhead(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
-    lanes: usize,
-) -> Result<OverheadReport, ShefError> {
-    overhead_impl(make_accel, profile, lanes, None)
-}
-
-/// [`overhead`] recording the shielded run into a caller-supplied
-/// telemetry registry, so a lane-scaling sweep can accumulate every
-/// configuration into one exported report.
-///
-/// # Errors
-///
-/// Propagates run errors from either side.
-pub fn overhead_with_telemetry(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
-    lanes: usize,
-    telemetry: &Telemetry,
-) -> Result<OverheadReport, ShefError> {
-    overhead_impl(make_accel, profile, lanes, Some(telemetry))
-}
-
-fn overhead_impl(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
     lanes: usize,
@@ -377,7 +386,7 @@ fn overhead_impl(
     let baseline = run_baseline(base.as_mut())?;
     let pool = WorkerPool::new(lanes);
     let mut shielded_accel = make_accel();
-    let shielded = run_shielded_impl(shielded_accel.as_mut(), profile, 42, &pool, telemetry)?;
+    let shielded = run_shielded(shielded_accel.as_mut(), profile, 42, &pool, telemetry)?;
     Ok(OverheadReport {
         baseline_cycles: baseline.cycles,
         shielded_cycles: shielded.cycles,
@@ -423,7 +432,7 @@ pub struct TenantRunReport {
     pub engine_stats: Vec<(String, EngineSetStats)>,
 }
 
-/// Result of one [`run_shielded_service`] run: per-tenant measurements
+/// Result of one [`run_service`] run: per-tenant measurements
 /// plus the service-level scheduling picture.
 #[derive(Debug)]
 pub struct ServiceRunReport {
@@ -527,53 +536,20 @@ impl MemoryBus for ServiceBus<'_> {
 
 /// Runs `tenants` instances of one workload through a
 /// [`ShieldService`], each tenant in its own key domain and address
-/// namespace. The measured window per tenant matches
-/// [`run_shielded_parallel`]:
-/// input DMA (ciphertext + tags), sealed register writes, the kernel
-/// (every burst crossing admission + shard dispatch), flush, output DMA
-/// and verification-side decryption. With one tenant and a one-shard
-/// service of `lanes` lanes this is bit-identical to
-/// [`run_shielded_parallel`] at `lanes` — the differential conformance
-/// suite pins exactly that.
+/// namespace. Every tenant's Data Owner runs the same inbound and
+/// outbound halves as [`run_shielded`], so the measured window per
+/// tenant matches it: input DMA (ciphertext + tags), sealed register
+/// writes, the kernel (every burst crossing admission + shard
+/// dispatch), flush, output DMA and verification-side decryption. With
+/// one tenant and a one-shard service of `lanes` lanes this is
+/// bit-identical to [`run_shielded`] at `lanes` — the differential
+/// conformance suite pins exactly that. `telemetry` works as in
+/// [`run_shielded`].
 ///
 /// # Errors
 ///
 /// Propagates configuration, admission, integrity and bus errors.
-pub fn run_shielded_service(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
-    seed: u64,
-    tenants: usize,
-    service_config: &ServiceConfig,
-) -> Result<ServiceRunReport, ShefError> {
-    run_shielded_service_impl(make_accel, profile, seed, tenants, service_config, None)
-}
-
-/// [`run_shielded_service`] with a caller-supplied telemetry registry
-/// (see [`run_shielded_parallel_with_telemetry`]).
-///
-/// # Errors
-///
-/// Propagates configuration, admission, integrity and bus errors.
-pub fn run_shielded_service_with_telemetry(
-    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
-    profile: &CryptoProfile,
-    seed: u64,
-    tenants: usize,
-    service_config: &ServiceConfig,
-    telemetry: &Telemetry,
-) -> Result<ServiceRunReport, ShefError> {
-    run_shielded_service_impl(
-        make_accel,
-        profile,
-        seed,
-        tenants,
-        service_config,
-        Some(telemetry),
-    )
-}
-
-fn run_shielded_service_impl(
+pub fn run_service(
     make_accel: &dyn Fn() -> Box<dyn Accelerator>,
     profile: &CryptoProfile,
     seed: u64,
@@ -611,30 +587,7 @@ fn run_shielded_service_impl(
         let grant = env.onboard(&name, master.tenant_key(&name).to_bytes())?;
         let id = service.register_tenant(&name, config, &grant)?;
         let dek = master.tenant_key(&name);
-        for input in accel.inputs() {
-            let (shield, shell, dram, ledger) = service.tenant_datapath(id);
-            let (index, region) = find_region(shield, &input.region)?;
-            let chunk = region.engine_set.chunk_size as u64;
-            debug_assert_eq!(input.offset % chunk, 0, "offsets must be chunk-aligned");
-            let first_chunk = (input.offset / chunk) as u32;
-            let enc = client::encrypt_region_at(&dek, &region, first_chunk, &input.data, 0);
-            host.dma_to_device(
-                shell,
-                dram,
-                ledger,
-                region.range.start + input.offset,
-                &enc.ciphertext,
-            )?;
-            let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
-            host.dma_to_device_chained(shell, dram, ledger, tag_base, &enc.tags)?;
-        }
-        let mut reg_key = dek.register_key();
-        for (index, value) in accel.host_pre() {
-            let sealed = RegisterInterface::client_seal_value(&mut reg_key, index, value)?;
-            let (shield, _, _, ledger) = service.tenant_datapath(id);
-            shield.host_reg_write(index, &sealed)?;
-            ledger.add_serial(Cycles(4 + sealed.to_bytes().len() as u64 / 4));
-        }
+        stage_inputs(accel.as_ref(), &dek, &mut host, service.tenant_datapath(id))?;
         ids.push(id);
         accels.push(accel);
     }
@@ -651,61 +604,22 @@ fn run_shielded_service_impl(
     }
 
     // Output readback + client-side verification per tenant.
-    let mut verified = vec![true; tenants];
-    for (i, (id, accel)) in ids.iter().zip(accels.iter()).enumerate() {
-        let dek = master.tenant_key(&format!("tenant{i}"));
-        for expected in accel.expected_outputs() {
-            let (shield, shell, dram, ledger) = service.tenant_datapath(*id);
-            let (index, region) = find_region(shield, &expected.region)?;
-            let chunk = region.engine_set.chunk_size as u64;
-            debug_assert_eq!(expected.offset % chunk, 0, "offsets must be chunk-aligned");
-            let first_chunk = (expected.offset / chunk) as u32;
-            let len = expected.data.len();
-            let tag_base = shield.config().tag_base(index) + u64::from(first_chunk) * 16;
-            let ct = host.dma_from_device(
-                shell,
-                dram,
-                ledger,
-                region.range.start + expected.offset,
-                len,
-            )?;
-            let tag_len = client::tag_bytes_for(len, region.engine_set.chunk_size);
-            let tags = host.dma_from_device_chained(shell, dram, ledger, tag_base, tag_len)?;
-            let plain = client::decrypt_region_at(
-                &dek,
-                &region,
-                first_chunk,
-                &ct,
-                &tags,
-                &client::uniform_epochs(0),
-            )?;
-            if plain != expected.data {
-                verified[i] = false;
-            }
-        }
-        let reg_key = dek.register_key();
-        let mut read_reg = |index: usize| -> Result<u64, ShefError> {
-            let sealed = service.tenant_shield(*id).host_reg_read(index)?;
-            RegisterInterface::client_open_value(&reg_key, index, &sealed)
-        };
-        if !accel.host_post(&mut read_reg)? {
-            verified[i] = false;
-        }
-    }
-
     let mut tenant_reports = Vec::with_capacity(tenants);
-    for (i, id) in ids.iter().enumerate() {
-        let stats = service.tenant_shield(*id).engine_stats();
+    for (id, accel) in ids.iter().zip(&accels) {
+        let tenant = service.tenant_name(*id).to_owned();
+        let dek = master.tenant_key(&tenant);
+        let datapath = service.tenant_datapath(*id);
+        let outputs_verified = verify_outputs(accel.as_ref(), &dek, &mut host, datapath)?;
         let mut ledger = service.tenant_ledger(*id).clone();
         ledger.merge(service.tenant_dram(*id).ledger());
         let cycles = ledger.bottleneck();
         tenant_reports.push(TenantRunReport {
-            tenant: service.tenant_name(*id).to_owned(),
+            tenant,
             cycles,
             micros: ClockDomain::F1_DEFAULT.cycles_to_us(cycles),
             ledger,
-            outputs_verified: verified[i],
-            engine_stats: stats,
+            outputs_verified,
+            engine_stats: service.tenant_shield(*id).engine_stats(),
         });
     }
     let shard_clocks = (0..service.shard_count())
@@ -728,24 +642,157 @@ fn run_shielded_service_impl(
     })
 }
 
-fn find_region(
-    shield: &Shield,
-    name: &str,
-) -> Result<(usize, shef_core::shield::RegionConfig), ShefError> {
-    shield
-        .config()
-        .regions
-        .iter()
-        .enumerate()
-        .find(|(_, r)| r.name == name)
-        .map(|(i, r)| (i, r.clone()))
-        .ok_or_else(|| ShefError::Malformed(format!("unknown region {name}")))
+/// [`run_service`] without a caller-supplied telemetry registry.
+/// Kept with this signature because the frozen `perfbench/` workloads
+/// call it.
+///
+/// # Errors
+///
+/// Propagates configuration, admission, integrity and bus errors.
+pub fn run_shielded_service(
+    make_accel: &dyn Fn() -> Box<dyn Accelerator>,
+    profile: &CryptoProfile,
+    seed: u64,
+    tenants: usize,
+    service_config: &ServiceConfig,
+) -> Result<ServiceRunReport, ShefError> {
+    run_service(make_accel, profile, seed, tenants, service_config, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vecadd::VectorAdd;
+    use shef_core::shield::bus::MemoryBus;
+    use shef_core::shield::ShieldConfig;
+
+    /// An 8 KiB [`VectorAdd`] whose Data Owner side is bent: inputs and
+    /// expected outputs moved by the given byte offsets, and the given
+    /// `host_pre` register writes.
+    struct Bent {
+        inner: VectorAdd,
+        input_shift: u64,
+        output_shift: u64,
+        host_pre: Vec<(usize, u64)>,
+    }
+
+    impl Bent {
+        fn new(input_shift: u64, output_shift: u64, host_pre: Vec<(usize, u64)>) -> Self {
+            let inner = VectorAdd::new(8 * 1024, 1);
+            Bent {
+                inner,
+                input_shift,
+                output_shift,
+                host_pre,
+            }
+        }
+    }
+
+    fn shifted(mut data: Vec<RegionData>, by: u64) -> Vec<RegionData> {
+        for d in &mut data {
+            d.offset += by;
+        }
+        data
+    }
+
+    impl Accelerator for Bent {
+        fn id(&self) -> &str {
+            self.inner.id()
+        }
+        fn shield_config(&self, profile: &CryptoProfile) -> ShieldConfig {
+            self.inner.shield_config(profile)
+        }
+        fn inputs(&self) -> Vec<RegionData> {
+            shifted(self.inner.inputs(), self.input_shift)
+        }
+        fn expected_outputs(&self) -> Vec<RegionData> {
+            shifted(self.inner.expected_outputs(), self.output_shift)
+        }
+        fn host_pre(&self) -> Vec<(usize, u64)> {
+            self.host_pre.clone()
+        }
+        fn run(&mut self, bus: &mut dyn MemoryBus) -> Result<(), ShefError> {
+            self.inner.run(bus)
+        }
+    }
+
+    #[test]
+    fn out_of_range_register_is_rejected_by_baseline_and_shield_alike() {
+        let regs = VectorAdd::new(8 * 1024, 1)
+            .shield_config(&CryptoProfile::AES128_4X)
+            .register_interface
+            .num_registers;
+        let mut accel = Bent::new(0, 0, vec![(regs, 1)]);
+        assert!(matches!(
+            run_baseline(&mut accel),
+            Err(ShefError::Malformed(_))
+        ));
+        let pool = WorkerPool::new(1);
+        assert!(matches!(
+            run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7, &pool, None),
+            Err(ShefError::Malformed(_))
+        ));
+        // One below the limit, the same write is accepted.
+        let mut accel = Bent::new(0, 0, vec![(regs - 1, 1)]);
+        assert!(run_baseline(&mut accel).unwrap().outputs_verified);
+    }
+
+    #[test]
+    fn misaligned_offsets_are_config_errors_on_both_runs() {
+        let service = ServiceConfig {
+            shards: 2,
+            lanes_per_shard: 2,
+            ..ServiceConfig::default()
+        };
+        let pool = WorkerPool::new(2);
+        for (input_shift, output_shift) in [(16, 0), (0, 16)] {
+            let mut accel = Bent::new(input_shift, output_shift, Vec::new());
+            let shielded = run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7, &pool, None);
+            assert!(
+                matches!(shielded, Err(ShefError::InvalidConfig(_))),
+                "shift {input_shift}/{output_shift}: {shielded:?}"
+            );
+            let make = move || {
+                Box::new(Bent::new(input_shift, output_shift, Vec::new())) as Box<dyn Accelerator>
+            };
+            let served = run_service(&make, &CryptoProfile::AES128_4X, 7, 2, &service, None);
+            assert!(
+                matches!(served, Err(ShefError::InvalidConfig(_))),
+                "shift {input_shift}/{output_shift}: {:?}",
+                served.map(|r| r.all_verified())
+            );
+        }
+    }
+
+    #[test]
+    fn service_run_records_into_the_caller_registry() {
+        let telemetry = Telemetry::new();
+        let make = || Box::new(VectorAdd::new(8 * 1024, 1)) as Box<dyn Accelerator>;
+        let config = ServiceConfig {
+            shards: 2,
+            lanes_per_shard: 2,
+            ..ServiceConfig::default()
+        };
+        let report = run_service(
+            &make,
+            &CryptoProfile::AES128_4X,
+            3,
+            2,
+            &config,
+            Some(&telemetry),
+        )
+        .unwrap();
+        assert!(report.all_verified());
+        let counters = telemetry.report().counters;
+        for name in [
+            "shield.service.admitted",
+            "shield.pool.batches",
+            "fpga.dram.bytes_written",
+        ] {
+            assert!(counters[name] > 0, "{name}");
+        }
+        assert_eq!(telemetry.report().to_json(), report.telemetry.to_json());
+    }
 
     #[test]
     fn shielded_and_baseline_agree_on_outputs() {
@@ -755,7 +802,7 @@ mod tests {
         let mut accel = VectorAdd::new(8 * 1024, 1);
         let pool = WorkerPool::new(1);
         let shielded =
-            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 7, &pool).unwrap();
+            run_shielded(&mut accel, &CryptoProfile::AES128_16X, 7, &pool, None).unwrap();
         assert!(shielded.outputs_verified);
         // Security costs something.
         assert!(shielded.cycles >= baseline.cycles);
@@ -764,17 +811,17 @@ mod tests {
     #[test]
     fn parallel_harness_verifies_and_never_slows_down() {
         let mut accel = VectorAdd::new(64 * 1024, 1);
-        let serial = run_shielded_parallel(
+        let serial = run_shielded(
             &mut accel,
             &CryptoProfile::AES128_4X,
             7,
             &WorkerPool::new(1),
+            None,
         )
         .unwrap();
         let mut accel = VectorAdd::new(64 * 1024, 1);
         let pool = WorkerPool::new(4);
-        let parallel =
-            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_4X, 7, &pool).unwrap();
+        let parallel = run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7, &pool, None).unwrap();
         assert!(parallel.outputs_verified);
         // Lane fan-out can only shrink the modelled bottleneck.
         assert!(parallel.cycles <= serial.cycles);
@@ -790,12 +837,12 @@ mod tests {
         let telemetry = shef_telemetry::Telemetry::new();
         let pool = WorkerPool::new(2);
         let mut accel = VectorAdd::new(8 * 1024, 1);
-        let report = run_shielded_parallel_with_telemetry(
+        let report = run_shielded(
             &mut accel,
             &CryptoProfile::AES128_4X,
             7,
             &pool,
-            &telemetry,
+            Some(&telemetry),
         )
         .unwrap();
         let counter = |name: &str| {
@@ -826,14 +873,13 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mut accel = VectorAdd::new(16 * 1024, 1);
         let parallel =
-            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_4X, 11, &pool).unwrap();
+            run_shielded(&mut accel, &CryptoProfile::AES128_4X, 11, &pool, None).unwrap();
         let config = ServiceConfig {
             shards: 1,
             lanes_per_shard: 2,
             ..ServiceConfig::default()
         };
-        let service =
-            run_shielded_service(&make, &CryptoProfile::AES128_4X, 11, 1, &config).unwrap();
+        let service = run_service(&make, &CryptoProfile::AES128_4X, 11, 1, &config, None).unwrap();
         assert!(service.all_verified());
         assert_eq!(service.tenants.len(), 1);
         let tenant = &service.tenants[0];
@@ -851,7 +897,7 @@ mod tests {
             lanes_per_shard: 2,
             ..ServiceConfig::default()
         };
-        let report = run_shielded_service(&make, &CryptoProfile::AES128_4X, 3, 4, &config).unwrap();
+        let report = run_service(&make, &CryptoProfile::AES128_4X, 3, 4, &config, None).unwrap();
         assert_eq!(report.tenants.len(), 4);
         assert!(report.all_verified());
         assert_eq!(report.admitted, report.completed, "no request lost");
@@ -859,7 +905,7 @@ mod tests {
         assert_eq!(report.shard_clocks.len(), 2);
         assert!(report.shard_clocks.iter().all(|c| c.0 > 0));
         // Same-seed runs are byte-identical at the scheduling level.
-        let again = run_shielded_service(&make, &CryptoProfile::AES128_4X, 3, 4, &config).unwrap();
+        let again = run_service(&make, &CryptoProfile::AES128_4X, 3, 4, &config, None).unwrap();
         assert_eq!(report.shard_clocks, again.shard_clocks);
         assert_eq!(report.makespan(), again.makespan());
         assert_eq!(
@@ -880,7 +926,7 @@ mod tests {
     #[test]
     fn overhead_reports_ratio() {
         let make = || Box::new(VectorAdd::new(8 * 1024, 1)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_4X, 1).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, 1, None).unwrap();
         assert!(report.normalized >= 1.0);
         assert!(report.baseline_verified && report.shielded_verified);
     }
@@ -888,8 +934,8 @@ mod tests {
     #[test]
     fn slower_profile_is_not_faster() {
         let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
-        let fast = overhead(&make, &CryptoProfile::AES128_16X, 1).unwrap();
-        let slow = overhead(&make, &CryptoProfile::AES256_4X, 1).unwrap();
+        let fast = overhead(&make, &CryptoProfile::AES128_16X, 1, None).unwrap();
+        let slow = overhead(&make, &CryptoProfile::AES256_4X, 1, None).unwrap();
         assert!(slow.normalized >= fast.normalized);
     }
 }

@@ -150,7 +150,7 @@ impl Accelerator for MatMul {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -160,7 +160,7 @@ mod tests {
         assert!(run_baseline(&mut m).unwrap().outputs_verified);
         let mut m = MatMul::new(32, 9);
         assert!(
-            run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &pool)
+            run_shielded(&mut m, &CryptoProfile::AES128_4X, 2, &pool, None)
                 .unwrap()
                 .outputs_verified
         );
@@ -185,7 +185,7 @@ mod tests {
         let mut m = MatMul::new(64, 3);
         let base = run_baseline(&mut m).unwrap();
         let mut m = MatMul::new(64, 3);
-        let shielded = run_shielded_parallel(&mut m, &CryptoProfile::AES128_4X, 2, &pool).unwrap();
+        let shielded = run_shielded(&mut m, &CryptoProfile::AES128_4X, 2, &pool, None).unwrap();
         let ratio = shielded.cycles.0 as f64 / base.cycles.0 as f64;
         assert!(ratio < 2.0, "matmul overhead should be mild, got {ratio}");
     }

@@ -290,7 +290,7 @@ impl Accelerator for SdpStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     fn engines() -> SdpEngineConfig {
@@ -304,7 +304,7 @@ mod tests {
         assert!(run_baseline(&mut s).unwrap().outputs_verified);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Get(0), SdpOp::Get(1)], engines(), 1);
         assert!(
-            run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
+            run_shielded(&mut s, &CryptoProfile::AES128_16X, 2, &pool, None)
                 .unwrap()
                 .outputs_verified
         );
@@ -317,7 +317,7 @@ mod tests {
         assert!(run_baseline(&mut s).unwrap().outputs_verified);
         let mut s = SdpStore::new(4096, 2, vec![SdpOp::Put(1)], engines(), 1);
         assert!(
-            run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
+            run_shielded(&mut s, &CryptoProfile::AES128_16X, 2, &pool, None)
                 .unwrap()
                 .outputs_verified
         );
@@ -331,11 +331,11 @@ mod tests {
         let hmac = cols[1].1;
         let pmac = cols[2].1;
         let mut s = SdpStore::new(64 * 1024, 1, vec![SdpOp::Get(0)], hmac, 3);
-        let hmac_cycles = run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
+        let hmac_cycles = run_shielded(&mut s, &CryptoProfile::AES128_16X, 2, &pool, None)
             .unwrap()
             .cycles;
         let mut s = SdpStore::new(64 * 1024, 1, vec![SdpOp::Get(0)], pmac, 3);
-        let pmac_cycles = run_shielded_parallel(&mut s, &CryptoProfile::AES128_16X, 2, &pool)
+        let pmac_cycles = run_shielded(&mut s, &CryptoProfile::AES128_16X, 2, &pool, None)
             .unwrap()
             .cycles;
         assert!(pmac_cycles < hmac_cycles);

@@ -139,7 +139,7 @@ impl Accelerator for VectorAdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_baseline, run_shielded_parallel};
+    use crate::harness::{run_baseline, run_shielded};
     use shef_core::shield::WorkerPool;
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
     fn computes_correct_sums_shielded() {
         let pool = WorkerPool::new(1);
         let mut v = VectorAdd::new(16 * 1024, 3);
-        let report = run_shielded_parallel(&mut v, &CryptoProfile::AES128_4X, 1, &pool).unwrap();
+        let report = run_shielded(&mut v, &CryptoProfile::AES128_4X, 1, &pool, None).unwrap();
         assert!(report.outputs_verified);
     }
 
@@ -177,9 +177,9 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mk = |_| VectorAdd::new(64 * 1024, 5);
         let mut a = mk(());
-        let fast = run_shielded_parallel(&mut a, &CryptoProfile::AES128_16X, 1, &pool).unwrap();
+        let fast = run_shielded(&mut a, &CryptoProfile::AES128_16X, 1, &pool, None).unwrap();
         let mut b = mk(());
-        let slow = run_shielded_parallel(&mut b, &CryptoProfile::AES128_4X, 1, &pool).unwrap();
+        let slow = run_shielded(&mut b, &CryptoProfile::AES128_4X, 1, &pool, None).unwrap();
         assert!(fast.cycles <= slow.cycles);
     }
 }

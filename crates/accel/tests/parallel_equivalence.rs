@@ -14,7 +14,7 @@ use shef_accel::bitcoin::Bitcoin;
 use shef_accel::conv::{ConvDims, Convolution};
 use shef_accel::digitrec::DigitRecognition;
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::run_shielded_parallel;
+use shef_accel::harness::run_shielded;
 use shef_accel::matmul::MatMul;
 use shef_accel::sdp::{SdpEngineConfig, SdpOp, SdpStore};
 use shef_accel::vecadd::VectorAdd;
@@ -48,7 +48,7 @@ fn assert_lane_count_invariant(
     let run = |lanes: usize| {
         let pool = WorkerPool::new(lanes);
         let mut accel = make();
-        let report = run_shielded_parallel(accel.as_mut(), &profile, SEED, &pool)
+        let report = run_shielded(accel.as_mut(), &profile, SEED, &pool, None)
             .unwrap_or_else(|e| panic!("{name}: {lanes}-lane run failed: {e}"));
         assert!(
             report.outputs_verified,

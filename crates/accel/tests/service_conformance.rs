@@ -11,7 +11,7 @@ use shef_accel::bitcoin::Bitcoin;
 use shef_accel::conv::{ConvDims, Convolution};
 use shef_accel::digitrec::DigitRecognition;
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::{run_shielded_parallel, run_shielded_service};
+use shef_accel::harness::{run_service, run_shielded};
 use shef_accel::matmul::MatMul;
 use shef_accel::sdp::{SdpEngineConfig, SdpOp, SdpStore};
 use shef_accel::vecadd::VectorAdd;
@@ -25,7 +25,7 @@ fn assert_service_matches_parallel(name: &str, make: &dyn Fn() -> Box<dyn Accele
     for lanes in [1usize, 2, 4] {
         let pool = WorkerPool::new(lanes);
         let mut accel = make();
-        let parallel = run_shielded_parallel(accel.as_mut(), &profile, SEED, &pool)
+        let parallel = run_shielded(accel.as_mut(), &profile, SEED, &pool, None)
             .unwrap_or_else(|e| panic!("{name}: parallel run ({lanes} lanes) failed: {e}"));
         assert!(parallel.outputs_verified, "{name}: parallel not verified");
 
@@ -35,7 +35,7 @@ fn assert_service_matches_parallel(name: &str, make: &dyn Fn() -> Box<dyn Accele
             queue_capacity: 64,
             tenant_quota: 16,
         };
-        let service = run_shielded_service(make, &profile, SEED, 1, &config)
+        let service = run_service(make, &profile, SEED, 1, &config, None)
             .unwrap_or_else(|e| panic!("{name}: service run ({lanes} lanes) failed: {e}"));
         assert!(
             service.all_verified(),
@@ -131,12 +131,13 @@ fn four_tenants_two_shards_all_verify() {
         queue_capacity: 64,
         tenant_quota: 16,
     };
-    let report = run_shielded_service(
+    let report = run_service(
         &|| Box::new(VectorAdd::new(4 * 1024, 5)),
         &CryptoProfile::AES128_4X,
         SEED,
         4,
         &config,
+        None,
     )
     .expect("service run");
     assert!(report.all_verified());

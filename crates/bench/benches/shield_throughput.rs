@@ -6,7 +6,7 @@
 //! vecadd harness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use shef_accel::harness::{run_baseline, run_shielded_parallel};
+use shef_accel::harness::{run_baseline, run_shielded};
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::CryptoProfile;
 use shef_core::shield::client;
@@ -203,7 +203,7 @@ fn bench_vecadd_end_to_end(c: &mut Criterion) {
     group.bench_function("shielded_256k_aes16x", |b| {
         b.iter(|| {
             let mut accel = VectorAdd::new(256 * 1024, 1);
-            run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 2, &pool).unwrap()
+            run_shielded(&mut accel, &CryptoProfile::AES128_16X, 2, &pool, None).unwrap()
         })
     });
     group.finish();

@@ -57,7 +57,7 @@ fn chunk_size_sweep() {
 
 fn buffer_sweep() {
     use shef_accel::affine::AffineTransform;
-    use shef_accel::harness::run_shielded_parallel;
+    use shef_accel::harness::run_shielded;
     use shef_accel::CryptoProfile;
     use shef_core::shield::WorkerPool;
 
@@ -67,7 +67,7 @@ fn buffer_sweep() {
     // so report hits/misses at the default and rely on the engine stats.
     let mut accel = AffineTransform::new(256, 1);
     let pool = WorkerPool::new(1);
-    let report = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 5, &pool).unwrap();
+    let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 5, &pool, None).unwrap();
     assert!(report.outputs_verified);
     let (hits, misses): (u64, u64) = report
         .engine_stats
@@ -286,7 +286,7 @@ fn lane_sweep() {
     let make = || Box::new(VectorAdd::new(256 * 1024, 1)) as Box<dyn Accelerator>;
     let mut prev: Option<u64> = None;
     for lanes in [1usize, 2, 4, 8] {
-        let report = overhead(&make, &CryptoProfile::AES128_4X, lanes).unwrap();
+        let report = overhead(&make, &CryptoProfile::AES128_4X, lanes, None).unwrap();
         assert!(
             report.shielded_verified,
             "lane sweep produced wrong outputs"

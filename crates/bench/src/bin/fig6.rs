@@ -19,7 +19,7 @@ use shef_bench::{header, overhead_row};
 fn sweep(name: &str, make: &dyn Fn() -> Box<dyn Accelerator>, paper: [f64; 4]) {
     println!("--- {name} (STR/RA per paper) ---");
     for ((label, profile), paper_value) in CryptoProfile::fig6_profiles().into_iter().zip(paper) {
-        let report = overhead(&make, &profile, 1).expect("run succeeds");
+        let report = overhead(&make, &profile, 1, None).expect("run succeeds");
         assert!(
             report.shielded_verified && report.baseline_verified,
             "{name}/{label}: outputs failed verification"
@@ -58,7 +58,8 @@ fn main() {
 
     // The §6.2.4 PMAC optimization for DNNWeaver.
     let make_pmac = || Box::new(DnnWeaver::new(4, 24).with_pmac_weights()) as Box<dyn Accelerator>;
-    let report = overhead(&make_pmac, &CryptoProfile::AES128_16X_PMAC, 1).expect("run succeeds");
+    let report =
+        overhead(&make_pmac, &CryptoProfile::AES128_16X_PMAC, 1, None).expect("run succeeds");
     assert!(report.shielded_verified && report.baseline_verified);
     overhead_row("DNNWeaver AES-128/16x-PMAC", report.normalized, Some(2.31));
     println!();

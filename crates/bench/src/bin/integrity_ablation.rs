@@ -252,7 +252,7 @@ fn mac_engine_sweep() {
 
 fn end_to_end_dnnweaver() {
     use shef_accel::dnnweaver::DnnWeaver;
-    use shef_accel::harness::{run_baseline, run_shielded_parallel};
+    use shef_accel::harness::{run_baseline, run_shielded};
     use shef_accel::CryptoProfile;
 
     header("End-to-end: DNNWeaver feature maps, counters vs Bonsai Merkle Tree");
@@ -263,11 +263,11 @@ fn end_to_end_dnnweaver() {
     };
     let counters = {
         let mut d = DnnWeaver::new(1, 5);
-        run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool).expect("counters run")
+        run_shielded(&mut d, &CryptoProfile::AES128_16X, 8, &pool, None).expect("counters run")
     };
     let merkle = {
         let mut d = DnnWeaver::new(1, 5).with_merkle_fmap();
-        run_shielded_parallel(&mut d, &CryptoProfile::AES128_16X, 8, &pool).expect("merkle run")
+        run_shielded(&mut d, &CryptoProfile::AES128_16X, 8, &pool, None).expect("merkle run")
     };
     assert!(baseline.outputs_verified && counters.outputs_verified && merkle.outputs_verified);
     let base = baseline.cycles.0.max(1) as f64;

@@ -18,7 +18,7 @@
 //! the `telemetry-report` CI job checks with `scripts/check_report.sh`.
 
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::{overhead, overhead_with_telemetry};
+use shef_accel::harness::overhead;
 use shef_accel::matmul::MatMul;
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::{Accelerator, CryptoProfile};
@@ -90,6 +90,8 @@ fn parse_args() -> (Vec<usize>, Option<String>, Option<String>) {
 fn main() {
     let (lane_counts, json_path, telemetry_path) = parse_args();
     let telemetry = Telemetry::new();
+    // Accumulate into the shared registry only when it is exported.
+    let sink = telemetry_path.is_some().then_some(&telemetry);
     let mut records = Vec::new();
 
     header("Lane scaling: parallel Shield datapath (modelled cycles, deterministic)");
@@ -97,12 +99,8 @@ fn main() {
         println!("{} [{}]", w.name, w.profile_name);
         let mut one_lane_cycles = None;
         for &lanes in &lane_counts {
-            let report = if telemetry_path.is_some() {
-                overhead_with_telemetry(&w.make, &w.profile, lanes, &telemetry)
-            } else {
-                overhead(&w.make, &w.profile, lanes)
-            }
-            .unwrap_or_else(|e| panic!("{} at {lanes} lanes failed: {e}", w.name));
+            let report = overhead(&w.make, &w.profile, lanes, sink)
+                .unwrap_or_else(|e| panic!("{} at {lanes} lanes failed: {e}", w.name));
             assert!(
                 report.baseline_verified && report.shielded_verified,
                 "{} at {lanes} lanes produced wrong outputs",

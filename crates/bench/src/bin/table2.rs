@@ -16,7 +16,7 @@ fn main() {
     let paper = [298.0, 297.0, 59.0, 20.0, 20.0];
     for ((label, engines), paper_pct) in SdpEngineConfig::table2_columns().into_iter().zip(paper) {
         let make = move || Box::new(SdpStore::table2_workload(engines, 77)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_16X, 1).expect("run succeeds");
+        let report = overhead(&make, &CryptoProfile::AES128_16X, 1, None).expect("run succeeds");
         assert!(report.shielded_verified && report.baseline_verified);
         let pct = (report.normalized - 1.0) * 100.0;
         kv_row(
@@ -53,7 +53,7 @@ fn main() {
         ),
     ] {
         let make = move || Box::new(SdpStore::table2_workload(engines, 77)) as Box<dyn Accelerator>;
-        let report = overhead(&make, &CryptoProfile::AES128_16X, 1).expect("run succeeds");
+        let report = overhead(&make, &CryptoProfile::AES128_16X, 1, None).expect("run succeeds");
         assert!(report.shielded_verified && report.baseline_verified);
         let pct = (report.normalized - 1.0) * 100.0;
         kv_row(label, &format!("measured={pct:>6.0}%   paper=  n/a"));

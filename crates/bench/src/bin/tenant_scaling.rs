@@ -1,7 +1,7 @@
 //! Tenant-scaling sweep of the multi-tenant `ShieldService`, and the
 //! second data source for the CI bench gate.
 //!
-//! Runs a fixed set of workloads through [`run_shielded_service`] at
+//! Runs a fixed set of workloads through [`run_service`] at
 //! increasing tenant counts on a fixed shard geometry, reporting the
 //! *makespan* — the slowest tenant's modelled cycles. Every request
 //! crosses admission control and the deterministic min-clock shard
@@ -16,7 +16,7 @@
 //! ```
 
 use shef_accel::dnnweaver::DnnWeaver;
-use shef_accel::harness::{run_shielded_service, run_shielded_service_with_telemetry};
+use shef_accel::harness::run_service;
 use shef_accel::matmul::MatMul;
 use shef_accel::vecadd::VectorAdd;
 use shef_accel::{Accelerator, CryptoProfile};
@@ -97,6 +97,8 @@ fn parse_args() -> (Vec<usize>, Option<String>, Option<String>) {
 fn main() {
     let (tenant_counts, json_path, telemetry_path) = parse_args();
     let telemetry = Telemetry::new();
+    // Accumulate into the shared registry only when it is exported.
+    let sink = telemetry_path.is_some().then_some(&telemetry);
     let config = ServiceConfig {
         shards: SHARDS,
         lanes_per_shard: LANES_PER_SHARD,
@@ -115,14 +117,8 @@ fn main() {
         println!("{} [{}]", w.name, w.profile_name);
         let mut solo_makespan = None;
         for &tenants in &tenant_counts {
-            let report = if telemetry_path.is_some() {
-                run_shielded_service_with_telemetry(
-                    &w.make, &w.profile, SEED, tenants, &config, &telemetry,
-                )
-            } else {
-                run_shielded_service(&w.make, &w.profile, SEED, tenants, &config)
-            }
-            .unwrap_or_else(|e| panic!("{} at {tenants} tenants failed: {e}", w.name));
+            let report = run_service(&w.make, &w.profile, SEED, tenants, &config, sink)
+                .unwrap_or_else(|e| panic!("{} at {tenants} tenants failed: {e}", w.name));
             assert!(
                 report.all_verified(),
                 "{} at {tenants} tenants produced wrong outputs",
@@ -141,7 +137,7 @@ fn main() {
                     // The sweep didn't start at 1 tenant; measure the
                     // solo baseline separately so overhead stays
                     // comparable across --tenants lists.
-                    run_shielded_service(&w.make, &w.profile, SEED, 1, &config)
+                    run_service(&w.make, &w.profile, SEED, 1, &config, None)
                         .unwrap_or_else(|e| panic!("{} solo baseline failed: {e}", w.name))
                         .makespan()
                         .0

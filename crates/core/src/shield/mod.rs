@@ -40,7 +40,7 @@ pub use config::{EngineSetConfig, MemRange, RegionConfig, RegisterInterfaceConfi
 pub use engine::{AccessMode, EngineSet, EngineSetStats};
 pub use keys::{DataEncryptionKey, KeyStorage, LoadKey};
 pub use merkle::{MerkleConfig, MerkleStats, MerkleTree};
-pub use pool::{PoolStats, TryRunOutcome, WorkerPool};
+pub use pool::{TryRunOutcome, WorkerPool};
 pub use regif::RegisterInterface;
 pub use service::{Completion, RequestId, ServiceConfig, ServiceRequest, ShieldService, TenantId};
 pub use shard::ShieldShard;

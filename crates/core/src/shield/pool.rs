@@ -7,26 +7,23 @@
 //! (`std::thread` + `mpsc` channels — the workspace builds offline, so
 //! no rayon/crossbeam) that chunk-crypto batches are fanned across.
 //!
-//! Determinism contract: [`WorkerPool::run`] returns results in the
-//! exact order of the submitted jobs regardless of which lane executed
-//! what or in which order lanes finished. All *modelled* cost accounting
-//! (see [`super::timing::parallel_batch_cost`]) is computed from a
-//! deterministic round-robin lane assignment, never from real-thread
-//! scheduling, so cycle ledgers and engine-set statistics are
-//! bit-reproducible run to run. Only the observability counters in
-//! [`PoolStats`] reflect real scheduling.
+//! Determinism contract: [`WorkerPool::try_run`], the pool's one
+//! dispatch path, returns results in the exact order of the submitted
+//! jobs regardless of which lane executed what or in which order lanes
+//! finished. All *modelled* cost accounting (see
+//! [`super::timing::parallel_batch_cost`]) and every telemetry counter
+//! is computed from a deterministic round-robin lane assignment; the
+//! pool reads no real-thread scheduling, so cycle ledgers and
+//! engine-set statistics are bit-reproducible run to run.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 use shef_telemetry::{Counter, Telemetry};
 
-/// Work handed to one lane: `jobs` pool jobs run by one closure.
-struct Job {
-    jobs: usize,
-    run: Box<dyn FnOnce() + Send + 'static>,
-}
+/// Work handed to one lane: one slice of a batch, run by one closure.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Pre-resolved telemetry handles for the pool.
 ///
@@ -34,10 +31,7 @@ struct Job {
 /// and batches count submissions, the per-lane dispatch counters follow
 /// the same round-robin assignment as the timing model
 /// ([`super::timing::parallel_batch_cost`]), and panic/retry counters
-/// are addressed by submission index. Real-scheduling quantities
-/// (`jobs_per_lane`, `queue_high_water`) stay in [`PoolStats`] and are
-/// deliberately NOT mirrored — they would break the byte-identical
-/// report guarantee.
+/// are addressed by submission index.
 #[derive(Debug)]
 struct PoolTelemetry {
     batches: Counter,
@@ -77,14 +71,6 @@ impl PoolTelemetry {
 
 /// Shared state between the pool handle and its worker lanes.
 struct PoolShared {
-    /// Jobs submitted but not yet picked up by a lane.
-    queued: AtomicUsize,
-    /// High-water mark of `queued` (real scheduling; observability only).
-    queue_high_water: AtomicUsize,
-    /// Jobs executed per lane (real scheduling; observability only).
-    jobs_per_lane: Vec<AtomicU64>,
-    /// Batches dispatched through [`WorkerPool::run`].
-    batches: AtomicU64,
     /// Jobs dispatched through [`WorkerPool::try_run`] since pool
     /// creation — the deterministic submission clock that fault arming
     /// is addressed against.
@@ -110,21 +96,6 @@ impl PoolShared {
             panic!("injected shield lane fault (job #{submission})");
         }
     }
-}
-
-/// Observability counters for a pool. These reflect *real* thread
-/// scheduling and are therefore not deterministic; the timing model
-/// never reads them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Number of worker lanes.
-    pub lanes: usize,
-    /// Jobs executed by each lane.
-    pub jobs_per_lane: Vec<u64>,
-    /// Most jobs ever waiting in the shared queue at once.
-    pub queue_high_water: usize,
-    /// Batches dispatched through [`WorkerPool::run`].
-    pub batches: u64,
 }
 
 /// Outcome of a draining batch dispatch ([`WorkerPool::try_run`]).
@@ -170,10 +141,6 @@ impl WorkerPool {
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
         let shared = Arc::new(PoolShared {
-            queued: AtomicUsize::new(0),
-            queue_high_water: AtomicUsize::new(0),
-            jobs_per_lane: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-            batches: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             panic_at: AtomicU64::new(u64::MAX),
             panic_sticky: AtomicBool::new(false),
@@ -192,7 +159,6 @@ impl WorkerPool {
         let workers = (0..lanes)
             .map(|lane| {
                 let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("shef-shield-lane{lane}"))
                     .spawn(move || loop {
@@ -209,16 +175,7 @@ impl WorkerPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => {
-                                shared.queued.fetch_sub(job.jobs, Ordering::Relaxed);
-                                // Count the jobs when the lane picks them
-                                // up: `run` hands its results back to
-                                // the caller, which may read the stats
-                                // before this lane runs another line.
-                                shared.jobs_per_lane[lane]
-                                    .fetch_add(job.jobs as u64, Ordering::Relaxed);
-                                (job.run)();
-                            }
+                            Ok(job) => job(),
                             // Channel closed: the pool is shutting down.
                             Err(_) => break,
                         }
@@ -251,99 +208,14 @@ impl WorkerPool {
         self.lanes
     }
 
-    /// Snapshot of the observability counters.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            lanes: self.lanes,
-            jobs_per_lane: self
-                .shared
-                .jobs_per_lane
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            queue_high_water: self.shared.queue_high_water.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Runs `f` over every item, fanning the work across the pool's
-    /// lanes, and returns the results **in submission order**.
-    ///
-    /// Panics in `f` are caught on the worker lane and re-raised on the
-    /// caller thread for the earliest-index failing item, so a poisoned
-    /// batch cannot deadlock the pool.
-    pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
-    {
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        let n = items.len();
-        if let Some(tele) = self.tele.get() {
-            tele.note_batch(n);
-        }
-        let Some(sender) = &self.sender else {
-            // Single lane: inline execution, trivially deterministic.
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        };
-        if n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(i, t))
-                .collect();
-        }
-        let f = Arc::new(f);
-        let (done_tx, done_rx) = mpsc::channel();
-        for (i, item) in items.into_iter().enumerate() {
-            let queued = self.shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
-            self.shared
-                .queue_high_water
-                .fetch_max(queued, Ordering::Relaxed);
-            let f = Arc::clone(&f);
-            let done_tx = done_tx.clone();
-            let job = Job {
-                jobs: 1,
-                run: Box::new(move || {
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
-                    let _ = done_tx.send((i, outcome));
-                }),
-            };
-            sender
-                .send(job)
-                .expect("pool lanes alive while handle held");
-        }
-        drop(done_tx);
-        let mut slots: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, outcome) = done_rx.recv().expect("every job reports exactly once");
-            slots[i] = Some(outcome);
-        }
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            match slot.expect("all slots filled") {
-                Ok(r) => out.push(r),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out
-    }
-
-    /// Like [`WorkerPool::run`], but never unwinds into the caller:
-    /// every job is drained, each panicked job gets exactly one inline
-    /// retry on the caller thread, and jobs that fail the retry too are
-    /// reported as empty slots in the outcome instead of re-raising.
-    ///
-    /// This is the degradation-aware entry point the batch datapath
-    /// uses: a dying lane must not abandon sibling jobs (victim seals
-    /// in particular exist only in the staged batch).
+    /// Runs `f` over `items`, fanned across the pool's lanes, and
+    /// returns the results **in submission order**. This is the pool's
+    /// one dispatch path. It never unwinds into the caller: every job is
+    /// drained, each panicked job gets exactly one inline retry on the
+    /// caller thread, and jobs that fail the retry too are reported as
+    /// empty slots in the outcome instead of re-raising. A dying lane
+    /// therefore never abandons sibling jobs (victim seals in particular
+    /// exist only in the staged batch).
     ///
     /// Each lane runs one contiguous slice of the batch through a single
     /// call of `f`, which returns one result per job it is given; at one
@@ -361,7 +233,6 @@ impl WorkerPool {
         R: Send + 'static,
         F: Fn(&[T]) -> Vec<R> + Send + Sync + 'static,
     {
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
         let n = items.len();
         if let Some(tele) = self.tele.get() {
             tele.note_batch(n);
@@ -416,21 +287,14 @@ impl WorkerPool {
             if len == 0 {
                 continue;
             }
-            let queued = self.shared.queued.fetch_add(len, Ordering::Relaxed) + len;
-            self.shared
-                .queue_high_water
-                .fetch_max(queued, Ordering::Relaxed);
             let (items, f, shared) = (Arc::clone(items), Arc::clone(f), Arc::clone(&self.shared));
             let done_tx = done_tx.clone();
             let range = start..start + len;
-            let job = Job {
-                jobs: len,
-                run: Box::new(move || {
-                    let at = first + range.start as u64;
-                    let slots = run_slice(&shared, &items[range.clone()], at, &*f);
-                    let _ = done_tx.send((range.start, slots));
-                }),
-            };
+            let job: Job = Box::new(move || {
+                let at = first + range.start as u64;
+                let slots = run_slice(&shared, &items[range.clone()], at, &*f);
+                let _ = done_tx.send((range.start, slots));
+            });
             sender
                 .send(job)
                 .expect("pool lanes alive while handle held");
@@ -484,8 +348,7 @@ impl WorkerPool {
     /// Arms a one-shot injected lane fault: the `nth` job (0-based)
     /// dispatched through [`WorkerPool::try_run`] from now on panics on
     /// its first attempt; the bounded inline retry then succeeds. Test
-    /// hook for transient-fault campaigns — [`WorkerPool::run`] jobs
-    /// are not affected.
+    /// hook for transient-fault campaigns.
     pub fn arm_lane_panic(&self, nth: u64) {
         self.shared.panic_sticky.store(false, Ordering::Relaxed);
         let at = self
@@ -593,81 +456,75 @@ mod tests {
         move |jobs| jobs.iter().map(|&x| g(x)).collect()
     }
 
+    /// The results of a batch that must run clean: no panic, no retry.
+    fn clean<R>(out: TryRunOutcome<R>) -> Vec<R> {
+        assert_eq!(out.failed, Vec::<usize>::new());
+        assert_eq!((out.lane_panics, out.recovered), (0, 0));
+        out.results.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
     fn results_are_in_submission_order() {
         let pool = WorkerPool::new(4);
-        let items: Vec<u64> = (0..257).collect();
-        let out = pool.run(items, |i, x| {
-            // Stagger lane timing so completion order scrambles.
-            if i % 7 == 0 {
-                thread::sleep(std::time::Duration::from_micros(50));
-            }
-            x * 3 + 1
-        });
-        assert_eq!(out.len(), 257);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 3 + 1);
-        }
+        let out = clean(pool.try_run(
+            &(0..257u64).collect(),
+            each(|x| {
+                // Stagger lane timing so completion order scrambles.
+                if x % 7 == 0 {
+                    thread::sleep(std::time::Duration::from_micros(50));
+                }
+                x * 3 + 1
+            }),
+        ));
+        assert_eq!(out, (0..257u64).map(|x| x * 3 + 1).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_lane_runs_inline() {
         let pool = WorkerPool::new(1);
         let tid = thread::current().id();
-        let out = pool.run(vec![(); 8], move |i, ()| {
-            assert_eq!(thread::current().id(), tid, "lane 1 must execute inline");
-            i
-        });
+        let out = clean(pool.try_run(
+            &(0..8u64).collect(),
+            each(move |x| {
+                assert_eq!(thread::current().id(), tid, "lane 1 must execute inline");
+                x
+            }),
+        ));
         assert_eq!(out, (0..8).collect::<Vec<_>>());
-        assert!(pool.stats().jobs_per_lane.iter().all(|&j| j == 0));
     }
 
     #[test]
     fn zero_lanes_clamps_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.lanes(), 1);
-        assert_eq!(pool.run(vec![5u8], |_, x| x + 1), vec![6]);
+        assert_eq!(
+            clean(pool.try_run(&[5u64].into(), each(|x| x + 1))),
+            vec![6]
+        );
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let pool = WorkerPool::new(4);
-        let out: Vec<u8> = pool.run(Vec::<u8>::new(), |_, x| x);
+        let out = clean(pool.try_run(&Arc::from(Vec::<u64>::new()), each(|x| x)));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn lanes_share_the_work() {
-        let pool = WorkerPool::new(4);
-        // Enough jobs that every lane should get some.
-        let _ = pool.run((0..4096u64).collect(), |_, x| x.wrapping_mul(2));
-        let stats = pool.stats();
-        assert_eq!(stats.lanes, 4);
-        assert_eq!(stats.jobs_per_lane.iter().sum::<u64>(), 4096);
-        assert!(stats.batches >= 1);
-        assert!(stats.queue_high_water >= 1);
     }
 
     #[test]
     fn pool_survives_many_batches() {
         let pool = WorkerPool::new(3);
         for round in 0..50u64 {
-            let out = pool.run((0..17u64).collect(), move |_, x| x + round);
+            let out = clean(pool.try_run(&(0..17u64).collect(), each(move |x| x + round)));
             assert_eq!(out, (round..17 + round).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn try_run_matches_run_on_clean_batches() {
+    fn clean_batch_needs_no_retry() {
         let pool = WorkerPool::new(4);
-        let out = pool.try_run(&(0..64u64).collect(), each(|x| x * 2));
-        assert_eq!(out.failed, Vec::<usize>::new());
-        assert_eq!(out.lane_panics, 0);
-        assert_eq!(out.recovered, 0);
-        let values: Vec<u64> = out.results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(values, (0..64u64).map(|x| x * 2).collect::<Vec<_>>());
+        let out = clean(pool.try_run(&(0..64u64).collect(), each(|x| x * 2)));
+        assert_eq!(out, (0..64u64).map(|x| x * 2).collect::<Vec<_>>());
     }
-
     #[test]
     fn one_shot_armed_panic_recovers_on_retry() {
         for lanes in [1usize, 4] {
@@ -723,7 +580,8 @@ mod tests {
         assert_eq!(out.results[5], None);
         assert_eq!(out.results[4], Some(4));
         // The pool (and its queue mutex) survive for the next batch.
-        assert_eq!(pool.run(vec![1u64, 2], |_, x| x * 10), vec![10, 20]);
+        let again = clean(pool.try_run(&vec![1u64, 2].into(), each(|x| x * 10)));
+        assert_eq!(again, vec![10, 20]);
     }
 
     #[test]
@@ -745,19 +603,5 @@ mod tests {
         assert_eq!(r.counters["shield.pool.lane_panics"], 2);
         assert_eq!(r.counters["shield.pool.recovered_retries"], 0);
         assert_eq!(r.counters["shield.pool.failed_jobs"], 1);
-    }
-
-    #[test]
-    fn panic_in_job_propagates_without_deadlock() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run((0..8u64).collect(), |_, x| {
-                assert!(x != 5, "boom");
-                x
-            })
-        }));
-        assert!(result.is_err());
-        // The pool is still usable afterwards.
-        assert_eq!(pool.run(vec![1u64, 2], |_, x| x * 10), vec![10, 20]);
     }
 }

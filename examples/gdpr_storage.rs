@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example gdpr_storage`
 
-use shef::accel::harness::{run_baseline, run_shielded_parallel};
+use shef::accel::harness::{run_baseline, run_shielded};
 use shef::accel::sdp::{SdpEngineConfig, SdpOp, SdpStore};
 use shef::accel::CryptoProfile;
 use shef::core::shield::WorkerPool;
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(baseline.outputs_verified, "baseline gets/puts must verify");
 
         let mut store = SdpStore::new(1 << 20, 4, ops, engines, 2026);
-        let shielded = run_shielded_parallel(&mut store, &CryptoProfile::AES128_16X, 7, &pool)?;
+        let shielded = run_shielded(&mut store, &CryptoProfile::AES128_16X, 7, &pool, None)?;
         assert!(shielded.outputs_verified, "shielded gets/puts must verify");
 
         println!(

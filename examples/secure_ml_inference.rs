@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example secure_ml_inference`
 
 use shef::accel::dnnweaver::DnnWeaver;
-use shef::accel::harness::{run_baseline, run_shielded_parallel};
+use shef::accel::harness::{run_baseline, run_shielded};
 use shef::accel::{Accelerator, CryptoProfile};
 use shef::core::shield::area::shield_area;
 use shef::core::shield::WorkerPool;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("baseline (no shield):        {:>8.0} µs", baseline.micros);
 
     let mut accel = DnnWeaver::new(batch, 99);
-    let hmac = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 3, &pool)?;
+    let hmac = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 3, &pool, None)?;
     assert!(hmac.outputs_verified);
     println!(
         "shielded, HMAC weights:      {:>8.0} µs  ({:.2}x)  [paper: 3.20x]",
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut accel = DnnWeaver::new(batch, 99).with_pmac_weights();
-    let pmac = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X_PMAC, 3, &pool)?;
+    let pmac = run_shielded(&mut accel, &CryptoProfile::AES128_16X_PMAC, 3, &pool, None)?;
     assert!(pmac.outputs_verified);
     println!(
         "shielded, PMAC x4 weights:   {:>8.0} µs  ({:.2}x)  [paper: 2.31x]",

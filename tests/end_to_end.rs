@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full Fig. 2 lifecycle across every
 //! crate, positive and negative paths.
 
-use shef::accel::harness::{run_baseline, run_shielded_parallel};
+use shef::accel::harness::{run_baseline, run_shielded};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
 use shef::attest::AttestError;
@@ -213,7 +213,7 @@ fn every_accelerator_verifies_both_shielded_and_baseline() {
     for mut accel in accels {
         let id = accel.id().to_owned();
         let report =
-            run_shielded_parallel(accel.as_mut(), &CryptoProfile::AES128_16X, 11, &pool).unwrap();
+            run_shielded(accel.as_mut(), &CryptoProfile::AES128_16X, 11, &pool, None).unwrap();
         assert!(report.outputs_verified, "{id} shielded must verify");
     }
 }
@@ -221,8 +221,8 @@ fn every_accelerator_verifies_both_shielded_and_baseline() {
 #[test]
 fn shield_overhead_is_nonnegative_and_profile_ordered() {
     let make = || Box::new(VectorAdd::new(64 * 1024, 9)) as Box<dyn Accelerator>;
-    let fast = shef::accel::harness::overhead(&make, &CryptoProfile::AES128_16X, 1).unwrap();
-    let slow = shef::accel::harness::overhead(&make, &CryptoProfile::AES256_4X, 1).unwrap();
+    let fast = shef::accel::harness::overhead(&make, &CryptoProfile::AES128_16X, 1, None).unwrap();
+    let slow = shef::accel::harness::overhead(&make, &CryptoProfile::AES256_4X, 1, None).unwrap();
     assert!(fast.normalized >= 1.0);
     assert!(
         slow.normalized >= fast.normalized,

@@ -4,7 +4,7 @@
 
 use shef::accel::bitcoin::Bitcoin;
 use shef::accel::dnnweaver::DnnWeaver;
-use shef::accel::harness::{overhead, run_baseline, run_shielded_parallel};
+use shef::accel::harness::{overhead, run_baseline, run_shielded};
 use shef::accel::sdp::{SdpEngineConfig, SdpStore};
 use shef::accel::vecadd::VectorAdd;
 use shef::accel::{Accelerator, CryptoProfile};
@@ -18,12 +18,14 @@ fn fig5_shape_grows_with_size_and_separates_profiles() {
         &|| Box::new(VectorAdd::new(16 * 1024, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_4X,
         1,
+        None,
     )
     .unwrap();
     let large = overhead(
         &|| Box::new(VectorAdd::new(SMOKE_FILE_BYTES, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_4X,
         1,
+        None,
     )
     .unwrap();
     assert!(
@@ -35,6 +37,7 @@ fn fig5_shape_grows_with_size_and_separates_profiles() {
         &|| Box::new(VectorAdd::new(SMOKE_FILE_BYTES, 1)) as Box<dyn Accelerator>,
         &CryptoProfile::AES128_16X,
         1,
+        None,
     )
     .unwrap();
     assert!(strong.normalized < large.normalized, "16x must beat 4x");
@@ -68,6 +71,7 @@ fn table2_shape_hmac_flat_pmac_wins_then_saturates() {
             },
             &CryptoProfile::AES128_16X,
             1,
+            None,
         )
         .unwrap()
         .normalized
@@ -101,11 +105,11 @@ fn table2_shape_hmac_flat_pmac_wins_then_saturates() {
 fn fig6_dnnweaver_pmac_story() {
     let pool = WorkerPool::new(1);
     let mut hmac = DnnWeaver::new(2, 3);
-    let hmac_cycles = run_shielded_parallel(&mut hmac, &CryptoProfile::AES128_16X, 1, &pool)
+    let hmac_cycles = run_shielded(&mut hmac, &CryptoProfile::AES128_16X, 1, &pool, None)
         .unwrap()
         .cycles;
     let mut pmac = DnnWeaver::new(2, 3).with_pmac_weights();
-    let pmac_cycles = run_shielded_parallel(&mut pmac, &CryptoProfile::AES128_16X_PMAC, 1, &pool)
+    let pmac_cycles = run_shielded(&mut pmac, &CryptoProfile::AES128_16X_PMAC, 1, &pool, None)
         .unwrap()
         .cycles;
     let mut base = DnnWeaver::new(2, 3);
@@ -123,6 +127,7 @@ fn fig6_bitcoin_is_free_to_shield() {
         &|| Box::new(Bitcoin::new(12, 9)) as Box<dyn Accelerator>,
         &CryptoProfile::AES256_4X,
         1,
+        None,
     )
     .unwrap();
     assert!(

@@ -205,12 +205,12 @@ fn service_facade_serves_two_tenants() {
 #[test]
 fn accel_facade_runs_shielded_vecadd() {
     let pool = WorkerPool::new(1);
-    use shef::accel::harness::run_shielded_parallel;
+    use shef::accel::harness::run_shielded;
     use shef::accel::vecadd::VectorAdd;
     use shef::accel::CryptoProfile;
 
     let mut accel = VectorAdd::new(1 << 12, 7);
-    let report = run_shielded_parallel(&mut accel, &CryptoProfile::AES128_16X, 7, &pool)
+    let report = run_shielded(&mut accel, &CryptoProfile::AES128_16X, 7, &pool, None)
         .expect("shielded vecadd");
     assert!(
         report.outputs_verified,
