@@ -269,7 +269,10 @@ mod tests {
         let cfg = a.shield_config(&CryptoProfile::AES128_16X);
         assert_eq!(cfg.regions.len(), 12);
         assert!(cfg.regions.iter().all(|r| r.engine_set.chunk_size == 64));
-        assert!(cfg.regions.iter().all(|r| !r.engine_set.counters));
+        assert!(cfg
+            .regions
+            .iter()
+            .all(|r| r.engine_set.freshness == shef_core::shield::Freshness::None));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! engines, cutting overhead from 3.20× to 2.31×.
 
 use shef_core::shield::bus::MemoryBus;
-use shef_core::shield::{AccessMode, EngineSetConfig, MemRange, ShieldConfig};
+use shef_core::shield::{
+    AccessMode, EngineSetConfig, Freshness, MemRange, MerkleConfig, ShieldConfig,
+};
 use shef_core::ShefError;
 use shef_crypto::authenc::MacAlgorithm;
 
@@ -269,9 +271,8 @@ impl Accelerator for DnnWeaver {
             mac_engines: weights_mac.1,
             chunk_size: 4096,
             buffer_bytes: 128 * 1024,
-            counters: false,
             zero_fill_writes: false,
-            merkle: None,
+            freshness: Freshness::None,
         };
         // Feature-map set: C=64B, 4 AES + 1 HMAC, 64 KB buffer, and a
         // replay defence — on-chip counters by default, or the Merkle
@@ -282,13 +283,14 @@ impl Accelerator for DnnWeaver {
                 mac_engines: 1,
                 chunk_size: 64,
                 buffer_bytes: 64 * 1024,
-                counters: !self.merkle_fmap,
-                merkle: self.merkle_fmap.then_some({
-                    shef_core::shield::MerkleConfig {
+                freshness: if self.merkle_fmap {
+                    Freshness::Merkle(MerkleConfig {
                         arity: 8,
                         node_cache_bytes: 16 * 1024,
-                    }
-                }),
+                    })
+                } else {
+                    Freshness::Counters
+                },
                 // Activations are fully written before being read, so
                 // write misses zero-fill instead of fetching garbage.
                 zero_fill_writes: true,
@@ -479,8 +481,7 @@ mod tests {
         let cfg = d.shield_config(&CryptoProfile::AES128_16X);
         cfg.validate().unwrap();
         let fmap = cfg.regions.iter().find(|r| r.name == "fmap").unwrap();
-        assert!(!fmap.engine_set.counters);
-        assert!(fmap.engine_set.merkle.is_some());
+        assert!(matches!(fmap.engine_set.freshness, Freshness::Merkle(_)));
     }
 
     #[test]
@@ -493,7 +494,7 @@ mod tests {
         assert_eq!(weights.engine_set.buffer_bytes, 128 * 1024);
         let fmap = cfg.regions.iter().find(|r| r.name == "fmap").unwrap();
         assert_eq!(fmap.engine_set.chunk_size, 64);
-        assert!(fmap.engine_set.counters);
+        assert_eq!(fmap.engine_set.freshness, Freshness::Counters);
         assert_eq!(fmap.range.len, 1 << 20);
     }
 }

@@ -200,7 +200,7 @@ fn stage_inputs(
 ) -> Result<(), ShefError> {
     for input in accel.inputs() {
         let (region, first_chunk, tag_addr) = locate(shield, &input)?;
-        let enc = client::encrypt_region_at(dek, region, first_chunk, &input.data, 0);
+        let enc = client::encrypt_region_at(dek, region, first_chunk, &input.data, 0)?;
         let addr = region.range.start + input.offset;
         host.dma_to_device(shell, dram, ledger, addr, &enc.ciphertext)?;
         // Tags ride the same DMA batch as the data (chained descriptor).
@@ -762,6 +762,19 @@ mod tests {
                 served.map(|r| r.all_verified())
             );
         }
+    }
+
+    #[test]
+    fn input_window_past_its_region_is_malformed_not_a_panic() {
+        // Shifting the 8 KiB inputs by one 512 B chunk pushes each one's
+        // last chunk past the end of its region.
+        let mut accel = Bent::new(512, 0, Vec::new());
+        let pool = WorkerPool::new(1);
+        let shielded = run_shielded(&mut accel, &CryptoProfile::AES128_4X, 7, &pool, None);
+        assert!(
+            matches!(shielded, Err(ShefError::Malformed(_))),
+            "{shielded:?}"
+        );
     }
 
     #[test]

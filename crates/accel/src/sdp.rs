@@ -16,7 +16,7 @@
 //! derivation.
 
 use shef_core::shield::bus::MemoryBus;
-use shef_core::shield::{AccessMode, EngineSetConfig, MemRange, ShieldConfig};
+use shef_core::shield::{AccessMode, EngineSetConfig, Freshness, MemRange, ShieldConfig};
 use shef_core::ShefError;
 use shef_crypto::authenc::MacAlgorithm;
 
@@ -185,9 +185,8 @@ impl Accelerator for SdpStore {
             mac_engines: self.engines.mac_engines,
             chunk_size: 4096,
             buffer_bytes: 16 * 1024,
-            counters: false,
             zero_fill_writes: true,
-            merkle: None,
+            freshness: Freshness::None,
         };
         ShieldConfig::builder()
             .region(

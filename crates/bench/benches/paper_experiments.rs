@@ -6,7 +6,7 @@
 //! `cargo run --release -p shef-bench --bin <name>`. This bench target
 //! drives them all in sequence and forwards their output, so a single
 //! `cargo bench` leaves the full paper-vs-measured record in the log
-//! (the source of EXPERIMENTS.md).
+//! (the same output `bench/paper/*.txt` pins per binary).
 
 use std::process::Command;
 

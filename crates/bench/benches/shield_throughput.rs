@@ -11,8 +11,8 @@ use shef_accel::vecadd::VectorAdd;
 use shef_accel::CryptoProfile;
 use shef_core::shield::client;
 use shef_core::shield::{
-    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, RegionConfig, Shield, ShieldConfig,
-    WorkerPool,
+    AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, RegionConfig, Shield,
+    ShieldConfig, WorkerPool,
 };
 use shef_crypto::authenc::MacAlgorithm;
 use shef_crypto::ecies::EciesKeyPair;
@@ -215,20 +215,18 @@ fn bench_replay_defences(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("replay_defence");
     group.sample_size(20);
-    for (name, counters, merkle) in [
-        ("counters", true, None),
+    for (name, freshness) in [
+        ("counters", Freshness::Counters),
         (
             "merkle_a8_cached",
-            false,
-            Some(MerkleConfig {
+            Freshness::Merkle(MerkleConfig {
                 arity: 8,
                 node_cache_bytes: 16 * 1024,
             }),
         ),
         (
             "merkle_a8_uncached",
-            false,
-            Some(MerkleConfig {
+            Freshness::Merkle(MerkleConfig {
                 arity: 8,
                 node_cache_bytes: 0,
             }),
@@ -240,8 +238,7 @@ fn bench_replay_defences(c: &mut Criterion) {
             engine_set: EngineSetConfig {
                 chunk_size: 512,
                 buffer_bytes: 4096,
-                counters,
-                merkle,
+                freshness,
                 ..EngineSetConfig::default()
             },
         };

@@ -89,18 +89,18 @@ fn buffer_sweep() {
 
 fn counter_cost() {
     use shef_core::shield::area::{counter_bits, engine_set};
-    use shef_core::shield::EngineSetConfig;
+    use shef_core::shield::{EngineSetConfig, Freshness};
 
     header("Ablation 3: freshness counters (replay protection) cost");
     for (chunk, region_mb) in [(64usize, 1u64), (512, 1), (4096, 1)] {
         let mut with = EngineSetConfig {
             chunk_size: chunk,
-            counters: true,
+            freshness: Freshness::Counters,
             ..EngineSetConfig::default()
         };
         with.buffer_bytes = 0;
         let without = EngineSetConfig {
-            counters: false,
+            freshness: Freshness::None,
             ..with.clone()
         };
         let region_len = region_mb << 20;
@@ -150,7 +150,8 @@ fn oram_over_shield() {
     use shef_core::oram::PathOram;
     use shef_core::shield::bus::ShieldedBus;
     use shef_core::shield::{
-        AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig, WorkerPool,
+        AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, Shield, ShieldConfig,
+        WorkerPool,
     };
     use shef_crypto::drbg::HmacDrbg;
     use shef_crypto::ecies::EciesKeyPair;
@@ -176,7 +177,7 @@ fn oram_over_shield() {
             EngineSetConfig {
                 chunk_size: 512,
                 buffer_bytes: 16 * 1024,
-                counters: true,
+                freshness: Freshness::Counters,
                 ..EngineSetConfig::default()
             },
         )

@@ -15,7 +15,7 @@
 
 use shef_bench::{header, kv_row};
 use shef_core::shield::area::engine_set as engine_set_area;
-use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
+use shef_core::shield::config::{EngineSetConfig, Freshness, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::merkle::MerkleConfig;
 use shef_core::shield::timing::chunk_crypto_cost;
@@ -42,15 +42,14 @@ struct SchemeResult {
     ocm_kbits: u64,
 }
 
-fn region(counters: bool, merkle: Option<MerkleConfig>) -> RegionConfig {
+fn region(freshness: Freshness) -> RegionConfig {
     RegionConfig {
         name: "fmap".into(),
         range: MemRange::new(0, REGION_LEN),
         engine_set: EngineSetConfig {
             chunk_size: CHUNK,
             buffer_bytes: BUFFER,
-            counters,
-            merkle,
+            freshness,
             ..EngineSetConfig::default()
         },
     }
@@ -69,8 +68,8 @@ fn addresses() -> Vec<u64> {
         .collect()
 }
 
-fn run_scheme(label: &str, counters: bool, merkle: Option<MerkleConfig>) -> SchemeResult {
-    let region = region(counters, merkle);
+fn run_scheme(label: &str, freshness: Freshness) -> SchemeResult {
+    let region = region(freshness);
     let area = engine_set_area(&region.engine_set, REGION_LEN);
     let dek = DataEncryptionKey::from_bytes([0x17u8; 32]);
     let mut es = EngineSet::new(region, 0, 48 << 20, 56 << 20, &dek);
@@ -152,34 +151,22 @@ fn integrity_sweep() {
     header(
         "Integrity ablation: replay-protection scheme (1 MB fmap, C=64B, 4 KB buffer, 4k RMW ops)",
     );
-    let schemes: Vec<SchemeResult> = vec![
-        run_scheme("MAC only (no replay protection)", false, None),
-        run_scheme("on-chip counters (ShEF, §5.2.2)", true, None),
-        run_scheme(
-            "Bonsai MT, arity 8, no node cache",
-            false,
-            Some(MerkleConfig {
-                arity: 8,
-                node_cache_bytes: 0,
-            }),
-        ),
-        run_scheme(
-            "Bonsai MT, arity 8, 16 KB cache",
-            false,
-            Some(MerkleConfig {
-                arity: 8,
-                node_cache_bytes: 16 * 1024,
-            }),
-        ),
-        run_scheme(
-            "Bonsai MT, arity 32, no node cache",
-            false,
-            Some(MerkleConfig {
-                arity: 32,
-                node_cache_bytes: 0,
-            }),
-        ),
-    ];
+    let tree = |arity, node_cache_bytes| {
+        Freshness::Merkle(MerkleConfig {
+            arity,
+            node_cache_bytes,
+        })
+    };
+    let schemes: Vec<SchemeResult> = [
+        ("MAC only (no replay protection)", Freshness::None),
+        ("on-chip counters (ShEF, §5.2.2)", Freshness::Counters),
+        ("Bonsai MT, arity 8, no node cache", tree(8, 0)),
+        ("Bonsai MT, arity 8, 16 KB cache", tree(8, 16 * 1024)),
+        ("Bonsai MT, arity 32, no node cache", tree(32, 0)),
+    ]
+    .into_iter()
+    .map(|(label, freshness)| run_scheme(label, freshness))
+    .collect();
     let floor = schemes[0].bottleneck.max(1);
     println!(
         "{:<38} {:>10} {:>9} {:>11} {:>11} {:>10} {:>9}",

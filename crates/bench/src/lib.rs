@@ -2,7 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (§6), printing `measured` next to `paper` so the
-//! comparison in EXPERIMENTS.md is mechanical. Run them with
+//! comparison is mechanical; each one's output is pinned in
+//! `bench/paper/<name>.txt`. Run them with
 //! `cargo run --release -p shef-bench --bin <name>`.
 //!
 //! This library crate only holds the formatting shared by those

@@ -153,20 +153,22 @@ pub fn icap_swap(
 mod tests {
     use super::*;
     use crate::shield::{
-        client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
-        WorkerPool,
+        client, AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, Shield,
+        ShieldConfig, WorkerPool,
     };
     use shef_crypto::ecies::EciesKeyPair;
     use shef_fpga::clock::CostLedger;
     use shef_fpga::shell::Shell;
 
-    fn shielded_setup(counters: bool) -> (Shield, Shell, Dram, CostLedger, DataEncryptionKey) {
+    fn shielded_setup(
+        freshness: Freshness,
+    ) -> (Shield, Shell, Dram, CostLedger, DataEncryptionKey) {
         let config = ShieldConfig::builder()
             .region(
                 "data",
                 MemRange::new(0, 8192),
                 EngineSetConfig {
-                    counters,
+                    freshness,
                     buffer_bytes: 512,
                     ..EngineSetConfig::default()
                 },
@@ -196,7 +198,7 @@ mod tests {
     #[test]
     fn shell_spoofer_detected() {
         let pool = WorkerPool::new(1);
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(Freshness::None);
         provision_input(&shield, &mut dram, &dek, &[7u8; 8192]);
         shell.set_interposer(Box::new(MemReadSpoofer::new(1)));
         let err = shield
@@ -216,7 +218,7 @@ mod tests {
     #[test]
     fn splice_attack_detected() {
         let pool = WorkerPool::new(1);
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(Freshness::None);
         // Two chunks with different plaintext.
         let mut data = vec![1u8; 8192];
         data[512..1024].fill(2);
@@ -241,7 +243,8 @@ mod tests {
     #[test]
     fn replay_attack_detected_with_counters() {
         let pool = WorkerPool::new(1);
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(true);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) =
+            shielded_setup(Freshness::Counters);
         provision_input(&shield, &mut dram, &dek, &[1u8; 8192]);
         let tag_base = shield.config().tag_base(0);
         let snapshot = ReplaySnapshot::capture(&dram, 0, 512, tag_base, 16);
@@ -279,7 +282,7 @@ mod tests {
     #[test]
     fn snooper_never_sees_plaintext() {
         let pool = WorkerPool::new(1);
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(Freshness::None);
         let secret = b"TOP-SECRET-GENOME-SEGMENT-0001";
         let mut data = vec![0u8; 8192];
         data[..secret.len()].copy_from_slice(secret);
@@ -328,7 +331,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         // The Shell corrupts the Data Owner's ciphertext on the way in;
         // the Shield detects it at first use.
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shielded_setup(Freshness::None);
         let region = shield.config().regions[0].clone();
         let enc = client::encrypt_region(&dek, &region, &[3u8; 8192], 0);
         shell.set_interposer(Box::new(DmaTamperer));

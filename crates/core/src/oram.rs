@@ -450,7 +450,9 @@ mod tests {
     #[test]
     fn works_over_a_shield() {
         use crate::shield::bus::ShieldedBus;
-        use crate::shield::{DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig};
+        use crate::shield::{
+            DataEncryptionKey, EngineSetConfig, Freshness, MemRange, Shield, ShieldConfig,
+        };
         use shef_crypto::ecies::EciesKeyPair;
 
         let n_blocks = 16u64;
@@ -463,7 +465,7 @@ mod tests {
                 EngineSetConfig {
                     chunk_size: 64,
                     buffer_bytes: 4096,
-                    counters: true,
+                    freshness: Freshness::Counters,
                     zero_fill_writes: true,
                     ..EngineSetConfig::default()
                 },

@@ -175,7 +175,7 @@ impl MemoryBus for PlainBus<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shield::config::{EngineSetConfig, MemRange, ShieldConfig};
+    use crate::shield::config::{EngineSetConfig, Freshness, MemRange, ShieldConfig};
     use crate::shield::keys::DataEncryptionKey;
     use shef_crypto::ecies::EciesKeyPair;
 
@@ -211,7 +211,7 @@ mod tests {
                 MemRange::new(0, 8192),
                 EngineSetConfig {
                     zero_fill_writes: true,
-                    counters: true,
+                    freshness: Freshness::Counters,
                     buffer_bytes: 1024,
                     ..EngineSetConfig::default()
                 },

@@ -39,23 +39,6 @@ pub fn encrypt_region(
     plaintext: &[u8],
     epoch: u64,
 ) -> EncryptedRegion {
-    encrypt_region_at(dek, region, 0, plaintext, epoch)
-}
-
-/// Like [`encrypt_region`], but for a window starting at chunk
-/// `first_chunk` (e.g. one file slot of a larger store region).
-///
-/// # Panics
-///
-/// Also panics if the window's chunks do not all lie inside the region.
-#[must_use]
-pub fn encrypt_region_at(
-    dek: &DataEncryptionKey,
-    region: &RegionConfig,
-    first_chunk: u32,
-    plaintext: &[u8],
-    epoch: u64,
-) -> EncryptedRegion {
     assert!(
         plaintext.len() as u64 <= region.range.len,
         "plaintext ({}) exceeds region '{}' ({} bytes)",
@@ -63,6 +46,29 @@ pub fn encrypt_region_at(
         region.name,
         region.range.len
     );
+    encrypt_region_at(dek, region, 0, plaintext, epoch)
+        .expect("a window from chunk 0 no longer than the region lies inside it")
+}
+
+/// Like [`encrypt_region`], but for a window starting at chunk
+/// `first_chunk` (e.g. one file slot of a larger store region).
+///
+/// # Errors
+///
+/// Returns [`ShefError::Malformed`] if the window's chunks do not all
+/// lie inside the region, as [`decrypt_region_at`] does.
+///
+/// # Panics
+///
+/// Panics if the plaintext ends mid-chunk anywhere but the region end.
+pub fn encrypt_region_at(
+    dek: &DataEncryptionKey,
+    region: &RegionConfig,
+    first_chunk: u32,
+    plaintext: &[u8],
+    epoch: u64,
+) -> Result<EncryptedRegion, ShefError> {
+    let window = checked_window(region, first_chunk, plaintext.len())?;
     // A partial image must still be chunk-aligned: the Shield verifies
     // whole C_mem chunks, so a short final chunk anywhere but the region
     // end would never authenticate on the device.
@@ -74,13 +80,6 @@ pub fn encrypt_region_at(
         region.name,
         region.engine_set.chunk_size
     );
-    let window = chunk_window(region, first_chunk, plaintext.len()).unwrap_or_else(|| {
-        panic!(
-            "chunks from {first_chunk} for {} bytes exceed region '{}'",
-            plaintext.len(),
-            region.name
-        )
-    });
     // One copy of the plaintext becomes the ciphertext image, sealed
     // where it lies; the tags land straight in the tag array.
     let mut ciphertext = plaintext.to_vec();
@@ -92,7 +91,7 @@ pub fn encrypt_region_at(
             .zip(tag_slots)
             .map(|((idx, buf), tag)| (idx, epoch, buf, tag)),
     );
-    EncryptedRegion { ciphertext, tags }
+    Ok(EncryptedRegion { ciphertext, tags })
 }
 
 /// Verifies and decrypts a region image read back from device memory.
@@ -130,13 +129,7 @@ pub fn decrypt_region_at(
     tags: &[u8],
     epochs: &dyn Fn(u32) -> u64,
 ) -> Result<Vec<u8>, ShefError> {
-    let Some(window) = chunk_window(region, first_chunk, ciphertext.len()) else {
-        return Err(ShefError::Malformed(format!(
-            "chunks from {first_chunk} for {} bytes exceed region '{}'",
-            ciphertext.len(),
-            region.name
-        )));
-    };
+    let window = checked_window(region, first_chunk, ciphertext.len())?;
     let chunk = region.engine_set.chunk_size;
     let n_chunks = window.len();
     if tags.len() < n_chunks * CHUNK_TAG_LEN {
@@ -163,14 +156,27 @@ pub fn decrypt_region_at(
     }
 }
 
-/// The chunk indices `first_chunk ..` covering `len` bytes, if they all
-/// lie inside `region`. The arithmetic is checked: a wrapped index would
-/// reuse another chunk's IV under the same key.
-fn chunk_window(region: &RegionConfig, first_chunk: u32, len: usize) -> Option<Range<u32>> {
+/// The chunk indices `first_chunk ..` covering `len` bytes, or
+/// [`ShefError::Malformed`] unless they all lie inside `region`. The
+/// arithmetic is checked: a wrapped index would reuse another chunk's IV
+/// under the same key.
+fn checked_window(
+    region: &RegionConfig,
+    first_chunk: u32,
+    len: usize,
+) -> Result<Range<u32>, ShefError> {
     let chunk = region.engine_set.chunk_size;
-    let n = u32::try_from(len.div_ceil(chunk)).ok()?;
-    let end = first_chunk.checked_add(n)?;
-    (u64::from(end) <= region.range.len.div_ceil(chunk as u64)).then_some(first_chunk..end)
+    u32::try_from(len.div_ceil(chunk))
+        .ok()
+        .and_then(|n| first_chunk.checked_add(n))
+        .filter(|&end| u64::from(end) <= region.range.len.div_ceil(chunk as u64))
+        .map(|end| first_chunk..end)
+        .ok_or_else(|| {
+            ShefError::Malformed(format!(
+                "chunks from {first_chunk} for {len} bytes exceed region '{}'",
+                region.name
+            ))
+        })
 }
 
 /// Epoch function for regions whose chunks all share one epoch.
@@ -252,19 +258,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed region")]
-    fn encrypt_window_past_the_region_panics() {
+    fn encrypt_window_past_the_region_is_malformed() {
         // 8192 B of 512 B chunks is 16 chunks; chunks 14..17 overrun it.
         let dek = DataEncryptionKey::from_bytes([8u8; 32]);
         let r = region();
-        let _ = encrypt_region_at(&dek, &r, 14, &[0u8; 3 * 512], 0);
+        for (first, len) in [(14, 3 * 512), (u32::MAX, 512), (0, 8192 + 512)] {
+            assert!(
+                matches!(
+                    encrypt_region_at(&dek, &r, first, &vec![0u8; len], 0),
+                    Err(ShefError::Malformed(_))
+                ),
+                "{len} bytes from chunk {first}"
+            );
+        }
     }
 
     #[test]
     fn decrypt_window_past_the_region_is_malformed() {
         let dek = DataEncryptionKey::from_bytes([8u8; 32]);
         let r = region();
-        let enc = encrypt_region_at(&dek, &r, 14, &[7u8; 1024], 0);
+        let enc = encrypt_region_at(&dek, &r, 14, &[7u8; 1024], 0).unwrap();
         let uniform = uniform_epochs(0);
         let decrypt =
             |first| decrypt_region_at(&dek, &r, first, &enc.ciphertext, &enc.tags, &uniform);

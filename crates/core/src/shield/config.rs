@@ -9,8 +9,9 @@
 //!   parallelism, key size; HMAC or PMAC, MAC engine count);
 //! * per-region **chunk size** `C_mem`;
 //! * optional **on-chip buffer** (a cache with `C_mem`-sized lines);
-//! * optional **freshness counters** (the paper's lightweight alternative
-//!   to Bonsai Merkle Trees);
+//! * one per-region **replay defence**, the [`Freshness`] knob: none
+//!   (MAC only), the paper's on-chip freshness counters, or the
+//!   Bonsai-Merkle-Tree baseline they are measured against;
 //! * the streaming-write **zero-fill** optimization;
 //! * the register-interface options, including address hiding.
 
@@ -65,6 +66,33 @@ impl MemRange {
     }
 }
 
+/// A region's replay defence (§5.2.2). The MAC alone authenticates a
+/// chunk but cannot tell a fresh copy from a stale one; the other two
+/// bind each chunk to a write epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Freshness {
+    /// No replay defence: every chunk is sealed at epoch 0.
+    #[default]
+    None,
+    /// The paper's per-chunk write counters, held on-chip.
+    Counters,
+    /// The CPU-TEE baseline: counters in DRAM under a Bonsai Merkle
+    /// Tree whose root is held on-chip.
+    Merkle(MerkleConfig),
+}
+
+impl Freshness {
+    /// Stable label: `mac_only`, `counters` or `merkle`.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Freshness::None => "mac_only",
+            Freshness::Counters => "counters",
+            Freshness::Merkle(_) => "merkle",
+        }
+    }
+}
+
 /// Configuration of one engine set (§5.2.2 "each engine set includes
 /// encryption and authentication engines alongside on-chip buffers and
 /// counters").
@@ -84,17 +112,12 @@ pub struct EngineSetConfig {
     pub chunk_size: usize,
     /// On-chip buffer capacity in bytes (0 disables the buffer).
     pub buffer_bytes: usize,
-    /// Enable per-chunk freshness counters (replay protection).
-    pub counters: bool,
     /// Zero-fill write misses instead of reading the old chunk
     /// ("if the corresponding chunk is only written to once and not
     /// read … the IP Vendor can simply zero-out the on-chip buffer").
     pub zero_fill_writes: bool,
-    /// Replay protection via a DRAM-resident Bonsai Merkle Tree over
-    /// counters — the CPU-TEE baseline the paper's on-chip counter
-    /// scheme is measured against (§5.2.2). Mutually exclusive with
-    /// [`counters`](Self::counters).
-    pub merkle: Option<MerkleConfig>,
+    /// The region's replay defence.
+    pub freshness: Freshness,
 }
 
 impl Default for EngineSetConfig {
@@ -107,9 +130,8 @@ impl Default for EngineSetConfig {
             mac_engines: 1,
             chunk_size: 512,
             buffer_bytes: 0,
-            counters: false,
             zero_fill_writes: false,
-            merkle: None,
+            freshness: Freshness::None,
         }
     }
 }
@@ -131,11 +153,11 @@ impl EngineSetConfig {
             } else {
                 String::new()
             },
-            match (&self.counters, &self.merkle) {
-                (true, _) => ", counters".to_owned(),
-                (false, Some(m)) =>
+            match self.freshness {
+                Freshness::None => String::new(),
+                Freshness::Counters => ", counters".to_owned(),
+                Freshness::Merkle(m) =>
                     format!(", BMT(arity={}, cache={}B)", m.arity, m.node_cache_bytes),
-                (false, None) => String::new(),
             },
         )
     }
@@ -156,15 +178,8 @@ impl EngineSetConfig {
                 "buffer must hold at least one chunk".into(),
             ));
         }
-        if let Some(merkle) = &self.merkle {
-            merkle.validate()?;
-            if self.counters {
-                return Err(ShefError::InvalidConfig(
-                    "on-chip counters and a Merkle tree are alternative replay \
-                     defences; enable at most one"
-                        .into(),
-                ));
-            }
+        if let Freshness::Merkle(tree) = self.freshness {
+            tree.validate()?;
         }
         Ok(())
     }
@@ -184,11 +199,13 @@ impl EngineSetConfig {
         w.put_u32(self.mac_engines as u32);
         w.put_u64(self.chunk_size as u64);
         w.put_u64(self.buffer_bytes as u64);
-        w.put_bool(self.counters);
+        // The layout predates `Freshness`: a counters bool, the
+        // zero-fill bool, a tree-present bool, then the tree config.
+        w.put_bool(self.freshness == Freshness::Counters);
         w.put_bool(self.zero_fill_writes);
-        w.put_bool(self.merkle.is_some());
-        if let Some(merkle) = &self.merkle {
-            merkle.serialize(w);
+        w.put_bool(matches!(self.freshness, Freshness::Merkle(_)));
+        if let Freshness::Merkle(tree) = self.freshness {
+            tree.serialize(w);
         }
     }
 
@@ -218,10 +235,15 @@ impl EngineSetConfig {
         let buffer_bytes = r.get_u64()? as usize;
         let counters = r.get_bool()?;
         let zero_fill_writes = r.get_bool()?;
-        let merkle = if r.get_bool()? {
-            Some(MerkleConfig::deserialize(r)?)
-        } else {
-            None
+        let freshness = match (counters, r.get_bool()?) {
+            (false, false) => Freshness::None,
+            (true, false) => Freshness::Counters,
+            (false, true) => Freshness::Merkle(MerkleConfig::deserialize(r)?),
+            (true, true) => {
+                return Err(ShefError::Malformed(
+                    "counters and a Merkle tree are alternative replay defences".into(),
+                ))
+            }
         };
         Ok(EngineSetConfig {
             aes_engines,
@@ -231,9 +253,8 @@ impl EngineSetConfig {
             mac_engines,
             chunk_size,
             buffer_bytes,
-            counters,
             zero_fill_writes,
-            merkle,
+            freshness,
         })
     }
 }
@@ -374,7 +395,7 @@ impl ShieldConfig {
     }
 
     /// Device address where region `index` stores its Merkle-tree nodes
-    /// (used only when the region's engine set enables `merkle`).
+    /// (used only when the region's engine set uses [`Freshness::Merkle`]).
     #[must_use]
     pub fn merkle_base(&self, index: usize) -> u64 {
         MERKLE_ARENA_BASE + index as u64 * MERKLE_ARENA_STRIDE
@@ -570,7 +591,7 @@ mod tests {
         e.mac = MacAlgorithm::PmacAes;
         e.mac_engines = 4;
         e.buffer_bytes = 128 * 1024;
-        e.counters = true;
+        e.freshness = Freshness::Counters;
         e.key_size = AesKeySize::Aes256;
         e.sbox = SBoxParallelism::X4;
         let cfg = ShieldConfig::builder()
@@ -606,21 +627,9 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_merkle_are_mutually_exclusive() {
-        let mut e = es(512);
-        e.counters = true;
-        e.merkle = Some(crate::shield::merkle::MerkleConfig::default());
-        let err = ShieldConfig::builder()
-            .region("a", MemRange::new(0, 4096), e)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ShefError::InvalidConfig(_)));
-    }
-
-    #[test]
     fn merkle_config_serializes_in_shield_config() {
         let mut e = es(64);
-        e.merkle = Some(crate::shield::merkle::MerkleConfig {
+        e.freshness = Freshness::Merkle(MerkleConfig {
             arity: 16,
             node_cache_bytes: 8192,
         });
@@ -630,6 +639,34 @@ mod tests {
             .unwrap();
         let parsed = ShieldConfig::from_bytes(&cfg.to_bytes()).unwrap();
         assert_eq!(parsed, cfg);
+    }
+
+    #[test]
+    fn every_freshness_round_trips_and_counters_with_a_tree_is_malformed() {
+        let config = |freshness| {
+            let mut e = es(64);
+            e.freshness = freshness;
+            ShieldConfig::builder()
+                .region("fmap", MemRange::new(0, 1 << 20), e)
+                .build()
+                .unwrap()
+        };
+        let tree = Freshness::Merkle(MerkleConfig::default());
+        for freshness in [Freshness::None, Freshness::Counters, tree] {
+            let cfg = config(freshness);
+            let parsed = ShieldConfig::from_bytes(&cfg.to_bytes()).unwrap();
+            assert_eq!(parsed, cfg, "{}", freshness.as_str());
+        }
+        // The wire layout can still say "counters" and "tree present" at
+        // once; `Freshness` cannot, so the decoder rejects it.
+        let mut bytes = config(tree).to_bytes();
+        let counters_at = 4 + 8 + "fmap".len() + 16 + 4 + 4 + 1 + 1 + 4 + 8 + 8;
+        assert_eq!(bytes[counters_at..counters_at + 3], [0, 0, 1]);
+        bytes[counters_at] = 1;
+        assert!(matches!(
+            ShieldConfig::from_bytes(&bytes),
+            Err(ShefError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -657,7 +694,7 @@ mod tests {
     #[test]
     fn merkle_describe_mentions_tree() {
         let mut e = es(64);
-        e.merkle = Some(crate::shield::merkle::MerkleConfig::default());
+        e.freshness = Freshness::Merkle(MerkleConfig::default());
         assert!(e.describe().contains("BMT"));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! One [`EngineSet`] guards one memory region (§5.2.2): it holds the
 //! region's AES/MAC engines, an optional on-chip buffer ("a cache with a
-//! line size of `C_mem`"), and optional freshness counters. All DRAM
+//! line size of `C_mem`"), and its replay defence's state. All DRAM
 //! traffic flows through the (untrusted, interposable) Shell.
 
 use std::collections::{HashMap, HashSet};
@@ -15,7 +15,7 @@ use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 
 use super::chunk::{ChunkCipher, CHUNK_TAG_LEN};
-use super::config::RegionConfig;
+use super::config::{Freshness, RegionConfig};
 use super::keys::DataEncryptionKey;
 use super::lru::LruMap;
 use super::merkle::{MerkleStats, MerkleTree};
@@ -213,13 +213,61 @@ pub struct EngineSet {
     /// operation takes it by moving a pointer; `None` before the first
     /// operation and while one runs.
     plan: Option<Box<BatchPlan>>,
-    counters: HashMap<u32, u64>,
-    merkle: Option<MerkleTree>,
+    freshness: FreshnessState,
     stats: EngineSetStats,
     tele: EngineTelemetry,
     /// Fail-stop containment: set on the first detected integrity
     /// violation; every access is rejected until explicitly cleared.
     poisoned: bool,
+}
+
+/// The state behind a region's [`Freshness`]: nothing, the on-chip
+/// counter map, or the DRAM-resident tree (boxed: it is by far the
+/// largest).
+enum FreshnessState {
+    None,
+    Counters(HashMap<u32, u64>),
+    Merkle(Box<MerkleTree>),
+}
+
+impl FreshnessState {
+    /// Current write epoch of chunk `idx`. On-chip counters answer from
+    /// the register file for free; the Merkle baseline walks an
+    /// authenticated path of DRAM-resident tree nodes.
+    fn epoch(
+        &mut self,
+        shell: &mut Shell,
+        dram: &mut Dram,
+        ledger: &mut CostLedger,
+        idx: u32,
+        mode: AccessMode,
+    ) -> Result<u64, ShefError> {
+        match self {
+            FreshnessState::None => Ok(0),
+            FreshnessState::Counters(counters) => Ok(counters.get(&idx).copied().unwrap_or(0)),
+            FreshnessState::Merkle(tree) => tree.counter(shell, dram, ledger, idx, mode),
+        }
+    }
+
+    /// Advances the write epoch of chunk `idx`, returning the new value.
+    fn bump(
+        &mut self,
+        shell: &mut Shell,
+        dram: &mut Dram,
+        ledger: &mut CostLedger,
+        idx: u32,
+        mode: AccessMode,
+    ) -> Result<u64, ShefError> {
+        match self {
+            FreshnessState::None => Ok(0),
+            FreshnessState::Counters(counters) => {
+                let e = counters.entry(idx).or_insert(0);
+                *e += 1;
+                Ok(*e)
+            }
+            FreshnessState::Merkle(tree) => tree.bump(shell, dram, ledger, idx, mode),
+        }
+    }
 }
 
 impl core::fmt::Debug for EngineSet {
@@ -252,16 +300,17 @@ impl EngineSet {
             (region.engine_set.buffer_bytes / chunk).max(1)
         };
         let lane = format!("shield.{}[{}]", region.name, region_index);
-        let merkle = region.engine_set.merkle.map(|cfg| {
-            let chunks = region.range.len.div_ceil(chunk as u64);
-            MerkleTree::new(
+        let freshness = match region.engine_set.freshness {
+            Freshness::None => FreshnessState::None,
+            Freshness::Counters => FreshnessState::Counters(HashMap::new()),
+            Freshness::Merkle(cfg) => FreshnessState::Merkle(Box::new(MerkleTree::new(
                 cfg,
                 dek.region_tree_key(&region),
                 merkle_base,
-                chunks,
+                region.range.len.div_ceil(chunk as u64),
                 &lane,
-            )
-        });
+            ))),
+        };
         EngineSet {
             lane,
             batch_cost: BatchCost::default(),
@@ -271,8 +320,7 @@ impl EngineSet {
             lines: LruMap::default(),
             capacity_lines,
             plan: None,
-            counters: HashMap::new(),
-            merkle,
+            freshness,
             stats: EngineSetStats::default(),
             tele: EngineTelemetry::bind(&Telemetry::new()),
             poisoned: false,
@@ -309,13 +357,16 @@ impl EngineSet {
     /// Tree replay defence.
     #[must_use]
     pub fn merkle_stats(&self) -> Option<MerkleStats> {
-        self.merkle.as_ref().map(MerkleTree::stats)
+        match &self.freshness {
+            FreshnessState::Merkle(tree) => Some(tree.stats()),
+            _ => None,
+        }
     }
 
     /// Drops the tree's verified-node cache (models a power event; test
     /// hook for replay-detection scenarios).
     pub fn clear_merkle_cache(&mut self) {
-        if let Some(tree) = &mut self.merkle {
+        if let FreshnessState::Merkle(tree) = &mut self.freshness {
             tree.clear_cache();
         }
     }
@@ -389,60 +440,13 @@ impl EngineSet {
         self.tag_base + idx as u64 * CHUNK_TAG_LEN as u64
     }
 
-    /// Current write epoch of chunk `idx`. On-chip counters answer from
-    /// the register file for free; the Merkle baseline walks an
-    /// authenticated path of DRAM-resident tree nodes.
-    fn current_epoch(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-    ) -> Result<u64, ShefError> {
-        if self.region.engine_set.counters {
-            return Ok(self.counters.get(&idx).copied().unwrap_or(0));
+    /// Passes an epoch lookup through, poisoning the set when a tree
+    /// path fails to verify.
+    fn contain(&mut self, epoch: Result<u64, ShefError>) -> Result<u64, ShefError> {
+        if let Err(ShefError::IntegrityViolation(_)) = epoch {
+            self.note_integrity_failure();
         }
-        let Some(tree) = &mut self.merkle else {
-            return Ok(0);
-        };
-        match tree.counter(shell, dram, ledger, idx, mode) {
-            Ok(epoch) => Ok(epoch),
-            Err(e) => {
-                if matches!(e, ShefError::IntegrityViolation(_)) {
-                    self.note_integrity_failure();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Advances the write epoch of chunk `idx`, returning the new value.
-    fn advance_epoch(
-        &mut self,
-        shell: &mut Shell,
-        dram: &mut Dram,
-        ledger: &mut CostLedger,
-        idx: u32,
-        mode: AccessMode,
-    ) -> Result<u64, ShefError> {
-        if self.region.engine_set.counters {
-            let e = self.counters.entry(idx).or_insert(0);
-            *e += 1;
-            return Ok(*e);
-        }
-        let Some(tree) = &mut self.merkle else {
-            return Ok(0);
-        };
-        match tree.bump(shell, dram, ledger, idx, mode) {
-            Ok(epoch) => Ok(epoch),
-            Err(e) => {
-                if matches!(e, ShefError::IntegrityViolation(_)) {
-                    self.note_integrity_failure();
-                }
-                Err(e)
-            }
-        }
+        epoch
     }
 
     // -----------------------------------------------------------------
@@ -497,7 +501,8 @@ impl EngineSet {
         shell.mem_read(dram, self.chunk_addr(idx), &mut ciphertext)?;
         let mut tag = [0u8; CHUNK_TAG_LEN];
         shell.mem_read(dram, self.tag_addr(idx), &mut tag)?;
-        let epoch = self.current_epoch(shell, dram, ledger, idx, mode)?;
+        let epoch = self.freshness.epoch(shell, dram, ledger, idx, mode);
+        let epoch = self.contain(epoch)?;
         plan.pending_open.insert(idx, plan.jobs.len());
         plan.lens.push(len);
         plan.jobs.push(Some(BatchJob::Open {
@@ -550,7 +555,8 @@ impl EngineSet {
             }
             // A failed epoch advance leaves the victim resident.
             let epoch = if self.lines.get(victim).is_some_and(|l| l.dirty) {
-                Some(self.advance_epoch(shell, dram, ledger, victim, mode)?)
+                let epoch = self.freshness.bump(shell, dram, ledger, victim, mode);
+                Some(self.contain(epoch)?)
             } else {
                 None
             };
@@ -1030,7 +1036,10 @@ impl EngineSet {
             if !self.lines.get(idx).is_some_and(|l| l.dirty) {
                 continue;
             }
-            match self.advance_epoch(shell, dram, ledger, idx, AccessMode::Streaming) {
+            let epoch = self
+                .freshness
+                .bump(shell, dram, ledger, idx, AccessMode::Streaming);
+            match self.contain(epoch) {
                 Ok(epoch) => {
                     let line = self.lines.get_mut(idx).expect("dirty line is resident");
                     line.dirty = false;
@@ -1200,14 +1209,14 @@ mod tests {
     use shef_fpga::clock::Cycles;
 
     /// An 8 KiB test region at 0x1000.
-    fn region(chunk: usize, buffer: usize, counters: bool, zero_fill: bool) -> RegionConfig {
+    fn region(chunk: usize, buffer: usize, freshness: Freshness, zero_fill: bool) -> RegionConfig {
         RegionConfig {
             name: "test".into(),
             range: MemRange::new(0x1000, 8192),
             engine_set: EngineSetConfig {
                 chunk_size: chunk,
                 buffer_bytes: buffer,
-                counters,
+                freshness,
                 zero_fill_writes: zero_fill,
                 ..EngineSetConfig::default()
             },
@@ -1216,12 +1225,11 @@ mod tests {
 
     /// The same region under the Bonsai-Merkle-Tree defence.
     fn merkle_region(chunk: usize, buffer: usize, node_cache_bytes: usize) -> RegionConfig {
-        let mut r = region(chunk, buffer, false, false);
-        r.engine_set.merkle = Some(MerkleConfig {
+        let tree = MerkleConfig {
             arity: 8,
             node_cache_bytes,
-        });
-        r
+        };
+        region(chunk, buffer, Freshness::Merkle(tree), false)
     }
 
     /// One engine set and its surroundings, driven at a fixed lane
@@ -1362,7 +1370,7 @@ mod tests {
     #[test]
     fn telemetry_mirrors_engine_counters_and_phases() {
         let t = Telemetry::new();
-        let mut rig = Rig::new(region(512, 1024, true, false), 2);
+        let mut rig = Rig::new(region(512, 1024, Freshness::Counters, false), 2);
         rig.es.attach_telemetry(&t);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         rig.provision(&data);
@@ -1397,7 +1405,7 @@ mod tests {
         // is still one batch of the one datapath: it must charge and
         // count exactly what a batch does, or reports would change.
         let t = Telemetry::new();
-        let mut rig = Rig::new(region(64, 1024, true, false), 1);
+        let mut rig = Rig::new(region(64, 1024, Freshness::Counters, false), 1);
         rig.es.attach_telemetry(&t);
         rig.pool.attach_telemetry(&t);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
@@ -1471,7 +1479,7 @@ mod tests {
         // engine-level half of the determinism guarantee.
         let run = || {
             let t = Telemetry::new();
-            let mut rig = Rig::new(region(512, 2048, true, false), 4);
+            let mut rig = Rig::new(region(512, 2048, Freshness::Counters, false), 4);
             rig.es.attach_telemetry(&t);
             let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
             rig.provision(&data);
@@ -1484,7 +1492,7 @@ mod tests {
 
     #[test]
     fn read_provisioned_data() {
-        let mut rig = Rig::new(region(512, 2048, false, false), 1);
+        let mut rig = Rig::new(region(512, 2048, Freshness::None, false), 1);
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
         rig.provision(&data);
         assert_eq!(rig.read(0x1000, 8192).unwrap(), data);
@@ -1493,7 +1501,7 @@ mod tests {
 
     #[test]
     fn unaligned_reads() {
-        let mut rig = Rig::new(region(512, 2048, false, false), 1);
+        let mut rig = Rig::new(region(512, 2048, Freshness::None, false), 1);
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 256) as u8).collect();
         rig.provision(&data);
         assert_eq!(rig.read(0x1000 + 300, 700).unwrap(), &data[300..1000]);
@@ -1501,7 +1509,7 @@ mod tests {
 
     #[test]
     fn write_then_read_back_through_dram() {
-        let mut rig = Rig::new(region(512, 1024, false, true), 1);
+        let mut rig = Rig::new(region(512, 1024, Freshness::None, true), 1);
         let payload: Vec<u8> = (0..2048u32).map(|i| (i % 199) as u8).collect();
         rig.write(0x1000, &payload).unwrap();
         rig.flush().unwrap();
@@ -1514,7 +1522,7 @@ mod tests {
 
     #[test]
     fn buffer_hits_avoid_dram() {
-        let mut rig = Rig::new(region(512, 2048, false, false), 1);
+        let mut rig = Rig::new(region(512, 2048, Freshness::None, false), 1);
         rig.provision(&[0x5au8; 8192]);
         rig.read(0x1000, 512).unwrap();
         let before = rig.dram.stats().bytes_read;
@@ -1527,7 +1535,7 @@ mod tests {
     #[test]
     fn lru_eviction_works() {
         // Buffer holds 2 lines; touching 3 chunks evicts the oldest.
-        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        let mut rig = Rig::new(region(512, 1024, Freshness::None, false), 1);
         rig.provision(&[1u8; 8192]);
         for i in 0..3u64 {
             rig.read(0x1000 + i * 512, 512).unwrap();
@@ -1540,7 +1548,7 @@ mod tests {
 
     #[test]
     fn spoofed_dram_detected() {
-        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        let mut rig = Rig::new(region(512, 1024, Freshness::None, false), 1);
         rig.provision(&[7u8; 8192]);
         // Adversary flips a ciphertext bit.
         rig.flip(0x1100, 0x80);
@@ -1551,7 +1559,7 @@ mod tests {
 
     #[test]
     fn spliced_chunks_detected() {
-        let mut rig = Rig::new(region(512, 1024, false, false), 1);
+        let mut rig = Rig::new(region(512, 1024, Freshness::None, false), 1);
         rig.provision(&[9u8; 8192]);
         // Copy chunk 0's ciphertext+tag over chunk 1's.
         let c0 = rig.dram.tamper_read(0x1000, 512);
@@ -1582,7 +1590,7 @@ mod tests {
 
     #[test]
     fn replay_detected_with_counters() {
-        let mut rig = Rig::new(region(512, 512, true, false), 1);
+        let mut rig = Rig::new(region(512, 512, Freshness::Counters, false), 1);
         let err = replay_chunk_zero(&mut rig).unwrap_err();
         assert!(matches!(err, ShefError::IntegrityViolation(_)));
     }
@@ -1590,7 +1598,7 @@ mod tests {
     #[test]
     fn replay_not_detected_without_counters() {
         // Documents the paper's point: read-write regions need counters.
-        let mut rig = Rig::new(region(512, 512, false, false), 1);
+        let mut rig = Rig::new(region(512, 512, Freshness::None, false), 1);
         // The stale data verifies — replay goes unnoticed.
         assert_eq!(replay_chunk_zero(&mut rig).unwrap(), vec![1u8; 512]);
     }
@@ -1650,7 +1658,7 @@ mod tests {
             }
             rig.ledger.lane(rig.es.lane())
         };
-        let counters_cost = run(Rig::new(region(512, 512, true, false), 1));
+        let counters_cost = run(Rig::new(region(512, 512, Freshness::Counters, false), 1));
         let merkle_cost = run(Rig::new(merkle_region(512, 512, 0), 1));
         assert!(
             merkle_cost > counters_cost,
@@ -1660,7 +1668,7 @@ mod tests {
 
     #[test]
     fn zero_fill_skips_dram_reads() {
-        let mut rig = Rig::new(region(512, 1024, false, true), 1);
+        let mut rig = Rig::new(region(512, 1024, Freshness::None, true), 1);
         // Partial write to an unprovisioned chunk with zero_fill: no read.
         rig.write(0x1000, &[9u8; 100]).unwrap();
         assert_eq!(rig.dram.stats().bytes_read, 0);
@@ -1674,7 +1682,7 @@ mod tests {
 
     #[test]
     fn blocking_mode_charges_serial_cycles() {
-        let mut rig = Rig::new(region(4096, 4096, false, false), 1);
+        let mut rig = Rig::new(region(4096, 4096, Freshness::None, false), 1);
         rig.provision(&[3u8; 8192]);
         let serial_before = rig.ledger.serial();
         rig.read_mode(0x1000, 4096, AccessMode::Blocking).unwrap();
@@ -1686,7 +1694,7 @@ mod tests {
 
     #[test]
     fn streaming_mode_charges_lane_cycles() {
-        let mut rig = Rig::new(region(512, 512, false, false), 1);
+        let mut rig = Rig::new(region(512, 512, Freshness::None, false), 1);
         rig.provision(&[3u8; 8192]);
         rig.read(0x1000, 512).unwrap();
         assert!(rig.ledger.lane(rig.es.lane()) > Cycles::ZERO);
@@ -1695,8 +1703,8 @@ mod tests {
     #[test]
     fn parallel_read_matches_serial() {
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 256) as u8).collect();
-        let mut one = Rig::new(region(512, 2048, true, false), 1);
-        let mut four = Rig::new(region(512, 2048, true, false), 4);
+        let mut one = Rig::new(region(512, 2048, Freshness::Counters, false), 1);
+        let mut four = Rig::new(region(512, 2048, Freshness::Counters, false), 4);
         one.provision(&data);
         four.provision(&data);
         for (addr, len) in [(0x1000u64, 8192usize), (0x1000 + 300, 700), (0x1000, 512)] {
@@ -1717,8 +1725,8 @@ mod tests {
         // Mix of read-modify-write fills and full overwrites, with
         // evictions (buffer holds 2 of 16 chunks).
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 256) as u8).collect();
-        let mut one = Rig::new(region(512, 1024, true, false), 1);
-        let mut four = Rig::new(region(512, 1024, true, false), 4);
+        let mut one = Rig::new(region(512, 1024, Freshness::Counters, false), 1);
+        let mut four = Rig::new(region(512, 1024, Freshness::Counters, false), 4);
         let payload: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
         // Unaligned span: head and tail chunks are RMW, middle chunks
         // are full overwrites.
@@ -1751,7 +1759,7 @@ mod tests {
         // while chunk 1 sits dirty in the buffer first evicts chunk 1
         // (staged seal), then chunk 1's own fill must observe that seal.
         let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-        let mut rig = Rig::new(region(512, 512, true, false), 4);
+        let mut rig = Rig::new(region(512, 512, Freshness::Counters, false), 4);
         rig.provision(&data);
         rig.write(0x1200, &[0xAB; 512]).unwrap();
         let got = rig.read(0x1000, 1024).unwrap();
@@ -1766,8 +1774,8 @@ mod tests {
         // chunks evicts chunk 0's read-modify-write placeholder while its
         // fill is still staged.
         let data: Vec<u8> = (0..8192u32).map(|i| (i * 3 % 256) as u8).collect();
-        let mut one = Rig::new(region(512, 512, true, false), 1);
-        let mut four = Rig::new(region(512, 512, true, false), 4);
+        let mut one = Rig::new(region(512, 512, Freshness::Counters, false), 1);
+        let mut four = Rig::new(region(512, 512, Freshness::Counters, false), 4);
         let payload = [0xCD; 512];
         for rig in [&mut one, &mut four] {
             rig.provision(&data);
@@ -1784,7 +1792,7 @@ mod tests {
 
     #[test]
     fn parallel_read_reports_earliest_corrupt_chunk() {
-        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        let mut rig = Rig::new(region(512, 4096, Freshness::None, false), 4);
         rig.provision(&[7u8; 8192]);
         // Corrupt chunks 2 and 5; the batch must report chunk 2.
         for idx in [2u64, 5] {
@@ -1812,7 +1820,7 @@ mod tests {
 
     #[test]
     fn serial_integrity_failure_poisons_until_cleared() {
-        let mut rig = Rig::new(region(512, 4096, false, false), 1);
+        let mut rig = Rig::new(region(512, 4096, Freshness::None, false), 1);
         rig.provision(&[7u8; 8192]);
         let addr = 0x1000 + 3 * 512;
         rig.flip(addr, 0x80);
@@ -1833,7 +1841,7 @@ mod tests {
 
     #[test]
     fn one_shot_lane_panic_recovers_transparently() {
-        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        let mut rig = Rig::new(region(512, 4096, Freshness::None, false), 4);
         rig.provision(&[9u8; 8192]);
         rig.pool.arm_lane_panic(0);
         assert_eq!(rig.read(0x1000, 4096).unwrap(), vec![9u8; 4096]);
@@ -1846,7 +1854,7 @@ mod tests {
 
     #[test]
     fn sticky_lane_panic_drains_batch_and_surfaces_fault() {
-        let mut rig = Rig::new(region(512, 4096, false, false), 4);
+        let mut rig = Rig::new(region(512, 4096, Freshness::None, false), 4);
         rig.provision(&[9u8; 8192]);
         // Job 0 of the batch (the open of chunk 0) dies on its lane AND
         // on the inline retry: the op must fail with a contained fault,
@@ -1871,7 +1879,7 @@ mod tests {
         // chunk 0, staging its seal as batch job 0. Killing that job
         // (attempt + retry) must not lose the evicted plaintext — the
         // drain fallback recomputes the seal inline.
-        let mut rig = Rig::new(region(512, 512, false, false), 4);
+        let mut rig = Rig::new(region(512, 512, Freshness::None, false), 4);
         rig.provision(&[0u8; 8192]);
         let payload = vec![0xABu8; 512];
         rig.write(0x1000, &payload).unwrap();
@@ -1890,7 +1898,7 @@ mod tests {
         // Lane count must not hide a stalled accelerator: Blocking-mode
         // serial latency is the same at 8 lanes as at 1.
         let stall = |lanes: usize| {
-            let mut rig = Rig::new(region(512, 4096, false, false), lanes);
+            let mut rig = Rig::new(region(512, 4096, Freshness::None, false), lanes);
             rig.provision(&[9u8; 8192]);
             rig.read_mode(0x1000, 8192, AccessMode::Blocking).unwrap();
             rig.ledger.serial()

@@ -19,12 +19,13 @@
 //! what a CPU's cache hierarchy provides for free — with it, path
 //! verification stops at the first cached (already-trusted) ancestor.
 //!
-//! Selecting the scheme is an [`EngineSetConfig`] knob
-//! (`merkle: Some(MerkleConfig { .. })`), mutually exclusive with the
-//! on-chip `counters` flag, so the two replay defences can be swapped
+//! A region selects this scheme with its engine set's one replay-defence
+//! knob, [`Freshness::Merkle`]`(MerkleConfig { .. })`, in place of the
+//! on-chip [`Freshness::Counters`], so the two defences can be swapped
 //! per region like any other Shield parameter.
 //!
-//! [`EngineSetConfig`]: super::config::EngineSetConfig
+//! [`Freshness::Merkle`]: super::config::Freshness::Merkle
+//! [`Freshness::Counters`]: super::config::Freshness::Counters
 
 use std::collections::HashMap;
 use std::collections::VecDeque;

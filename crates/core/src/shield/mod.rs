@@ -36,7 +36,9 @@ use shef_fpga::shell::Shell;
 use shef_telemetry::Telemetry;
 
 use crate::ShefError;
-pub use config::{EngineSetConfig, MemRange, RegionConfig, RegisterInterfaceConfig, ShieldConfig};
+pub use config::{
+    EngineSetConfig, Freshness, MemRange, RegionConfig, RegisterInterfaceConfig, ShieldConfig,
+};
 pub use engine::{AccessMode, EngineSet, EngineSetStats};
 pub use keys::{DataEncryptionKey, KeyStorage, LoadKey};
 pub use merkle::{MerkleConfig, MerkleStats, MerkleTree};

@@ -30,9 +30,10 @@ use shef_fpga::clock::Cycles;
 use super::config::EngineSetConfig;
 
 /// Sustained bytes/cycle of one HMAC engine on long messages (a wide
-/// SHA-256 datapath). Calibrated so the SDP configuration with one HMAC
-/// engine reproduces Table 2's ~298 % overhead against the PCIe line
-/// rate (see EXPERIMENTS.md).
+/// SHA-256 datapath). With it the SDP configuration with one HMAC engine
+/// models a 214 % overhead against the PCIe line rate, where Table 2 of
+/// the paper reports ~298 % (the `4xEng/…/HMAC` rows of
+/// `bench/paper/table2.txt`).
 pub const HMAC_BYTES_PER_CYCLE: u64 = 12;
 /// Per-chunk HMAC pipeline bubble in the *throughput* view (consecutive
 /// chunks overlap all but the tag emission).

@@ -51,7 +51,7 @@ fn sealed_64_byte_chunks_are_pinned_for_every_mac() {
     ] {
         let r = region("img-in0", 64, mac);
         // Chunk 5 at epoch 3: the associated data pinned above.
-        let enc = encrypt_region_at(&dek, &r, 5, &plaintext, 3);
+        let enc = encrypt_region_at(&dek, &r, 5, &plaintext, 3).unwrap();
         assert_eq!(to_hex(&enc.ciphertext), CIPHERTEXT, "{mac}");
         assert_eq!(to_hex(&enc.tags), tag, "{mac}");
         let dec = decrypt_region_at(&dek, &r, 5, &enc.ciphertext, &enc.tags, &uniform_epochs(3));
@@ -64,7 +64,7 @@ fn sealed_4k_pmac_chunk_is_pinned() {
     let dek = DataEncryptionKey::from_bytes(DEK);
     let plaintext: Vec<u8> = (0..4096u32).map(|i| ((i * 7) ^ (i >> 5)) as u8).collect();
     let r = region("kv", 4096, MacAlgorithm::PmacAes);
-    let enc = encrypt_region_at(&dek, &r, 2, &plaintext, 1);
+    let enc = encrypt_region_at(&dek, &r, 2, &plaintext, 1).unwrap();
     assert_eq!(
         to_hex(&Sha256::digest(&enc.ciphertext)),
         "0735f357add5231df1eaebe5c0d123171afdd9fbd3f16f7818ee8307393ce572"

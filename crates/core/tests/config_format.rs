@@ -8,7 +8,9 @@
 //! the engine set's freshness knob may change while its bytes may not.
 
 use shef_core::shield::merkle::MerkleConfig;
-use shef_core::shield::{EngineSetConfig, MemRange, RegisterInterfaceConfig, ShieldConfig};
+use shef_core::shield::{
+    EngineSetConfig, Freshness, MemRange, RegisterInterfaceConfig, ShieldConfig,
+};
 use shef_crypto::aes::{AesKeySize, SBoxParallelism};
 use shef_crypto::authenc::MacAlgorithm;
 use shef_crypto::{from_hex, to_hex};
@@ -46,17 +48,15 @@ fn engine_set(label: &str) -> EngineSetConfig {
         zero_fill_writes: true,
         ..EngineSetConfig::default()
     };
-    match label {
-        "mac_only" => {}
-        "counters" => es.counters = true,
-        "merkle" => {
-            es.merkle = Some(MerkleConfig {
-                arity: 4,
-                node_cache_bytes: 512,
-            });
-        }
+    es.freshness = match label {
+        "mac_only" => Freshness::None,
+        "counters" => Freshness::Counters,
+        "merkle" => Freshness::Merkle(MerkleConfig {
+            arity: 4,
+            node_cache_bytes: 512,
+        }),
         other => unreachable!("unknown scheme {other}"),
-    }
+    };
     es
 }
 

@@ -5,14 +5,11 @@
 //! to the plaintext shadow memory at every lane count.
 
 use proptest::prelude::*;
-use shef_testkit::{run_plan, FaultClass, FaultPlan, Scheme, Verdict};
+use shef_core::shield::Freshness;
+use shef_testkit::{run_plan, FaultClass, FaultPlan, Verdict, ALL_SCHEMES};
 
-fn scheme_strategy() -> impl Strategy<Value = Scheme> {
-    prop_oneof![
-        Just(Scheme::MacOnly),
-        Just(Scheme::Counters),
-        Just(Scheme::Merkle),
-    ]
+fn scheme_strategy() -> impl Strategy<Value = Freshness> {
+    (0..ALL_SCHEMES.len()).prop_map(|i| ALL_SCHEMES[i])
 }
 
 proptest! {

@@ -12,7 +12,7 @@
 //! assignment is round-robin in dispatch order, so two runs with the
 //! same trace and lane count must also produce identical cost ledgers.
 
-use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
+use shef_core::shield::config::{EngineSetConfig, Freshness, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet, EngineSetStats};
 use shef_core::shield::merkle::MerkleConfig;
 use shef_core::shield::{client, DataEncryptionKey, WorkerPool};
@@ -23,6 +23,11 @@ use shef_fpga::shell::Shell;
 const REGION_BASE: u64 = 0x1000;
 const TAG_BASE: u64 = 0x10_0000;
 const MERKLE_BASE: u64 = 0x20_0000;
+/// The Bonsai-Merkle-Tree scheme the traces run under.
+const TREE: Freshness = Freshness::Merkle(MerkleConfig {
+    arity: 4,
+    node_cache_bytes: 512,
+});
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants).
 struct Lcg(u64);
@@ -73,13 +78,6 @@ fn trace(seed: u64, ops: usize, region_len: u64, chunk: usize) -> Vec<Op> {
         .collect()
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Scheme {
-    MacOnly,
-    Counters,
-    Merkle,
-}
-
 struct Setup {
     es: EngineSet,
     shell: Shell,
@@ -87,26 +85,14 @@ struct Setup {
     ledger: CostLedger,
 }
 
-fn setup(scheme: Scheme, chunk: usize, buffer_lines: usize, region_len: u64) -> Setup {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle => (
-            false,
-            Some(MerkleConfig {
-                arity: 4,
-                node_cache_bytes: 512,
-            }),
-        ),
-    };
+fn setup(scheme: Freshness, chunk: usize, buffer_lines: usize, region_len: u64) -> Setup {
     let region = RegionConfig {
         name: "stress".into(),
         range: MemRange::new(REGION_BASE, region_len),
         engine_set: EngineSetConfig {
             chunk_size: chunk,
             buffer_bytes: chunk * buffer_lines,
-            counters,
-            merkle,
+            freshness: scheme,
             zero_fill_writes: false,
             ..EngineSetConfig::default()
         },
@@ -176,7 +162,7 @@ impl Setup {
 /// Replays `ops` on a 1-lane setup and on a twin at `lanes`, checking
 /// every read against the plaintext shadow and the two twins against
 /// each other at every step and in the end state.
-fn run_twins(scheme: Scheme, chunk: usize, buffer_lines: usize, lanes: usize, ops: &[Op]) {
+fn run_twins(scheme: Freshness, chunk: usize, buffer_lines: usize, lanes: usize, ops: &[Op]) {
     let region_len = 32 * chunk as u64; // M = 32 chunks per trace
     let mut one = setup(scheme, chunk, buffer_lines, region_len);
     let mut par = setup(scheme, chunk, buffer_lines, region_len);
@@ -229,7 +215,7 @@ fn run_twins(scheme: Scheme, chunk: usize, buffer_lines: usize, lanes: usize, op
         par.dram.tamper_read(TAG_BASE, 32 * 1024),
         "tag arena drift ({lanes} lanes, {scheme:?})"
     );
-    if matches!(scheme, Scheme::Merkle) {
+    if matches!(scheme, Freshness::Merkle(_)) {
         assert_eq!(
             one.dram.tamper_read(MERKLE_BASE, 32 * 1024),
             par.dram.tamper_read(MERKLE_BASE, 32 * 1024),
@@ -251,7 +237,7 @@ fn run_twins(scheme: Scheme, chunk: usize, buffer_lines: usize, lanes: usize, op
 fn mixed_trace_matches_serial_across_lane_counts() {
     let ops = trace(0xD06F00D, 120, 32 * 256, 256);
     for lanes in [2usize, 3, 4, 8] {
-        run_twins(Scheme::MacOnly, 256, 4, lanes, &ops);
+        run_twins(Freshness::None, 256, 4, lanes, &ops);
     }
 }
 
@@ -259,7 +245,7 @@ fn mixed_trace_matches_serial_across_lane_counts() {
 fn mixed_trace_matches_serial_with_counters() {
     let ops = trace(0xC0FFEE, 100, 32 * 256, 256);
     for lanes in [2usize, 4] {
-        run_twins(Scheme::Counters, 256, 3, lanes, &ops);
+        run_twins(Freshness::Counters, 256, 3, lanes, &ops);
     }
 }
 
@@ -267,7 +253,7 @@ fn mixed_trace_matches_serial_with_counters() {
 fn mixed_trace_matches_serial_with_merkle() {
     let ops = trace(0xBEEF, 80, 32 * 256, 256);
     for lanes in [2usize, 4] {
-        run_twins(Scheme::Merkle, 256, 3, lanes, &ops);
+        run_twins(TREE, 256, 3, lanes, &ops);
     }
 }
 
@@ -277,8 +263,8 @@ fn tiny_buffer_forces_constant_eviction() {
     // in-batch eviction hazards (seal-before-fill, open-before-seal).
     let ops = trace(0xA5A5A5, 80, 32 * 128, 128);
     for lanes in [2usize, 4] {
-        run_twins(Scheme::MacOnly, 128, 1, lanes, &ops);
-        run_twins(Scheme::Counters, 128, 1, lanes, &ops);
+        run_twins(Freshness::None, 128, 1, lanes, &ops);
+        run_twins(Freshness::Counters, 128, 1, lanes, &ops);
     }
 }
 
@@ -289,7 +275,7 @@ fn parallel_replay_is_deterministic() {
     // ledgers — not just the totals — must be identical.
     let ops = trace(0x5EED, 90, 32 * 256, 256);
     let run = || {
-        let mut s = setup(Scheme::Counters, 256, 3, 32 * 256);
+        let mut s = setup(Freshness::Counters, 256, 3, 32 * 256);
         let pool = WorkerPool::new(4);
         let mut outputs = Vec::new();
         for op in &ops {

@@ -10,8 +10,8 @@
 
 use shef_core::shield::merkle::MerkleConfig;
 use shef_core::shield::{
-    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, ServiceConfig, ServiceRequest,
-    Shield, ShieldConfig, ShieldService, WorkerPool,
+    AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, ServiceConfig,
+    ServiceRequest, Shield, ShieldConfig, ShieldService, WorkerPool,
 };
 use shef_crypto::ecies::EciesKeyPair;
 use shef_fpga::clock::CostLedger;
@@ -87,25 +87,7 @@ fn chunk_data(fill: u8) -> Vec<u8> {
     (0..CHUNK).map(|j| fill.wrapping_add(j as u8)).collect()
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Scheme {
-    MacOnly,
-    Counters,
-    Merkle,
-}
-
-fn shield_config(scheme: Scheme) -> ShieldConfig {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle => (
-            false,
-            Some(MerkleConfig {
-                arity: 4,
-                node_cache_bytes: 512,
-            }),
-        ),
-    };
+fn shield_config(scheme: Freshness) -> ShieldConfig {
     ShieldConfig::builder()
         .region(
             "data",
@@ -113,8 +95,7 @@ fn shield_config(scheme: Scheme) -> ShieldConfig {
             EngineSetConfig {
                 chunk_size: CHUNK,
                 buffer_bytes: CHUNK * 4,
-                counters,
-                merkle,
+                freshness: scheme,
                 ..EngineSetConfig::default()
             },
         )
@@ -125,7 +106,7 @@ fn shield_config(scheme: Scheme) -> ShieldConfig {
 /// Drives `ops` through a one-tenant service; returns the read
 /// payloads in completion order plus the final tenant state.
 fn run_service(
-    scheme: Scheme,
+    scheme: Freshness,
     lanes: usize,
     ops: &[Op],
 ) -> (Vec<Vec<u8>>, CostLedger, Vec<u8>, Vec<u8>) {
@@ -190,7 +171,7 @@ fn run_service(
 /// Drives the same ops straight through the bare Shield datapath, keyed
 /// with the tenant-derived DEK the service provisions for `TENANT`.
 fn run_parallel(
-    scheme: Scheme,
+    scheme: Freshness,
     lanes: usize,
     ops: &[Op],
 ) -> (Vec<Vec<u8>>, CostLedger, Vec<u8>, Vec<u8>) {
@@ -249,7 +230,7 @@ fn run_parallel(
     (reads, ledger, ciphertext, tags)
 }
 
-fn assert_equivalent(scheme: Scheme, lanes: usize, seed: u64) {
+fn assert_equivalent(scheme: Freshness, lanes: usize, seed: u64) {
     let ops = trace(seed, 32);
     let (svc_reads, svc_ledger, svc_ct, svc_tags) = run_service(scheme, lanes, &ops);
     let (par_reads, par_ledger, par_ct, par_tags) = run_parallel(scheme, lanes, &ops);
@@ -276,7 +257,7 @@ fn assert_equivalent(scheme: Scheme, lanes: usize, seed: u64) {
 fn one_tenant_service_is_bit_identical_mac_only() {
     for lanes in [1usize, 2, 4] {
         for seed in [7u64, 21] {
-            assert_equivalent(Scheme::MacOnly, lanes, seed);
+            assert_equivalent(Freshness::None, lanes, seed);
         }
     }
 }
@@ -285,7 +266,7 @@ fn one_tenant_service_is_bit_identical_mac_only() {
 fn one_tenant_service_is_bit_identical_counters() {
     for lanes in [1usize, 2, 4] {
         for seed in [7u64, 21] {
-            assert_equivalent(Scheme::Counters, lanes, seed);
+            assert_equivalent(Freshness::Counters, lanes, seed);
         }
     }
 }
@@ -294,7 +275,14 @@ fn one_tenant_service_is_bit_identical_counters() {
 fn one_tenant_service_is_bit_identical_merkle() {
     for lanes in [1usize, 2, 4] {
         for seed in [7u64, 21] {
-            assert_equivalent(Scheme::Merkle, lanes, seed);
+            assert_equivalent(
+                Freshness::Merkle(MerkleConfig {
+                    arity: 4,
+                    node_cache_bytes: 512,
+                }),
+                lanes,
+                seed,
+            );
         }
     }
 }
@@ -305,11 +293,11 @@ fn one_tenant_service_is_bit_identical_merkle() {
 #[test]
 fn tenant_key_domain_changes_the_ciphertext() {
     let ops = vec![Op::Write { chunk: 0, fill: 9 }, Op::Flush];
-    let (_, _, svc_ct, _) = run_service(Scheme::MacOnly, 2, &ops);
+    let (_, _, svc_ct, _) = run_service(Freshness::None, 2, &ops);
 
     let master = DataEncryptionKey::from_bytes([0x33u8; 32]);
     let other = master.tenant_key("someone-else");
-    let config = shield_config(Scheme::MacOnly);
+    let config = shield_config(Freshness::None);
     let mut shield = Shield::new(config, EciesKeyPair::from_seed(b"other-tenant-twin"))
         .expect("shield constructs");
     shield

@@ -12,7 +12,7 @@
 //!   bitstreams, so the encoding must be canonical).
 
 use proptest::prelude::*;
-use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
+use shef_core::shield::config::{EngineSetConfig, Freshness, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::merkle::{MerkleConfig, MerkleTree};
 use shef_core::shield::{DataEncryptionKey, ShieldConfig, WorkerPool};
@@ -51,51 +51,35 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Replay-protection scheme under test.
-#[derive(Debug, Clone, Copy)]
-enum Scheme {
-    MacOnly,
-    Counters,
-    Merkle { arity: usize, cache: usize },
-}
-
-fn scheme_strategy() -> impl Strategy<Value = Scheme> {
+/// Replay-protection scheme under test, with any tree shape.
+fn scheme_strategy() -> impl Strategy<Value = Freshness> {
     prop_oneof![
-        Just(Scheme::MacOnly),
-        Just(Scheme::Counters),
+        Just(Freshness::None),
+        Just(Freshness::Counters),
         (
             prop_oneof![Just(2usize), Just(4), Just(8), Just(16)],
             0usize..4096
         )
-            .prop_map(|(arity, cache)| Scheme::Merkle { arity, cache }),
+            .prop_map(|(arity, cache)| Freshness::Merkle(MerkleConfig {
+                arity,
+                node_cache_bytes: cache
+            })),
     ]
 }
 
 fn engine_for(
     chunk: usize,
     buffer_lines: usize,
-    scheme: Scheme,
+    scheme: Freshness,
     zero_fill: bool,
 ) -> (EngineSet, RegionConfig, DataEncryptionKey) {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle { arity, cache } => (
-            false,
-            Some(MerkleConfig {
-                arity,
-                node_cache_bytes: cache,
-            }),
-        ),
-    };
     let region = RegionConfig {
         name: "prop".into(),
         range: MemRange::new(REGION_BASE, REGION_LEN),
         engine_set: EngineSetConfig {
             chunk_size: chunk,
             buffer_bytes: chunk * buffer_lines,
-            counters,
-            merkle,
+            freshness: scheme,
             // Zero-fill is only coherent for write-once regions (§5.2.2);
             // random read-modify-write traces must not enable it.
             zero_fill_writes: zero_fill,
@@ -246,12 +230,6 @@ proptest! {
         hide in any::<bool>(),
     ) {
         let chunk = 1usize << chunk_pow;
-        let (counters, merkle) = match scheme {
-            Scheme::MacOnly => (false, None),
-            Scheme::Counters => (true, None),
-            Scheme::Merkle { arity, cache } =>
-                (false, Some(MerkleConfig { arity, node_cache_bytes: cache })),
-        };
         let es = EngineSetConfig {
             chunk_size: chunk,
             aes_engines,
@@ -262,8 +240,7 @@ proptest! {
                 _ => MacAlgorithm::AesGcm,
             },
             buffer_bytes: chunk * buffer_chunks,
-            counters,
-            merkle,
+            freshness: scheme,
             ..EngineSetConfig::default()
         };
         let cfg = ShieldConfig::builder()

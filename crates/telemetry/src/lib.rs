@@ -47,7 +47,7 @@ mod report;
 mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram};
-pub use report::{HistogramSnapshot, Report, REPORT_SCHEMA};
+pub use report::{json_escape, HistogramSnapshot, Report, REPORT_SCHEMA};
 pub use trace::{Scope, ScopeAgg, Span, SPAN_CAP};
 
 use std::collections::BTreeMap;
@@ -447,5 +447,11 @@ mod tests {
         t2.counter("via.clone").inc();
         assert_eq!(t.report().counters["via.clone"], 1);
         assert!(!t.same_registry(&Telemetry::new()));
+    }
+
+    #[test]
+    fn json_lines_are_escaped() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t\u{1}"), "\\r\\t\\u0001");
     }
 }

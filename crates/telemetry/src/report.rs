@@ -236,12 +236,19 @@ fn json_u64_array(vals: &[u64]) -> String {
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes, the short
+/// `\n`, `\r` and `\t` forms, and `\u00XX` for the other control
+/// characters.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }

@@ -9,10 +9,10 @@ use std::io::Write as _;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use shef_telemetry::Telemetry;
+use shef_telemetry::{json_escape, Telemetry};
 use shef_testkit::{
-    campaign_plan, json_escape, run_plan, CampaignRecord, CampaignTelemetry, FaultClass, FaultPlan,
-    ScenarioReport, Scheme, Verdict,
+    campaign_plan, run_plan, CampaignRecord, CampaignTelemetry, FaultClass, FaultPlan,
+    ScenarioReport, Verdict, ALL_SCHEMES,
 };
 
 struct Args {
@@ -141,7 +141,7 @@ fn main() {
     }
     // Fault-free baselines: must come back clean on every scheme and
     // lane count, on seeds 0 and 1.
-    for scheme in Scheme::ALL {
+    for scheme in ALL_SCHEMES {
         for &lanes in &args.lanes {
             for seed in [0u64, 1] {
                 let report = run_with_watchdog(FaultPlan::clean(seed, scheme, lanes), budget);

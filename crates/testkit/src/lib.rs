@@ -29,18 +29,20 @@
 //!
 //! ## Writing a `FaultPlan`
 //!
-//! A plan is a seed (all randomness is a deterministic LCG of it), an
-//! integrity scheme, a worker-pool lane count, a trace length, and a list
-//! of [`FaultEvent`]s. [`FaultPlan::single`] derives a one-fault plan
-//! from a seed; [`FaultPlan::randomized`] schedules several memory
-//! faults for property tests; or build the struct directly:
+//! A plan is a seed (all randomness is a deterministic LCG of it), a
+//! replay defence (one of [`ALL_SCHEMES`]), a worker-pool lane count, a
+//! trace length, and a list of [`FaultEvent`]s. [`FaultPlan::single`]
+//! derives a one-fault plan from a seed; [`FaultPlan::randomized`]
+//! schedules several memory faults for property tests; or build the
+//! struct directly:
 //!
 //! ```
-//! use shef_testkit::{run_plan, FaultClass, FaultEvent, FaultPlan, Scheme};
+//! use shef_core::shield::Freshness;
+//! use shef_testkit::{run_plan, FaultClass, FaultEvent, FaultPlan};
 //!
 //! let plan = FaultPlan {
 //!     seed: 7,
-//!     scheme: Scheme::Counters,
+//!     scheme: Freshness::Counters,
 //!     lanes: 4,
 //!     ops: 24,
 //!     events: vec![FaultEvent {
@@ -80,7 +82,9 @@ use std::collections::HashMap;
 use shef_attest::{AttestError, AttestationEnvironment, AttestationTicket};
 use shef_core::attacks::{splice_chunks, ReplaySnapshot};
 use shef_core::fault::ShieldFault;
-use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig, RegisterInterfaceConfig};
+use shef_core::shield::config::{
+    EngineSetConfig, Freshness, MemRange, RegionConfig, RegisterInterfaceConfig,
+};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::merkle::MerkleConfig;
 use shef_core::shield::regif::RegisterInterface;
@@ -129,31 +133,17 @@ impl Lcg {
     }
 }
 
-/// Replay-defence scheme of the campaign region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheme {
-    /// Per-chunk MACs only: spoof/splice detection, no freshness.
-    MacOnly,
-    /// On-chip freshness counters.
-    Counters,
-    /// DRAM-resident Bonsai Merkle tree.
-    Merkle,
-}
-
-impl Scheme {
-    /// All schemes, for sweeps.
-    pub const ALL: [Scheme; 3] = [Scheme::MacOnly, Scheme::Counters, Scheme::Merkle];
-
-    /// Stable lowercase label for reports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Scheme::MacOnly => "mac_only",
-            Scheme::Counters => "counters",
-            Scheme::Merkle => "merkle",
-        }
-    }
-}
+/// Every replay defence a campaign sweeps, in report order: MAC only,
+/// on-chip counters, and a 4-ary Bonsai Merkle tree with a 512 B
+/// verified-node cache.
+pub const ALL_SCHEMES: [Freshness; 3] = [
+    Freshness::None,
+    Freshness::Counters,
+    Freshness::Merkle(MerkleConfig {
+        arity: 4,
+        node_cache_bytes: 512,
+    }),
+];
 
 /// The injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -275,14 +265,14 @@ impl FaultClass {
     }
 
     /// Schemes under which this class is *detectable*. Replaying a
-    /// stale block under `MacOnly` is undetectable by design — the
-    /// paper adds counters/BMT precisely to close it — so campaigns
+    /// stale block under [`Freshness::None`] is undetectable by design —
+    /// the paper adds counters/BMT precisely to close it — so campaigns
     /// never schedule that combination.
     #[must_use]
-    pub fn valid_schemes(self) -> &'static [Scheme] {
+    pub fn valid_schemes(self) -> &'static [Freshness] {
         match self {
-            FaultClass::StaleReplay => &[Scheme::Counters, Scheme::Merkle],
-            _ => &[Scheme::MacOnly, Scheme::Counters, Scheme::Merkle],
+            FaultClass::StaleReplay => &ALL_SCHEMES[1..],
+            _ => &ALL_SCHEMES,
         }
     }
 
@@ -375,8 +365,8 @@ pub struct FaultEvent {
 pub struct FaultPlan {
     /// Seed for the LCG that drives the trace and all fault targeting.
     pub seed: u64,
-    /// Integrity scheme of the campaign region.
-    pub scheme: Scheme,
+    /// Replay defence of the campaign region.
+    pub scheme: Freshness,
     /// Worker-pool lanes of the faulted run.
     pub lanes: usize,
     /// Trace length in operations.
@@ -388,7 +378,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A fault-free plan: must come back [`Verdict::Clean`].
     #[must_use]
-    pub fn clean(seed: u64, scheme: Scheme, lanes: usize) -> Self {
+    pub fn clean(seed: u64, scheme: Freshness, lanes: usize) -> Self {
         FaultPlan {
             seed,
             scheme,
@@ -402,7 +392,7 @@ impl FaultPlan {
     /// class is undetectable under `scheme` (see
     /// [`FaultClass::valid_schemes`]).
     #[must_use]
-    pub fn single(seed: u64, class: FaultClass, scheme: Scheme, lanes: usize) -> Self {
+    pub fn single(seed: u64, class: FaultClass, scheme: Freshness, lanes: usize) -> Self {
         assert!(
             class.valid_schemes().contains(&scheme),
             "{} is undetectable by design under {}",
@@ -427,9 +417,9 @@ impl FaultPlan {
     }
 
     /// A multi-fault plan over the memory classes only (property-test
-    /// generator). Replay events are skipped under `MacOnly`.
+    /// generator). Replay events are skipped under [`Freshness::None`].
     #[must_use]
-    pub fn randomized(seed: u64, n_events: usize, scheme: Scheme, lanes: usize) -> Self {
+    pub fn randomized(seed: u64, n_events: usize, scheme: Freshness, lanes: usize) -> Self {
         let mut rng = Lcg(seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1));
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
@@ -600,26 +590,14 @@ struct Setup {
     ledger: CostLedger,
 }
 
-fn setup(scheme: Scheme) -> Setup {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle => (
-            false,
-            Some(MerkleConfig {
-                arity: 4,
-                node_cache_bytes: 512,
-            }),
-        ),
-    };
+fn setup(scheme: Freshness) -> Setup {
     let region = RegionConfig {
         name: "fault".into(),
         range: MemRange::new(REGION_BASE, REGION_LEN),
         engine_set: EngineSetConfig {
             chunk_size: CHUNK,
             buffer_bytes: CHUNK * BUFFER_LINES,
-            counters,
-            merkle,
+            freshness: scheme,
             zero_fill_writes: false,
             ..EngineSetConfig::default()
         },
@@ -1179,18 +1157,7 @@ fn service_trace(rng: &mut Lcg, ops: usize) -> Vec<PlannedRequest> {
 
 /// The Shield config every campaign tenant runs: same region geometry
 /// as the engine-set scenarios, scheme-selected replay defence.
-fn service_shield_config(scheme: Scheme) -> ShieldConfig {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle => (
-            false,
-            Some(MerkleConfig {
-                arity: 4,
-                node_cache_bytes: 512,
-            }),
-        ),
-    };
+fn service_shield_config(scheme: Freshness) -> ShieldConfig {
     ShieldConfig::builder()
         .region(
             "fault",
@@ -1198,8 +1165,7 @@ fn service_shield_config(scheme: Scheme) -> ShieldConfig {
             EngineSetConfig {
                 chunk_size: CHUNK,
                 buffer_bytes: CHUNK * BUFFER_LINES,
-                counters,
-                merkle,
+                freshness: scheme,
                 ..EngineSetConfig::default()
             },
         )
@@ -1845,8 +1811,8 @@ pub struct CampaignRecord {
     pub seed: u64,
     /// Injected class, or `None` for a fault-free baseline scenario.
     pub class: Option<FaultClass>,
-    /// Integrity scheme the scenario ran under.
-    pub scheme: Scheme,
+    /// Replay defence the scenario ran under.
+    pub scheme: Freshness,
     /// Worker-pool lanes of the faulted run.
     pub lanes: usize,
     /// The scenario outcome.
@@ -1874,7 +1840,7 @@ impl CampaignRecord {
             self.report.verdict,
             probe,
             self.report.is_allowed(),
-            json_escape(&self.report.detail),
+            shef_telemetry::json_escape(&self.report.detail),
         )
     }
 }
@@ -1890,11 +1856,12 @@ impl CampaignRecord {
 ///
 /// ```
 /// use shef_telemetry::Telemetry;
-/// use shef_testkit::{CampaignTelemetry, run_plan, FaultClass, FaultPlan, Scheme};
+/// use shef_core::shield::Freshness;
+/// use shef_testkit::{CampaignTelemetry, run_plan, FaultClass, FaultPlan};
 ///
 /// let telemetry = Telemetry::new();
 /// let tele = CampaignTelemetry::bind(&telemetry);
-/// let report = run_plan(&FaultPlan::single(3, FaultClass::DramBitFlip, Scheme::MacOnly, 1));
+/// let report = run_plan(&FaultPlan::single(3, FaultClass::DramBitFlip, Freshness::None, 1));
 /// tele.record(&report);
 /// let snapshot = telemetry.report();
 /// assert!(snapshot.counters.iter().any(|(n, v)| n.as_str() == "fault.scenarios" && *v == 1));
@@ -1972,7 +1939,7 @@ pub fn run_campaign(seeds: u64, lane_counts: &[usize]) -> Vec<CampaignRecord> {
         }
     }
     // Fault-free baselines: every scheme × lane count must be Clean.
-    for scheme in Scheme::ALL {
+    for scheme in ALL_SCHEMES {
         for &lanes in lane_counts {
             for seed in [0u64, 1] {
                 let report = run_plan(&FaultPlan::clean(seed, scheme, lanes));
@@ -1989,31 +1956,13 @@ pub fn run_campaign(seeds: u64, lane_counts: &[usize]) -> Vec<CampaignRecord> {
     records
 }
 
-/// Minimal JSON string escaping for detail fields.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn clean_plans_are_clean_on_both_paths() {
-        for scheme in Scheme::ALL {
+        for scheme in ALL_SCHEMES {
             for lanes in [1, 4] {
                 let r = run_plan(&FaultPlan::clean(11, scheme, lanes));
                 assert_eq!(r.verdict, Verdict::Clean, "{scheme:?} {lanes} lanes: {r:?}");
@@ -2035,7 +1984,7 @@ mod tests {
     fn bit_flip_is_detected_and_poisons() {
         let plan = FaultPlan {
             seed: 1,
-            scheme: Scheme::Counters,
+            scheme: Freshness::Counters,
             lanes: 2,
             ops: DEFAULT_OPS,
             events: vec![FaultEvent {
@@ -2056,10 +2005,5 @@ mod tests {
         if r.verdict == Verdict::DetectedSpoof {
             assert_eq!(r.probe, Some(Verdict::Poisoned), "{r:?}");
         }
-    }
-
-    #[test]
-    fn json_lines_are_escaped() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

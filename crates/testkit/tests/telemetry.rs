@@ -3,7 +3,7 @@
 //! (the serial Shield) included. This is the property the
 //! `telemetry-report` CI job enforces end-to-end with `cmp`.
 
-use shef_core::shield::config::{EngineSetConfig, MemRange, RegionConfig};
+use shef_core::shield::config::{EngineSetConfig, Freshness, MemRange, RegionConfig};
 use shef_core::shield::engine::{AccessMode, EngineSet};
 use shef_core::shield::{client, DataEncryptionKey, WorkerPool};
 use shef_fpga::clock::CostLedger;
@@ -29,7 +29,7 @@ fn drive_trace(lanes: usize) -> String {
         engine_set: EngineSetConfig {
             chunk_size: CHUNK,
             buffer_bytes: CHUNK * 8,
-            counters: true,
+            freshness: Freshness::Counters,
             zero_fill_writes: false,
             ..EngineSetConfig::default()
         },

@@ -9,7 +9,9 @@
 
 use shef::core::attacks::{icap_swap, jtag_probe, MemReadSpoofer, ReplaySnapshot};
 use shef::core::boot::kernel_check_monitors;
-use shef::core::shield::{client, AccessMode, EngineSetConfig, MemRange, ShieldConfig, WorkerPool};
+use shef::core::shield::{
+    client, AccessMode, EngineSetConfig, Freshness, MemRange, ShieldConfig, WorkerPool,
+};
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;
 use shef::fpga::clock::CostLedger;
@@ -24,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "secrets",
             MemRange::new(0, 64 * 1024),
             EngineSetConfig {
-                counters: true,
+                freshness: Freshness::Counters,
                 buffer_bytes: 4096,
                 ..EngineSetConfig::default()
             },

@@ -19,8 +19,8 @@
 
 use shef::core::shield::area::shield_area;
 use shef::core::shield::{
-    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, Shield, ShieldConfig,
-    WorkerPool,
+    AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, MerkleConfig, Shield,
+    ShieldConfig, WorkerPool,
 };
 use shef::crypto::authenc::MacAlgorithm;
 use shef::crypto::ecies::EciesKeyPair;
@@ -49,7 +49,7 @@ fn variants() -> Vec<Variant> {
             label: "HMAC + on-chip counters (default)",
             engine_set: EngineSetConfig {
                 mac: MacAlgorithm::HmacSha256,
-                counters: true,
+                freshness: Freshness::Counters,
                 ..base.clone()
             },
         },
@@ -57,7 +57,7 @@ fn variants() -> Vec<Variant> {
             label: "PMAC + on-chip counters",
             engine_set: EngineSetConfig {
                 mac: MacAlgorithm::PmacAes,
-                counters: true,
+                freshness: Freshness::Counters,
                 ..base.clone()
             },
         },
@@ -65,7 +65,7 @@ fn variants() -> Vec<Variant> {
             label: "GCM  + on-chip counters",
             engine_set: EngineSetConfig {
                 mac: MacAlgorithm::AesGcm,
-                counters: true,
+                freshness: Freshness::Counters,
                 ..base.clone()
             },
         },
@@ -73,8 +73,7 @@ fn variants() -> Vec<Variant> {
             label: "GCM  + Bonsai Merkle Tree (16 KB cache)",
             engine_set: EngineSetConfig {
                 mac: MacAlgorithm::AesGcm,
-                counters: false,
-                merkle: Some(MerkleConfig {
+                freshness: Freshness::Merkle(MerkleConfig {
                     arity: 8,
                     node_cache_bytes: 16 * 1024,
                 }),

@@ -17,8 +17,8 @@
 //! Run with: `cargo run --release --example multi_tenant`
 
 use shef::core::shield::{
-    client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
-    WorkerPool,
+    client, AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, Shield,
+    ShieldConfig, WorkerPool,
 };
 use shef::core::ShefError;
 use shef::crypto::ecies::EciesKeyPair;
@@ -33,7 +33,7 @@ fn tenant_shield(name: &str, base: u64, seed: &[u8]) -> Result<Shield, ShefError
             MemRange::new(base, 256 * 1024),
             EngineSetConfig {
                 buffer_bytes: 8 * 1024,
-                counters: true,
+                freshness: Freshness::Counters,
                 ..EngineSetConfig::default()
             },
         )

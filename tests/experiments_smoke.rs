@@ -164,21 +164,20 @@ fn integrity_ablation_shape_counters_free_merkle_pays() {
     // costs a multiple; the node cache recovers part of the gap.
     use shef::core::shield::engine::{AccessMode, EngineSet};
     use shef::core::shield::{
-        DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, RegionConfig,
+        DataEncryptionKey, EngineSetConfig, Freshness, MemRange, MerkleConfig, RegionConfig,
     };
     use shef::fpga::clock::CostLedger;
     use shef::fpga::dram::Dram;
     use shef::fpga::shell::Shell;
 
-    let run = |counters: bool, merkle: Option<MerkleConfig>| -> u64 {
+    let run = |freshness: Freshness| -> u64 {
         let region = RegionConfig {
             name: "fmap".into(),
             range: MemRange::new(0, 64 * 1024),
             engine_set: EngineSetConfig {
                 chunk_size: 64,
                 buffer_bytes: 1024,
-                counters,
-                merkle,
+                freshness,
                 ..EngineSetConfig::default()
             },
         };
@@ -230,22 +229,16 @@ fn integrity_ablation_shape_counters_free_merkle_pays() {
         ledger.bottleneck().0
     };
 
-    let mac_only = run(false, None);
-    let counters = run(true, None);
-    let merkle_cached = run(
-        false,
-        Some(MerkleConfig {
-            arity: 8,
-            node_cache_bytes: 8 * 1024,
-        }),
-    );
-    let merkle = run(
-        false,
-        Some(MerkleConfig {
-            arity: 8,
-            node_cache_bytes: 0,
-        }),
-    );
+    let mac_only = run(Freshness::None);
+    let counters = run(Freshness::Counters);
+    let merkle_cached = run(Freshness::Merkle(MerkleConfig {
+        arity: 8,
+        node_cache_bytes: 8 * 1024,
+    }));
+    let merkle = run(Freshness::Merkle(MerkleConfig {
+        arity: 8,
+        node_cache_bytes: 0,
+    }));
     assert_eq!(counters, mac_only, "on-chip counters are free at run time");
     assert!(
         merkle > 2 * counters,

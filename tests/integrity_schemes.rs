@@ -9,8 +9,8 @@
 //! | Bonsai MT        |  ✓    |  ✓     |  ✓     | node walks |
 
 use shef::core::shield::{
-    AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, MerkleConfig, Shield, ShieldConfig,
-    WorkerPool,
+    AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, MerkleConfig, Shield,
+    ShieldConfig, WorkerPool,
 };
 use shef::core::workflow::TestBench;
 use shef::core::ShefError;
@@ -22,43 +22,27 @@ use shef::fpga::shell::Shell;
 const REGION_LEN: u64 = 64 * 1024;
 const CHUNK: usize = 512;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    MacOnly,
-    Counters,
-    Merkle,
-    MerkleCached,
-}
+/// An 8-ary tree with every node fetched from DRAM.
+const TREE: Freshness = Freshness::Merkle(MerkleConfig {
+    arity: 8,
+    node_cache_bytes: 0,
+});
+/// The same tree behind an 8 KiB verified-node cache.
+const CACHED_TREE: Freshness = Freshness::Merkle(MerkleConfig {
+    arity: 8,
+    node_cache_bytes: 8 * 1024,
+});
 
-fn engine_set(scheme: Scheme) -> EngineSetConfig {
-    let (counters, merkle) = match scheme {
-        Scheme::MacOnly => (false, None),
-        Scheme::Counters => (true, None),
-        Scheme::Merkle => (
-            false,
-            Some(MerkleConfig {
-                arity: 8,
-                node_cache_bytes: 0,
-            }),
-        ),
-        Scheme::MerkleCached => (
-            false,
-            Some(MerkleConfig {
-                arity: 8,
-                node_cache_bytes: 8 * 1024,
-            }),
-        ),
-    };
+fn engine_set(scheme: Freshness) -> EngineSetConfig {
     EngineSetConfig {
         chunk_size: CHUNK,
         buffer_bytes: 2 * CHUNK,
-        counters,
-        merkle,
+        freshness: scheme,
         ..EngineSetConfig::default()
     }
 }
 
-fn shield_for(scheme: Scheme) -> (Shield, Shell, Dram, CostLedger) {
+fn shield_for(scheme: Freshness) -> (Shield, Shell, Dram, CostLedger) {
     let config = ShieldConfig::builder()
         .region("state", MemRange::new(0, REGION_LEN), engine_set(scheme))
         .build()
@@ -74,7 +58,7 @@ fn shield_for(scheme: Scheme) -> (Shield, Shell, Dram, CostLedger) {
 
 /// Write-flush-rewrite-flush, then roll DRAM (data + tag) back to the
 /// first version. Returns the victim's re-read result.
-fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
+fn replay_attack(scheme: Freshness) -> Result<Vec<u8>, ShefError> {
     let pool = WorkerPool::new(1);
     let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
     shield.write(
@@ -116,12 +100,7 @@ fn replay_attack(scheme: Scheme) -> Result<Vec<u8>, ShefError> {
 fn happy_path_is_identical_across_schemes() {
     let pool = WorkerPool::new(1);
     let payload: Vec<u8> = (0..REGION_LEN as u32).map(|i| (i % 241) as u8).collect();
-    for scheme in [
-        Scheme::MacOnly,
-        Scheme::Counters,
-        Scheme::Merkle,
-        Scheme::MerkleCached,
-    ] {
+    for scheme in [Freshness::None, Freshness::Counters, TREE, CACHED_TREE] {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         shield
             .write(
@@ -155,7 +134,7 @@ fn happy_path_is_identical_across_schemes() {
 #[test]
 fn spoofing_detected_by_all_schemes() {
     let pool = WorkerPool::new(1);
-    for scheme in [Scheme::MacOnly, Scheme::Counters, Scheme::Merkle] {
+    for scheme in [Freshness::None, Freshness::Counters, TREE] {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         shield
             .write(
@@ -195,7 +174,7 @@ fn spoofing_detected_by_all_schemes() {
 #[test]
 fn splicing_detected_by_all_schemes() {
     let pool = WorkerPool::new(1);
-    for scheme in [Scheme::MacOnly, Scheme::Counters, Scheme::Merkle] {
+    for scheme in [Freshness::None, Freshness::Counters, TREE] {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         shield
             .write(
@@ -249,10 +228,10 @@ fn splicing_detected_by_all_schemes() {
 fn replay_detected_only_with_freshness() {
     // MAC-only: the stale-but-valid snapshot verifies — the paper's
     // §5.2.1 motivation for counters.
-    let stale = replay_attack(Scheme::MacOnly).expect("MAC-only accepts the replay");
+    let stale = replay_attack(Freshness::None).expect("MAC-only accepts the replay");
     assert_eq!(stale, vec![1u8; CHUNK], "replay silently restores old data");
 
-    for scheme in [Scheme::Counters, Scheme::Merkle, Scheme::MerkleCached] {
+    for scheme in [Freshness::Counters, TREE, CACHED_TREE] {
         let err = replay_attack(scheme).unwrap_err();
         assert!(
             matches!(err, ShefError::IntegrityViolation(_)),
@@ -267,7 +246,7 @@ fn merkle_pays_and_counters_do_not() {
     // §5.2.2's cost argument as an executable assertion: on a random
     // RMW workload, counters cost ≈ MAC-only, the cached tree costs
     // more, and the uncached tree costs the most.
-    let run = |scheme: Scheme| -> u64 {
+    let run = |scheme: Freshness| -> u64 {
         let (mut shield, mut shell, mut dram, mut ledger) = shield_for(scheme);
         // Provision the whole region (full-chunk writes, no RMW fills),
         // so the measured loop only sees authenticated data.
@@ -313,10 +292,10 @@ fn merkle_pays_and_counters_do_not() {
         ledger.merge(dram.ledger());
         ledger.bottleneck().0
     };
-    let mac_only = run(Scheme::MacOnly);
-    let counters = run(Scheme::Counters);
-    let merkle_cached = run(Scheme::MerkleCached);
-    let merkle = run(Scheme::Merkle);
+    let mac_only = run(Freshness::None);
+    let counters = run(Freshness::Counters);
+    let merkle_cached = run(CACHED_TREE);
+    let merkle = run(TREE);
     assert!(
         counters < mac_only + mac_only / 10,
         "counters ({counters}) must cost within 10% of MAC-only ({mac_only})"
@@ -342,7 +321,7 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
         .region(
             "fmap",
             MemRange::new(0, REGION_LEN),
-            engine_set(Scheme::MerkleCached),
+            engine_set(CACHED_TREE),
         )
         .build()
         .expect("config");
@@ -355,8 +334,8 @@ fn merkle_config_survives_the_full_vendor_pipeline() {
         .deploy(board, &mut bench.vendor, &bench.manufacturer, &product)
         .expect("deploy");
     assert_eq!(
-        instance.shield.config().regions[0].engine_set.merkle,
-        config.regions[0].engine_set.merkle
+        instance.shield.config().regions[0].engine_set.freshness,
+        config.regions[0].engine_set.freshness
     );
 
     // The deployed Shield's Merkle path works against the real board DRAM.

@@ -10,9 +10,10 @@ use shef::attest::{
 };
 use shef::core::bitstream::{Bitstream, BitstreamKey, EncryptedBitstream};
 use shef::core::shield::{
-    DataEncryptionKey, EngineSetConfig, LoadKey, MemRange, MerkleConfig, ShieldConfig,
+    DataEncryptionKey, EngineSetConfig, Freshness, LoadKey, MemRange, MerkleConfig, ShieldConfig,
     StreamEndpoint, StreamFrame,
 };
+use shef::core::ShefError;
 use shef::crypto::authenc::MacAlgorithm;
 use shef::crypto::drbg::HmacDrbg;
 use shef::crypto::ecies::EciesKeyPair;
@@ -33,7 +34,7 @@ fn sample_bitstream() -> Bitstream {
 fn merkle_config() -> ShieldConfig {
     let es = EngineSetConfig {
         chunk_size: 64,
-        merkle: Some(MerkleConfig {
+        freshness: Freshness::Merkle(MerkleConfig {
             arity: 8,
             node_cache_bytes: 4096,
         }),
@@ -188,6 +189,24 @@ fn every_decoder_is_total() {
             );
         }
     }
+}
+
+/// The one `ShieldConfig` flag pattern `Freshness` cannot express, on-chip
+/// counters and a Merkle tree at once, is the single-bit flip of the
+/// counters flag in `merkle_config()`: `every_decoder_is_total` feeds it
+/// to the decoder, which must reject it as malformed.
+#[test]
+fn counters_with_a_tree_is_a_hostile_input_and_malformed() {
+    let mut bytes = merkle_config().to_bytes();
+    // Region count, name and range, then the engine set's fixed fields.
+    let counters_at = 4 + 8 + "fmap".len() + 16 + 4 + 4 + 1 + 1 + 4 + 8 + 8;
+    assert_eq!(bytes[counters_at..counters_at + 3], [0, 0, 1]);
+    bytes[counters_at] = 1;
+    assert!(hostile_inputs(&merkle_config().to_bytes()).contains(&bytes));
+    assert!(matches!(
+        ShieldConfig::from_bytes(&bytes),
+        Err(ShefError::Malformed(_))
+    ));
 }
 
 proptest! {

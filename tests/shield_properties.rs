@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use shef::core::shield::{
-    client, AccessMode, DataEncryptionKey, EngineSetConfig, MemRange, Shield, ShieldConfig,
-    WorkerPool,
+    client, AccessMode, DataEncryptionKey, EngineSetConfig, Freshness, MemRange, Shield,
+    ShieldConfig, WorkerPool,
 };
 use shef::crypto::ecies::EciesKeyPair;
 use shef::fpga::clock::CostLedger;
@@ -40,7 +40,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn shield_setup(
     chunk_size: usize,
     buffer_bytes: usize,
-    counters: bool,
+    freshness: Freshness,
 ) -> (Shield, Shell, Dram, CostLedger, DataEncryptionKey) {
     let config = ShieldConfig::builder()
         .region(
@@ -49,7 +49,7 @@ fn shield_setup(
             EngineSetConfig {
                 chunk_size,
                 buffer_bytes,
-                counters,
+                freshness,
                 zero_fill_writes: false,
                 ..EngineSetConfig::default()
             },
@@ -77,12 +77,12 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..40),
         chunk_pow in 6u32..10, // 64..512-byte chunks
         buffer_lines in 1usize..8,
-        counters in any::<bool>(),
+        freshness in prop_oneof![Just(Freshness::None), Just(Freshness::Counters)],
     ) {
         let pool = WorkerPool::new(1);
         let chunk = 1usize << chunk_pow;
         let (mut shield, mut shell, mut dram, mut ledger, dek) =
-            shield_setup(chunk, chunk * buffer_lines, counters);
+            shield_setup(chunk, chunk * buffer_lines, freshness);
         // Provision an initial image so read-before-write authenticates.
         let mut reference = vec![0xA0u8; REGION_LEN as usize];
         let region = shield.config().regions[0].clone();
@@ -124,7 +124,7 @@ proptest! {
         let pool = WorkerPool::new(1);
         // Write a distinctive plaintext needle through the Shield; the
         // ciphertext in DRAM must not contain it.
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, Freshness::None);
         let region = shield.config().regions[0].clone();
         let enc = client::encrypt_region(&dek, &region, &vec![0u8; REGION_LEN as usize], 0);
         dram.tamper_write(0, &enc.ciphertext);
@@ -146,7 +146,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let pool = WorkerPool::new(1);
-        let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, false);
+        let (mut shield, mut shell, mut dram, mut ledger, dek) = shield_setup(512, 1024, Freshness::None);
         let region = shield.config().regions[0].clone();
         let enc = client::encrypt_region(&dek, &region, &vec![7u8; REGION_LEN as usize], 0);
         dram.tamper_write(0, &enc.ciphertext);
