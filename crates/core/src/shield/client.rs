@@ -31,7 +31,8 @@ pub struct EncryptedRegion {
 ///
 /// # Panics
 ///
-/// Panics if `plaintext` is longer than the region.
+/// Panics if `plaintext` is longer than the region, or ends mid-chunk
+/// before the region's end.
 #[must_use]
 pub fn encrypt_region(
     dek: &DataEncryptionKey,
@@ -46,8 +47,9 @@ pub fn encrypt_region(
         region.name,
         region.range.len
     );
-    encrypt_region_at(dek, region, 0, plaintext, epoch)
-        .expect("a window from chunk 0 no longer than the region lies inside it")
+    encrypt_region_at(dek, region, 0, plaintext, epoch).unwrap_or_else(|e| {
+        panic!("{e} (pad the plaintext; the Shield authenticates whole chunks)")
+    })
 }
 
 /// Like [`encrypt_region`], but for a window starting at chunk
@@ -56,11 +58,8 @@ pub fn encrypt_region(
 /// # Errors
 ///
 /// Returns [`ShefError::Malformed`] if the window's chunks do not all
-/// lie inside the region, as [`decrypt_region_at`] does.
-///
-/// # Panics
-///
-/// Panics if the plaintext ends mid-chunk anywhere but the region end.
+/// lie inside the region, or the window ends mid-chunk anywhere but the
+/// region's end, as [`decrypt_region_at`] does.
 pub fn encrypt_region_at(
     dek: &DataEncryptionKey,
     region: &RegionConfig,
@@ -69,17 +68,6 @@ pub fn encrypt_region_at(
     epoch: u64,
 ) -> Result<EncryptedRegion, ShefError> {
     let window = checked_window(region, first_chunk, plaintext.len())?;
-    // A partial image must still be chunk-aligned: the Shield verifies
-    // whole C_mem chunks, so a short final chunk anywhere but the region
-    // end would never authenticate on the device.
-    assert!(
-        plaintext.len().is_multiple_of(region.engine_set.chunk_size)
-            || plaintext.len() as u64 == region.range.len,
-        "plaintext for region '{}' must be a multiple of the {}-byte chunk size \
-         (pad it; the Shield authenticates whole chunks)",
-        region.name,
-        region.engine_set.chunk_size
-    );
     // One copy of the plaintext becomes the ciphertext image, sealed
     // where it lies; the tags land straight in the tag array.
     let mut ciphertext = plaintext.to_vec();
@@ -120,7 +108,8 @@ pub fn decrypt_region(
 ///
 /// Same conditions as [`decrypt_region`], and
 /// [`ShefError::Malformed`] if the window's chunks do not all lie inside
-/// the region.
+/// the region, or the window ends mid-chunk anywhere but the region's
+/// end.
 pub fn decrypt_region_at(
     dek: &DataEncryptionKey,
     region: &RegionConfig,
@@ -157,26 +146,33 @@ pub fn decrypt_region_at(
 }
 
 /// The chunk indices `first_chunk ..` covering `len` bytes, or
-/// [`ShefError::Malformed`] unless they all lie inside `region`. The
-/// arithmetic is checked: a wrapped index would reuse another chunk's IV
-/// under the same key.
+/// [`ShefError::Malformed`] unless they all lie inside `region` and the
+/// window ends on a chunk boundary or at the region's end: the Shield
+/// authenticates whole chunks, so only the region's last chunk can be
+/// short. The arithmetic is checked: a wrapped index would reuse
+/// another chunk's IV under the same key.
 fn checked_window(
     region: &RegionConfig,
     first_chunk: u32,
     len: usize,
 ) -> Result<Range<u32>, ShefError> {
     let chunk = region.engine_set.chunk_size;
-    u32::try_from(len.div_ceil(chunk))
+    let malformed = |why: &str| {
+        ShefError::Malformed(format!(
+            "chunks from {first_chunk} for {len} bytes {why} region '{}'",
+            region.name
+        ))
+    };
+    let end = u32::try_from(len.div_ceil(chunk))
         .ok()
         .and_then(|n| first_chunk.checked_add(n))
         .filter(|&end| u64::from(end) <= region.range.len.div_ceil(chunk as u64))
-        .map(|end| first_chunk..end)
-        .ok_or_else(|| {
-            ShefError::Malformed(format!(
-                "chunks from {first_chunk} for {len} bytes exceed region '{}'",
-                region.name
-            ))
-        })
+        .ok_or_else(|| malformed("exceed"))?;
+    let ends_at = u64::from(first_chunk) * chunk as u64 + len as u64;
+    if !len.is_multiple_of(chunk) && ends_at != region.range.len {
+        return Err(malformed("end mid-chunk inside"));
+    }
+    Ok(first_chunk..end)
 }
 
 /// Epoch function for regions whose chunks all share one epoch.
@@ -286,6 +282,54 @@ mod tests {
             assert!(
                 matches!(decrypt(first), Err(ShefError::Malformed(_))),
                 "window from chunk {first}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_short_last_chunk_seals_as_its_own_window() {
+        // 1000 B of 512 B chunks: chunk 1 is the region's 488 B tail.
+        let dek = DataEncryptionKey::from_bytes([8u8; 32]);
+        let r = RegionConfig {
+            range: MemRange::new(0, 1000),
+            ..region()
+        };
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let full = encrypt_region(&dek, &r, &data, 0);
+        let tail = encrypt_region_at(&dek, &r, 1, &data[512..], 0).unwrap();
+        assert_eq!(tail.ciphertext, full.ciphertext[512..]);
+        assert_eq!(tail.tags, full.tags[CHUNK_TAG_LEN..]);
+        let opened = decrypt_region_at(
+            &dek,
+            &r,
+            1,
+            &tail.ciphertext,
+            &tail.tags,
+            &uniform_epochs(0),
+        );
+        assert_eq!(opened.unwrap(), data[512..]);
+    }
+
+    #[test]
+    fn a_window_ending_mid_chunk_is_malformed() {
+        let dek = DataEncryptionKey::from_bytes([8u8; 32]);
+        let r = region();
+        for (first, len) in [(0, 100), (1, 600), (15, 511), (0, 8191)] {
+            let bytes = vec![0u8; len];
+            assert!(
+                matches!(
+                    encrypt_region_at(&dek, &r, first, &bytes, 0),
+                    Err(ShefError::Malformed(_))
+                ),
+                "seal {len} bytes from chunk {first}"
+            );
+            let tags = vec![0u8; tag_bytes_for(len, 512)];
+            assert!(
+                matches!(
+                    decrypt_region_at(&dek, &r, first, &bytes, &tags, &uniform_epochs(0)),
+                    Err(ShefError::Malformed(_))
+                ),
+                "open {len} bytes from chunk {first}"
             );
         }
     }

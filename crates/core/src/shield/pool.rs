@@ -3,27 +3,39 @@
 //! The paper's Shield gets its throughput from *replicated* engine sets
 //! (§5.2.2, §6): several AES/MAC engine groups seal and open memory
 //! chunks concurrently. This module is the execution substrate for that
-//! replication in the simulator: a fixed set of worker lanes
-//! (`std::thread` + `mpsc` channels — the workspace builds offline, so
-//! no rayon/crossbeam) that chunk-crypto batches are fanned across.
+//! replication in the simulator: a fixed set of worker lanes, each one
+//! `std::thread` fed by its own `mpsc` channel (the workspace builds
+//! offline, so no rayon/crossbeam), that chunk-crypto batches are fanned
+//! across.
 //!
 //! Determinism contract: [`WorkerPool::try_run`], the pool's one
 //! dispatch path, returns results in the exact order of the submitted
-//! jobs regardless of which lane executed what or in which order lanes
-//! finished. All *modelled* cost accounting (see
-//! [`super::timing::parallel_batch_cost`]) and every telemetry counter
-//! is computed from a deterministic round-robin lane assignment; the
-//! pool reads no real-thread scheduling, so cycle ledgers and
-//! engine-set statistics are bit-reproducible run to run.
+//! jobs regardless of which lane finished first. Lane `k` always runs
+//! slice `k` of a batch, sized by the round-robin share (`lane_share`)
+//! that the modelled cost accounting
+//! ([`super::timing::parallel_batch_cost`]) and every telemetry counter
+//! also use; the pool reads no real-thread scheduling, so cycle ledgers
+//! and engine-set statistics are bit-reproducible run to run.
+//!
+//! Fault handling has one unit, `attempt`: one job run alone under one
+//! `catch_unwind`, after any injected fault armed on its submission
+//! index fires. Slices fall back to attempts, and the retry is one more.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 
 use shef_telemetry::{Counter, Telemetry};
 
 /// Work handed to one lane: one slice of a batch, run by one closure.
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Jobs lane `k` of `lanes` gets out of a batch of `n` under the
+/// round-robin model (job `i` goes to lane `i % lanes`).
+fn lane_share(n: usize, lanes: usize, k: usize) -> usize {
+    n / lanes + usize::from(k < n % lanes)
+}
 
 /// Pre-resolved telemetry handles for the pool.
 ///
@@ -56,15 +68,13 @@ impl PoolTelemetry {
         }
     }
 
-    /// Records one batch of `n` jobs under the deterministic
-    /// round-robin dispatch model (job `i` goes to lane `i % lanes`).
+    /// Records one batch of `n` jobs under the round-robin model.
     fn note_batch(&self, n: usize) {
         self.batches.inc();
         self.jobs.add(n as u64);
         let lanes = self.lane_dispatch.len();
         for (k, counter) in self.lane_dispatch.iter().enumerate() {
-            let share = n / lanes + usize::from(k < n % lanes);
-            counter.add(share as u64);
+            counter.add(lane_share(n, lanes, k) as u64);
         }
     }
 }
@@ -96,6 +106,13 @@ impl PoolShared {
             panic!("injected shield lane fault (job #{submission})");
         }
     }
+
+    /// Arms a fault on the `nth` job submitted from now on.
+    fn arm(&self, nth: u64, sticky: bool) {
+        self.panic_sticky.store(sticky, Ordering::Relaxed);
+        let at = self.submitted.load(Ordering::Relaxed).wrapping_add(nth);
+        self.panic_at.store(at, Ordering::Relaxed);
+    }
 }
 
 /// Outcome of a draining batch dispatch ([`WorkerPool::try_run`]).
@@ -120,8 +137,8 @@ pub struct TryRunOutcome<R> {
 /// datapath at no threading cost.
 pub struct WorkerPool {
     lanes: usize,
-    sender: Option<mpsc::Sender<Job>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    /// Lane `k`'s job channel and thread; empty for a one-lane pool.
+    workers: Vec<(mpsc::Sender<Job>, thread::JoinHandle<()>)>,
     shared: Arc<PoolShared>,
     tele: OnceLock<PoolTelemetry>,
 }
@@ -140,54 +157,28 @@ impl WorkerPool {
     #[must_use]
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
-        let shared = Arc::new(PoolShared {
-            submitted: AtomicU64::new(0),
-            panic_at: AtomicU64::new(u64::MAX),
-            panic_sticky: AtomicBool::new(false),
-        });
-        if lanes == 1 {
-            return WorkerPool {
-                lanes,
-                sender: None,
-                workers: Vec::new(),
-                shared,
-                tele: OnceLock::new(),
-            };
-        }
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..lanes)
-            .map(|lane| {
-                let rx = Arc::clone(&rx);
-                thread::Builder::new()
-                    .name(format!("shef-shield-lane{lane}"))
-                    .spawn(move || loop {
-                        // Take the next job while holding the queue lock,
-                        // then release it before running the job so other
-                        // lanes keep draining.
-                        // A lane that dies while holding this lock
-                        // poisons the mutex; the receiver itself is
-                        // still coherent, so surviving lanes recover it
-                        // with `into_inner` instead of cascading the
-                        // panic across the whole pool.
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            // Channel closed: the pool is shutting down.
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn shield worker lane")
-            })
-            .collect();
+        let workers = if lanes == 1 {
+            Vec::new()
+        } else {
+            (0..lanes)
+                .map(|k| {
+                    let (tx, rx) = mpsc::channel::<Job>();
+                    let lane = thread::Builder::new()
+                        .name(format!("shef-shield-lane{k}"))
+                        .spawn(move || rx.into_iter().for_each(|job| job()))
+                        .expect("spawn shield worker lane");
+                    (tx, lane)
+                })
+                .collect()
+        };
         WorkerPool {
             lanes,
-            sender: Some(tx),
             workers,
-            shared,
+            shared: Arc::new(PoolShared {
+                submitted: AtomicU64::new(0),
+                panic_at: AtomicU64::new(u64::MAX),
+                panic_sticky: AtomicBool::new(false),
+            }),
             tele: OnceLock::new(),
         }
     }
@@ -217,16 +208,15 @@ impl WorkerPool {
     /// therefore never abandons sibling jobs (victim seals in particular
     /// exist only in the staged batch).
     ///
-    /// Each lane runs one contiguous slice of the batch through a single
-    /// call of `f`, which returns one result per job it is given; at one
-    /// lane the slice is the whole batch. Lane `k` gets as many jobs as
-    /// the round-robin model dispatches to it. Armed faults are still
-    /// checked per job, by submission index, before its slice runs: a
-    /// job whose check fires is left out, the jobs on either side of it
-    /// run as two calls, and it is retried alone. If `f` itself panics
-    /// on a call, that call's jobs run again one by one, so a panic is
-    /// pinned on the job that raised it. Every outcome therefore equals
-    /// one-job-per-call dispatch.
+    /// Lane `k` runs slice `k` of the batch, one contiguous run of as
+    /// many jobs as the round-robin model dispatches to it; at one lane
+    /// the slice is the whole batch, run inline. `f` returns one result
+    /// per job it is given. A slice is one call of `f` unless a fault is
+    /// armed on one of its submission indices or that call panics; then
+    /// each of its jobs is one attempt of its own, so a panic is pinned
+    /// on the job that raised it. The retry is one more attempt of the
+    /// same job. Every outcome therefore equals one-job-per-call
+    /// dispatch.
     pub fn try_run<T, R, F>(&self, items: &Arc<[T]>, f: F) -> TryRunOutcome<R>
     where
         T: Send + Sync + 'static,
@@ -248,13 +238,31 @@ impl WorkerPool {
             return outcome;
         }
         let first = self.shared.submitted.fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(sender) = self.sender.as_ref().filter(|_| n > 1) {
-            let f = Arc::new(f);
-            outcome.results = self.fan_out(sender, items, first, &f);
-            self.retry_panicked(items, first, &*f, &mut outcome);
-        } else {
+        // The lanes share `f` through an `Arc`; the inline path borrows
+        // it and allocates nothing.
+        let lane_f;
+        let f: &F = if self.workers.is_empty() || n == 1 {
             outcome.results = run_slice(&self.shared, items, first, &f);
-            self.retry_panicked(items, first, &f, &mut outcome);
+            &f
+        } else {
+            lane_f = Arc::new(f);
+            outcome.results = self.fan_out(items, first, &lane_f);
+            &lane_f
+        };
+        // The bounded retry: each panicked job once more, alone and
+        // inline on the caller thread.
+        for (i, slot) in outcome.results.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            outcome.lane_panics += 1;
+            *slot = attempt(&self.shared, f, &items[i], first + i as u64);
+            if slot.is_some() {
+                outcome.recovered += 1;
+            } else {
+                outcome.lane_panics += 1;
+                outcome.failed.push(i);
+            }
         }
         if let Some(tele) = self.tele.get() {
             tele.lane_panics.add(outcome.lane_panics);
@@ -264,15 +272,9 @@ impl WorkerPool {
         outcome
     }
 
-    /// Sends each lane its round-robin share of `items` as one slice and
-    /// gathers the slots in submission order.
-    fn fan_out<T, R, F>(
-        &self,
-        sender: &mpsc::Sender<Job>,
-        items: &Arc<[T]>,
-        first: u64,
-        f: &Arc<F>,
-    ) -> Vec<Option<R>>
+    /// Sends slice `k` of `items` to lane `k` and gathers the slots in
+    /// submission order.
+    fn fan_out<T, R, F>(&self, items: &Arc<[T]>, first: u64, f: &Arc<F>) -> Vec<Option<R>>
     where
         T: Send + Sync + 'static,
         R: Send + 'static,
@@ -281,30 +283,25 @@ impl WorkerPool {
         let n = items.len();
         let (done_tx, done_rx) = mpsc::channel();
         let mut start = 0;
-        let mut slices = 0;
-        for k in 0..self.lanes {
-            let len = n / self.lanes + usize::from(k < n % self.lanes);
-            if len == 0 {
+        for (k, (lane, _)) in self.workers.iter().enumerate() {
+            let range = start..start + lane_share(n, self.lanes, k);
+            start = range.end;
+            if range.is_empty() {
                 continue;
             }
             let (items, f, shared) = (Arc::clone(items), Arc::clone(f), Arc::clone(&self.shared));
             let done_tx = done_tx.clone();
-            let range = start..start + len;
             let job: Job = Box::new(move || {
                 let at = first + range.start as u64;
                 let slots = run_slice(&shared, &items[range.clone()], at, &*f);
                 let _ = done_tx.send((range.start, slots));
             });
-            sender
-                .send(job)
-                .expect("pool lanes alive while handle held");
-            start += len;
-            slices += 1;
+            lane.send(job).expect("pool lanes alive while handle held");
         }
         drop(done_tx);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for _ in 0..slices {
-            let (start, slots) = done_rx.recv().expect("every slice reports exactly once");
+        // Ends once every slice has reported and dropped its sender.
+        for (start, slots) in done_rx {
             for (slot, result) in results[start..].iter_mut().zip(slots) {
                 *slot = result;
             }
@@ -312,137 +309,79 @@ impl WorkerPool {
         results
     }
 
-    /// Bounded retry: replays each panicked job once, alone and inline on
-    /// the caller thread (deterministic, no lane involved). Replaying the
-    /// same submission index means a one-shot armed fault has already
-    /// disarmed itself, while a sticky fault fires again.
-    fn retry_panicked<T, R>(
-        &self,
-        items: &[T],
-        first: u64,
-        f: &impl Fn(&[T]) -> Vec<R>,
-        outcome: &mut TryRunOutcome<R>,
-    ) {
-        for (i, slot) in outcome.results.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            outcome.lane_panics += 1;
-            let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.shared.maybe_injected_panic(first + i as u64);
-                run_one(f, &items[i])
-            }));
-            match retry {
-                Ok(r) => {
-                    *slot = Some(r);
-                    outcome.recovered += 1;
-                }
-                Err(_) => {
-                    outcome.lane_panics += 1;
-                    outcome.failed.push(i);
-                }
-            }
-        }
-    }
-
     /// Arms a one-shot injected lane fault: the `nth` job (0-based)
     /// dispatched through [`WorkerPool::try_run`] from now on panics on
     /// its first attempt; the bounded inline retry then succeeds. Test
     /// hook for transient-fault campaigns.
     pub fn arm_lane_panic(&self, nth: u64) {
-        self.shared.panic_sticky.store(false, Ordering::Relaxed);
-        let at = self
-            .shared
-            .submitted
-            .load(Ordering::Relaxed)
-            .wrapping_add(nth);
-        self.shared.panic_at.store(at, Ordering::Relaxed);
+        self.shared.arm(nth, false);
     }
 
     /// Arms a sticky injected lane fault: like
     /// [`WorkerPool::arm_lane_panic`] but the retry panics too,
     /// modelling a persistently dead lane for that job.
     pub fn arm_lane_panic_sticky(&self, nth: u64) {
-        self.shared.panic_sticky.store(true, Ordering::Relaxed);
-        let at = self
-            .shared
-            .submitted
-            .load(Ordering::Relaxed)
-            .wrapping_add(nth);
-        self.shared.panic_at.store(at, Ordering::Relaxed);
+        self.shared.arm(nth, true);
     }
 
     /// Disarms any armed injected lane fault.
     pub fn disarm_lane_panic(&self) {
         self.shared.panic_at.store(u64::MAX, Ordering::Relaxed);
-        self.shared.panic_sticky.store(false, Ordering::Relaxed);
     }
 }
 
-/// One lane's slice of a [`WorkerPool::try_run`] batch, whose first
-/// job has submission index `first`: `None` marks a job that panicked.
-/// An armed fault fires on its own job; the jobs before and after it
-/// run as two calls of `f`.
+/// One slice of a [`WorkerPool::try_run`] batch, whose first job has
+/// submission index `first`: `None` marks a job that panicked. The slice
+/// is one call of `f` when no fault is armed inside it and that call
+/// returns; otherwise every job is an [`attempt`].
 fn run_slice<T, R>(
     shared: &PoolShared,
     jobs: &[T],
     first: u64,
     f: &(impl Fn(&[T]) -> Vec<R> + ?Sized),
 ) -> Vec<Option<R>> {
-    let armed = shared
-        .panic_at
-        .load(Ordering::Relaxed)
-        .checked_sub(first)
-        .filter(|&k| k < jobs.len() as u64);
-    let Some(k) = armed.map(|k| k as usize) else {
-        return run_part(f, jobs);
-    };
-    // The armed job panics here (a one-shot fault disarms as it fires)
-    // and is left for the retry.
-    let _ = std::panic::catch_unwind(|| shared.maybe_injected_panic(first + k as u64));
-    let mut slots = run_part(f, &jobs[..k]);
-    slots.push(None);
-    slots.extend(run_part(f, &jobs[k + 1..]));
-    slots
+    let armed = shared.panic_at.load(Ordering::Relaxed).checked_sub(first);
+    if armed.is_none_or(|k| k >= jobs.len() as u64) {
+        if let Ok(results) = catch_unwind(AssertUnwindSafe(|| call(f, jobs))) {
+            return results.into_iter().map(Some).collect();
+        }
+    }
+    jobs.iter()
+        .zip(first..)
+        .map(|(job, submission)| attempt(shared, f, job, submission))
+        .collect()
 }
 
-/// `f` over `jobs`, one slot per job. If `f` panics, the jobs run again
-/// one by one, so the panic is pinned on the job that raised it.
-fn run_part<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), jobs: &[T]) -> Vec<Option<R>> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_all(f, jobs))) {
-        Ok(results) => results.into_iter().map(Some).collect(),
-        Err(_) => jobs
-            .iter()
-            .map(|job| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_one(f, job))).ok()
-            })
-            .collect(),
-    }
+/// `f` over the single job `job`, submitted as `submission`: fires the
+/// fault armed on `submission`, if any, then runs the job alone. `None`
+/// if either panicked.
+fn attempt<T, R>(
+    shared: &PoolShared,
+    f: &(impl Fn(&[T]) -> Vec<R> + ?Sized),
+    job: &T,
+    submission: u64,
+) -> Option<R> {
+    catch_unwind(AssertUnwindSafe(|| {
+        shared.maybe_injected_panic(submission);
+        call(f, std::slice::from_ref(job)).pop()
+    }))
+    .ok()
+    .flatten()
 }
 
 /// `f` over `jobs`, checked to return one result per job.
-fn run_all<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), jobs: &[T]) -> Vec<R> {
+fn call<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), jobs: &[T]) -> Vec<R> {
     let results = f(jobs);
     assert_eq!(results.len(), jobs.len(), "one result per job");
     results
 }
 
-/// `f` over the single job `job`.
-fn run_one<T, R>(f: &(impl Fn(&[T]) -> Vec<R> + ?Sized), job: &T) -> R {
-    run_all(f, std::slice::from_ref(job))
-        .pop()
-        .expect("one result")
-}
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel wakes every lane out of `recv`.
-        drop(self.sender.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // Closing a lane's channel ends its loop.
+        for (tx, lane) in self.workers.drain(..) {
+            drop(tx);
+            let _ = lane.join();
         }
     }
 }
@@ -491,6 +430,27 @@ mod tests {
             }),
         ));
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slice_k_runs_on_lane_k() {
+        // Lane `k` of the round-robin model gets slice `k`, contiguous.
+        for (lanes, expected) in [
+            (2, vec![0, 0, 0, 1, 1]),
+            (3, vec![0, 0, 0, 1, 1, 1, 2, 2]),
+            (4, vec![0, 0, 1, 1, 2, 3]),
+        ] {
+            let pool = WorkerPool::new(lanes);
+            let names = clean(pool.try_run(
+                &(0..expected.len() as u64).collect(),
+                each(|_| thread::current().name().map(str::to_owned)),
+            ));
+            let expected: Vec<_> = expected
+                .iter()
+                .map(|k| Some(format!("shef-shield-lane{k}")))
+                .collect();
+            assert_eq!(names, expected, "{lanes} lanes");
+        }
     }
 
     #[test]
@@ -579,7 +539,7 @@ mod tests {
         assert_eq!(out.lane_panics, 2);
         assert_eq!(out.results[5], None);
         assert_eq!(out.results[4], Some(4));
-        // The pool (and its queue mutex) survive for the next batch.
+        // The pool and its lanes survive for the next batch.
         let again = clean(pool.try_run(&vec![1u64, 2].into(), each(|x| x * 10)));
         assert_eq!(again, vec![10, 20]);
     }

@@ -1,8 +1,8 @@
 //! Fault-injection campaign sweep: seeds × fault classes × lane
 //! counts, each scenario under a watchdog, emitting a line-oriented
 //! JSON verdict matrix. Exits non-zero if any scenario produces a
-//! verdict outside the allowlist (`silent_corruption`, `hang`) — this
-//! is the CI gate.
+//! verdict outside the allowlist (`silent_corruption`, `hang`), or a
+//! fault-free baseline is not `clean` — this is the CI gate.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -11,8 +11,7 @@ use std::time::Duration;
 
 use shef_telemetry::{json_escape, Telemetry};
 use shef_testkit::{
-    campaign_plan, run_plan, CampaignRecord, CampaignTelemetry, FaultClass, FaultPlan,
-    ScenarioReport, Verdict, ALL_SCHEMES,
+    run_campaign, run_plan, CampaignTelemetry, FaultClass, FaultPlan, ScenarioReport, Verdict,
 };
 
 struct Args {
@@ -42,7 +41,11 @@ fn parse_args() -> Args {
                 let v = it.next().expect("--lanes needs a comma-separated list");
                 args.lanes = v
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--lanes: not a number"))
+                    .map(|s| {
+                        let n: usize = s.trim().parse().expect("--lanes: not a number");
+                        assert!(n >= 1, "--lanes: lane counts must be >= 1");
+                        n
+                    })
                     .collect();
             }
             "--json" => args.json = Some(it.next().expect("--json needs a path")),
@@ -107,62 +110,25 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
 
     let budget = Duration::from_secs(args.timeout_secs);
+    let records = run_campaign(args.seeds, &args.lanes, |plan| {
+        run_with_watchdog(plan, budget)
+    });
     let telemetry = Telemetry::new();
     let campaign_tele = CampaignTelemetry::bind(&telemetry);
-    let mut records: Vec<CampaignRecord> = Vec::new();
     let mut disallowed = 0usize;
-
-    for seed in 0..args.seeds {
-        for class in FaultClass::ALL {
-            for &lanes in &args.lanes {
-                let plan = campaign_plan(seed, class, lanes);
-                let scheme = plan.scheme;
-                let report = run_with_watchdog(plan, budget);
-                campaign_tele.record(&report);
-                if !report.is_allowed() {
-                    disallowed += 1;
-                    eprintln!(
-                        "FORBIDDEN: seed={seed} class={} scheme={} lanes={lanes} -> {} ({})",
-                        class.as_str(),
-                        scheme.as_str(),
-                        report.verdict,
-                        report.detail
-                    );
-                }
-                records.push(CampaignRecord {
-                    seed,
-                    class: Some(class),
-                    scheme,
-                    lanes,
-                    report,
-                });
-            }
-        }
-    }
-    // Fault-free baselines: must come back clean on every scheme and
-    // lane count, on seeds 0 and 1.
-    for scheme in ALL_SCHEMES {
-        for &lanes in &args.lanes {
-            for seed in [0u64, 1] {
-                let report = run_with_watchdog(FaultPlan::clean(seed, scheme, lanes), budget);
-                campaign_tele.record(&report);
-                if report.verdict != Verdict::Clean {
-                    disallowed += 1;
-                    eprintln!(
-                        "FORBIDDEN: clean baseline scheme={} lanes={lanes} -> {} ({})",
-                        scheme.as_str(),
-                        report.verdict,
-                        report.detail
-                    );
-                }
-                records.push(CampaignRecord {
-                    seed,
-                    class: None,
-                    scheme,
-                    lanes,
-                    report,
-                });
-            }
+    for r in &records {
+        campaign_tele.record(r);
+        if !r.is_allowed() {
+            disallowed += 1;
+            eprintln!(
+                "FORBIDDEN: seed={} class={} scheme={} lanes={} -> {} ({})",
+                r.seed,
+                r.class.map_or("baseline", FaultClass::as_str),
+                r.scheme.as_str(),
+                r.lanes,
+                r.report.verdict,
+                r.report.detail
+            );
         }
     }
 

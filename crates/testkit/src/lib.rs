@@ -1820,6 +1820,13 @@ pub struct CampaignRecord {
 }
 
 impl CampaignRecord {
+    /// Whether the scenario is on the campaign allowlist: its report
+    /// is allowed, and a fault-free baseline came back clean.
+    #[must_use]
+    pub fn is_allowed(&self) -> bool {
+        self.report.is_allowed() && (self.class.is_some() || self.report.verdict == Verdict::Clean)
+    }
+
     /// Serializes as a single JSON object on one line (the CI gate is
     /// line-oriented; keep it that way).
     #[must_use]
@@ -1839,7 +1846,7 @@ impl CampaignRecord {
             self.lanes,
             self.report.verdict,
             probe,
-            self.report.is_allowed(),
+            self.is_allowed(),
             shef_telemetry::json_escape(&self.report.detail),
         )
     }
@@ -1857,12 +1864,18 @@ impl CampaignRecord {
 /// ```
 /// use shef_telemetry::Telemetry;
 /// use shef_core::shield::Freshness;
-/// use shef_testkit::{CampaignTelemetry, run_plan, FaultClass, FaultPlan};
+/// use shef_testkit::{CampaignRecord, CampaignTelemetry, run_plan, FaultClass, FaultPlan};
 ///
 /// let telemetry = Telemetry::new();
 /// let tele = CampaignTelemetry::bind(&telemetry);
-/// let report = run_plan(&FaultPlan::single(3, FaultClass::DramBitFlip, Freshness::None, 1));
-/// tele.record(&report);
+/// let plan = FaultPlan::single(3, FaultClass::DramBitFlip, Freshness::None, 1);
+/// tele.record(&CampaignRecord {
+///     seed: 3,
+///     class: Some(FaultClass::DramBitFlip),
+///     scheme: plan.scheme,
+///     lanes: 1,
+///     report: run_plan(&plan),
+/// });
 /// let snapshot = telemetry.report();
 /// assert!(snapshot.counters.iter().any(|(n, v)| n.as_str() == "fault.scenarios" && *v == 1));
 /// assert!(snapshot.counters.iter().any(|(n, v)| n.as_str() == "fault.verdict.hang" && *v == 0));
@@ -1896,14 +1909,15 @@ impl CampaignTelemetry {
 
     /// Counts one scenario outcome: the primary verdict, the
     /// containment-probe verdict (when present), and whether the
-    /// scenario was allowlisted.
-    pub fn record(&self, report: &ScenarioReport) {
+    /// scenario was allowlisted ([`CampaignRecord::is_allowed`]).
+    pub fn record(&self, record: &CampaignRecord) {
+        let report = &record.report;
         self.scenarios.inc();
         self.verdicts[report.verdict.as_str()].inc();
         if let Some(probe) = report.probe {
             self.verdicts[probe.as_str()].inc();
         }
-        if !report.is_allowed() {
+        if !record.is_allowed() {
             self.disallowed.inc();
         }
     }
@@ -1918,42 +1932,40 @@ pub fn campaign_plan(seed: u64, class: FaultClass, lanes: usize) -> FaultPlan {
     FaultPlan::single(seed, class, scheme, lanes)
 }
 
-/// Sweeps seeds × fault classes × lane counts (plus fault-free
-/// baselines on seeds 0 and 1) and returns the verdict matrix.
-#[must_use]
-pub fn run_campaign(seeds: u64, lane_counts: &[usize]) -> Vec<CampaignRecord> {
-    let mut records = Vec::new();
+/// Sweeps seeds × fault classes × lane counts, then fault-free
+/// baselines on every scheme × lane count at seeds 0 and 1, running
+/// each plan through `run` (e.g. [`run_plan`]), and returns the verdict
+/// matrix in sweep order.
+pub fn run_campaign(
+    seeds: u64,
+    lane_counts: &[usize],
+    mut run: impl FnMut(FaultPlan) -> ScenarioReport,
+) -> Vec<CampaignRecord> {
+    let mut plans = Vec::new();
     for seed in 0..seeds {
         for class in FaultClass::ALL {
             for &lanes in lane_counts {
-                let plan = campaign_plan(seed, class, lanes);
-                let report = run_plan(&plan);
-                records.push(CampaignRecord {
-                    seed,
-                    class: Some(class),
-                    scheme: plan.scheme,
-                    lanes,
-                    report,
-                });
+                plans.push((Some(class), campaign_plan(seed, class, lanes)));
             }
         }
     }
-    // Fault-free baselines: every scheme × lane count must be Clean.
     for scheme in ALL_SCHEMES {
         for &lanes in lane_counts {
             for seed in [0u64, 1] {
-                let report = run_plan(&FaultPlan::clean(seed, scheme, lanes));
-                records.push(CampaignRecord {
-                    seed,
-                    class: None,
-                    scheme,
-                    lanes,
-                    report,
-                });
+                plans.push((None, FaultPlan::clean(seed, scheme, lanes)));
             }
         }
     }
-    records
+    plans
+        .into_iter()
+        .map(|(class, plan)| CampaignRecord {
+            seed: plan.seed,
+            class,
+            scheme: plan.scheme,
+            lanes: plan.lanes,
+            report: run(plan),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1978,6 +1990,27 @@ mod tests {
                 assert!(r.is_allowed(), "{} at {lanes} lanes: {r:?}", class.as_str());
             }
         }
+    }
+
+    #[test]
+    fn a_baseline_that_is_not_clean_is_not_allowed() {
+        let record = |class, verdict| CampaignRecord {
+            seed: 0,
+            class,
+            scheme: Freshness::None,
+            lanes: 1,
+            report: ScenarioReport {
+                verdict,
+                probe: None,
+                detail: String::new(),
+            },
+        };
+        assert!(record(None, Verdict::Clean).is_allowed());
+        assert!(!record(None, Verdict::Masked).is_allowed());
+        assert!(record(Some(FaultClass::DramBitFlip), Verdict::Masked).is_allowed());
+        assert!(record(None, Verdict::Masked)
+            .to_json_line()
+            .contains("\"allowed\": false"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use shef_fpga::clock::CostLedger;
 use shef_fpga::dram::Dram;
 use shef_fpga::shell::Shell;
 use shef_telemetry::Telemetry;
-use shef_testkit::{run_campaign, CampaignTelemetry};
+use shef_testkit::{run_campaign, run_plan, CampaignTelemetry};
 
 const REGION_BASE: u64 = 0x1000;
 const CHUNK: usize = 512;
@@ -118,8 +118,8 @@ fn campaign_verdict_counters_are_deterministic_and_pre_registered() {
     let export = || {
         let telemetry = Telemetry::new();
         let tele = CampaignTelemetry::bind(&telemetry);
-        for record in run_campaign(2, &[1, 2]) {
-            tele.record(&record.report);
+        for record in run_campaign(2, &[1, 2], |plan| run_plan(&plan)) {
+            tele.record(&record);
         }
         telemetry.report().to_json()
     };
